@@ -1,22 +1,23 @@
-// Online ingestion throughput: ring-buffer CsStream vs the erase-front
+// Online ingestion throughput: the ring-buffer CS stream vs the erase-front
 // history it replaced, window-copy emit vs the zero-copy MatrixView emit,
 // and StreamEngine scaling across node counts.
 //
 // The paper's in-band ODA claim only holds if the per-sample cost of the
-// online path is independent of how much history a stream retains. The old
-// CsStream kept its history in a std::vector<std::vector<double>>: one heap
-// allocation per push and an O(history) erase-front once the buffer was
-// full, so throughput degraded as history_length grew. NaiveStream below
-// reproduces that implementation verbatim as the "before" baseline; the
-// library CsStream (common::RingMatrix) is the "after". The copy-vs-view
-// table isolates the emit path: CopyStream reproduces the pre-MatrixView
-// emit (copy_latest window assembly + sorted/derivative temporaries per
-// signature) while the library CsStream reads the ring segments in place
-// through the fused smooth_window kernel — the two must emit identical
-// signatures, and the view path must not be slower at any history length.
-// The last table fans synthetic node fleets through StreamEngine and
-// reports aggregate samples/sec, and the driver exits non-zero if
-// StreamEngine ever disagrees with per-node CsStream runs.
+// online path is independent of how much history a stream retains. The
+// original CS stream kept its history in a std::vector<std::vector<double>>:
+// one heap allocation per push and an O(history) erase-front once the
+// buffer was full, so throughput degraded as history_length grew.
+// NaiveStream below reproduces that implementation verbatim as the
+// "before" baseline; the library MethodStream driving the CS method
+// (common::RingMatrix) is the "after". The copy-vs-view table isolates the
+// emit path: CopyStream reproduces the pre-MatrixView emit (copy_latest
+// window assembly + sorted/derivative temporaries per signature) while
+// MethodStream reads the ring segments in place through the fused
+// smooth_window kernel — the two must emit identical signatures, and the
+// view path must not be slower at any history length. The last table fans
+// synthetic node fleets through StreamEngine and reports aggregate
+// samples/sec, and the driver exits non-zero if StreamEngine ever
+// disagrees with per-node MethodStream runs.
 //
 // The daemon-loopback table prices the fleet-daemon service path: the same
 // ingest driven through a FleetServer over the in-process loopback
@@ -69,6 +70,7 @@
 #include "core/method_stream.hpp"
 #include "core/model_codec.hpp"
 #include "core/model_pack.hpp"
+#include "core/pipeline.hpp"
 #include "core/smoothing.hpp"
 #include "core/stream_engine.hpp"
 #include "core/streaming.hpp"
@@ -98,13 +100,23 @@ common::Matrix synthetic_stream(std::size_t n, std::size_t t,
   return s;
 }
 
-// The pre-ring-buffer CsStream, kept verbatim as the "before" baseline:
+// The CS method streaming over a pre-trained model, emitting both channels
+// (the flat form of what the verbatim baselines below return).
+std::shared_ptr<const core::SignatureMethod> cs_method(core::CsModel model,
+                                                       std::size_t blocks) {
+  return std::make_shared<const core::CsSignatureMethod>(
+      std::make_shared<const core::CsPipeline>(std::move(model),
+                                               core::CsOptions{blocks, false}));
+}
+
+// The pre-ring-buffer CS stream, kept verbatim as the "before" baseline:
 // vector-of-vectors history with erase-front eviction and element-by-element
 // window assembly. Retraining omitted (disabled in the comparison anyway).
 class NaiveStream {
  public:
-  NaiveStream(core::CsModel model, core::StreamOptions options)
-      : model_(std::move(model)), options_(options) {
+  NaiveStream(core::CsModel model, core::StreamOptions options,
+              std::size_t blocks)
+      : model_(std::move(model)), options_(options), blocks_(blocks) {
     history_.reserve(options_.history_length);
     next_emit_at_ = options_.window_length;
   }
@@ -141,22 +153,22 @@ class NaiveStream {
     } else {
       derivs = stats::backward_diff_rows(sorted);
     }
-    return core::smooth(sorted, derivs,
-                        options_.cs.resolve_blocks(model_.n_sensors()));
+    return core::smooth(sorted, derivs, blocks_);
   }
 
  private:
   core::CsModel model_;
   core::StreamOptions options_;
+  std::size_t blocks_;
   std::vector<std::vector<double>> history_;
   std::size_t samples_seen_ = 0;
   std::size_t next_emit_at_ = 0;
 };
 
 std::size_t run_naive(const core::CsModel& model,
-                      const core::StreamOptions& opts,
+                      const core::StreamOptions& opts, std::size_t blocks,
                       const common::Matrix& data) {
-  NaiveStream stream(model, opts);
+  NaiveStream stream(model, opts, blocks);
   std::vector<double> column(data.rows());
   std::size_t sigs = 0;
   for (std::size_t c = 0; c < data.cols(); ++c) {
@@ -166,15 +178,17 @@ std::size_t run_naive(const core::CsModel& model,
   return sigs;
 }
 
-// The pre-MatrixView CsStream emit path, kept verbatim as the copy-vs-view
+// The pre-MatrixView CS stream emit path, kept verbatim as the copy-vs-view
 // "before" baseline: ring-buffer ingest (that part stays), but every emit
 // assembles the window with copy_latest into a reused matrix, materialises
 // a sorted matrix, a sorted seed and a derivative matrix, then smooths.
 class CopyStream {
  public:
-  CopyStream(core::CsModel model, core::StreamOptions options)
+  CopyStream(core::CsModel model, core::StreamOptions options,
+             std::size_t blocks)
       : model_(std::move(model)),
         options_(options),
+        blocks_(blocks),
         history_(model_.n_sensors(), options_.history_length),
         window_(model_.n_sensors(), options_.window_length),
         seed_col_(model_.n_sensors(), 1) {
@@ -206,8 +220,7 @@ class CopyStream {
       } else {
         derivs = stats::backward_diff_rows(sorted);
       }
-      out.push_back(core::smooth(sorted, derivs,
-                                 options_.cs.resolve_blocks(n)));
+      out.push_back(core::smooth(sorted, derivs, blocks_));
     }
     return out;
   }
@@ -215,6 +228,7 @@ class CopyStream {
  private:
   core::CsModel model_;
   core::StreamOptions options_;
+  std::size_t blocks_;
   common::RingMatrix history_;
   common::Matrix window_;
   common::Matrix seed_col_;
@@ -222,33 +236,28 @@ class CopyStream {
   std::size_t next_emit_at_ = 0;
 };
 
-std::size_t run_ring(const core::CsModel& model,
+std::size_t run_ring(const std::shared_ptr<const core::SignatureMethod>& method,
                      const core::StreamOptions& opts,
                      const common::Matrix& data) {
-  core::CsStream stream(model, opts);
+  core::MethodStream stream(method, opts);
   return stream.push_all(data).size();
 }
 
 bool engine_matches_per_node_streams(const core::StreamOptions& opts,
-                                     std::uint64_t seed) {
+                                     std::size_t blocks, std::uint64_t seed) {
   const std::size_t n_nodes = 8;
   core::StreamEngine engine(opts);
   std::vector<common::Matrix> batches;
-  std::vector<core::CsModel> models;
+  std::vector<std::shared_ptr<const core::SignatureMethod>> methods;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     batches.push_back(synthetic_stream(24, 600, seed + i));
-    models.push_back(core::train(batches.back()));
-    engine.add_node("node", models.back());
+    methods.push_back(cs_method(core::train(batches.back()), blocks));
+    engine.add_node("node", methods.back());
   }
   engine.ingest_batch(batches);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    core::CsStream reference(models[i], opts);
-    const auto expected = reference.push_all(batches[i]);
-    const auto got = engine.drain(i);
-    if (got.size() != expected.size()) return false;
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      if (!(got[k] == expected[k].flatten())) return false;
-    }
+    core::MethodStream reference(methods[i], opts);
+    if (engine.drain(i) != reference.push_all(batches[i])) return false;
   }
   return true;
 }
@@ -278,7 +287,7 @@ RetrainRun run_retrain_policy(
     out.push_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  out.swaps = stream.retrain_swaps();
+  out.swaps = stream.retrain_count();
   out.aborts = stream.retrain_aborts();
   return out;
 }
@@ -300,7 +309,7 @@ namespace csm::benchkit {
 
 Setup bench_setup() {
   return {"stream_throughput",
-          "CsStream push path (erase-front history vs ring buffer), "
+          "CS stream push path (erase-front history vs ring buffer), "
           "StreamEngine fleet-scaling throughput, the daemon loopback "
           "frame path vs direct engine ingest, and fleet cold-start from "
           "per-file models vs one model pack",
@@ -313,7 +322,7 @@ int bench_run(Runner& run) {
   core::StreamOptions opts;
   opts.window_length = 60;
   opts.window_step = 10;
-  opts.cs.blocks = 20;
+  const std::size_t blocks = 20;
 
   const std::vector<std::size_t> sensor_counts =
       quick ? std::vector<std::size_t>{16} : std::vector<std::size_t>{16, 64};
@@ -321,7 +330,7 @@ int bench_run(Runner& run) {
       quick ? std::vector<std::size_t>{512, 4096}
             : std::vector<std::size_t>{1024, 4096, 16384};
 
-  std::printf("== CsStream push path: erase-front history vs ring buffer "
+  std::printf("== CS stream push path: erase-front history vs ring buffer "
               "(wl=60, ws=10) ==\n");
   std::printf("%8s %9s %9s %15s %15s %9s\n", "sensors", "history", "samples",
               "naive (smp/s)", "ring (smp/s)", "speedup");
@@ -339,16 +348,17 @@ int bench_run(Runner& run) {
       const common::Matrix data = synthetic_stream(n, t, seed);
       const core::CsModel model =
           core::train(data.sub_cols(0, std::min<std::size_t>(t, 4000)));
+      const auto method = cs_method(model, blocks);
       opts.history_length = history;
 
       std::size_t naive_sigs = 0;
       std::size_t ring_sigs = 0;
-      CaseResult& naive =
-          run.measure("naive/" + point, static_cast<double>(t),
-                      [&] { naive_sigs = run_naive(model, opts, data); });
+      CaseResult& naive = run.measure(
+          "naive/" + point, static_cast<double>(t),
+          [&] { naive_sigs = run_naive(model, opts, blocks, data); });
       CaseResult& ring =
           run.measure("ring/" + point, static_cast<double>(t),
-                      [&] { ring_sigs = run_ring(model, opts, data); });
+                      [&] { ring_sigs = run_ring(method, opts, data); });
       for (CaseResult* c : {&naive, &ring}) {
         c->seed = seed;
         c->param("sensors", std::to_string(n));
@@ -368,7 +378,7 @@ int bench_run(Runner& run) {
     }
   }
 
-  std::printf("\n== CsStream emit path: window copy vs zero-copy MatrixView "
+  std::printf("\n== CS stream emit path: window copy vs zero-copy MatrixView "
               "(wl=60, ws=10) ==\n");
   std::printf("%8s %9s %9s %15s %15s %9s\n", "sensors", "history", "samples",
               "copy (smp/s)", "view (smp/s)", "speedup");
@@ -384,18 +394,19 @@ int bench_run(Runner& run) {
       const common::Matrix data = synthetic_stream(n, t, seed);
       const core::CsModel model =
           core::train(data.sub_cols(0, std::min<std::size_t>(t, 4000)));
+      const auto method = cs_method(model, blocks);
       opts.history_length = history;
 
       std::vector<core::Signature> copy_sigs;
-      std::vector<core::Signature> view_sigs;
+      std::vector<std::vector<double>> view_sigs;
       CaseResult& copy =
           run.measure("window-copy/" + point, static_cast<double>(t), [&] {
-            CopyStream stream(model, opts);
+            CopyStream stream(model, opts, blocks);
             copy_sigs = stream.push_all(data);
           });
       CaseResult& view =
           run.measure("window-view/" + point, static_cast<double>(t), [&] {
-            core::CsStream stream(model, opts);
+            core::MethodStream stream(method, opts);
             view_sigs = stream.push_all(data);
           });
       for (CaseResult* c : {&copy, &view}) {
@@ -406,7 +417,11 @@ int bench_run(Runner& run) {
       }
       copy.metric("signatures", static_cast<double>(copy_sigs.size()));
       view.metric("signatures", static_cast<double>(view_sigs.size()));
-      if (copy_sigs != view_sigs) {
+      bool same = copy_sigs.size() == view_sigs.size();
+      for (std::size_t k = 0; same && k < copy_sigs.size(); ++k) {
+        same = copy_sigs[k].flatten() == view_sigs[k];
+      }
+      if (!same) {
         std::fprintf(stderr,
                      "FAIL: view emit differs from copy emit at %s\n",
                      point.c_str());
@@ -439,17 +454,17 @@ int bench_run(Runner& run) {
     const std::string name = "engine/nodes=" + std::to_string(nodes);
     const std::uint64_t seed = run.derive_seed(name);
     std::vector<common::Matrix> batches;
-    std::vector<core::CsModel> models;
+    std::vector<std::shared_ptr<const core::SignatureMethod>> methods;
     for (std::size_t i = 0; i < nodes; ++i) {
       batches.push_back(synthetic_stream(32, fleet_t, seed + i));
-      models.push_back(core::train(batches.back()));
+      methods.push_back(cs_method(core::train(batches.back()), blocks));
     }
     std::size_t signatures = 0;
     CaseResult& result = run.measure(
         name, static_cast<double>(nodes * fleet_t), [&] {
           core::StreamEngine engine(opts);
           for (std::size_t i = 0; i < nodes; ++i) {
-            engine.add_node("node", models[i]);
+            engine.add_node("node", methods[i]);
           }
           engine.ingest_batch(batches);
           signatures = engine.stats().signatures;
@@ -485,7 +500,6 @@ int bench_run(Runner& run) {
     d_opts.window_length = 60;
     d_opts.window_step = 10;
     d_opts.history_length = 1024;
-    d_opts.cs.blocks = 8;
     const auto& registry = baselines::default_registry();
 
     std::vector<std::string> ids;
@@ -811,7 +825,6 @@ int bench_run(Runner& run) {
     rt_opts.window_length = 60;
     rt_opts.window_step = 10;
     rt_opts.history_length = 256;
-    rt_opts.cs.blocks = 8;
     rt_opts.retrain_threads = 2;
     // Rare enough that a single-core runner's scheduler noise around each
     // fit stays below the p99 index (pushes affected per fit << 1% of the
@@ -917,9 +930,9 @@ int bench_run(Runner& run) {
     }
   }
 
-  std::printf("\n== StreamEngine vs per-node CsStream equivalence ==\n");
+  std::printf("\n== StreamEngine vs per-node MethodStream equivalence ==\n");
   opts.history_length = 1024;
-  if (!engine_matches_per_node_streams(opts,
+  if (!engine_matches_per_node_streams(opts, blocks,
                                        run.derive_seed("equivalence"))) {
     std::printf("FAIL: engine output differs from per-node streams\n");
     return 1;

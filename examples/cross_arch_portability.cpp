@@ -3,14 +3,14 @@
 // different sensor counts — something the baseline methods structurally
 // cannot do — and classify applications with no knowledge of the
 // architecture. Also demonstrates shipping a trained CS model between
-// processes via its text serialisation.
+// processes through the method codec's text format.
 //
 // Usage: cross_arch_portability [scale]
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
-#include "core/training.hpp"
+#include "baselines/registry.hpp"
 #include "harness/experiment.hpp"
 #include "hpcoda/generator.hpp"
 
@@ -47,11 +47,13 @@ int main(int argc, char** argv) {
   std::cout << "(paper reports 0.995 with no degradation vs single-arch)\n";
 
   // Model portability: serialise the Skylake model and reuse it elsewhere.
-  const core::CsModel skylake_model = core::train(seg.blocks[0].sensors);
-  const std::string blob = skylake_model.serialize();
-  const core::CsModel shipped = core::CsModel::deserialize(blob);
+  const auto& registry = baselines::default_registry();
+  const auto skylake =
+      registry.create("cs:blocks=20")->fit(seg.blocks[0].sensors);
+  const std::string blob = skylake->serialize();
+  const bool round_trip = registry.deserialize(blob)->serialize() == blob;
   std::cout << "\nSkylake CS model ships as " << blob.size()
             << " bytes of text; round-trip "
-            << (shipped == skylake_model ? "OK" : "FAILED") << '\n';
+            << (round_trip ? "OK" : "FAILED") << '\n';
   return 0;
 }

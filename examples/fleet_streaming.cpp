@@ -2,8 +2,8 @@
 //
 // Where online_fault_detection replays a single node, this example runs the
 // in-band ODA loop of Fig. 1 across a whole fleet: the Application segment's
-// 16 compute nodes each get their own CS model (trained out-of-band on that
-// node's sensors) and their own ring-buffered MethodStream inside one
+// 16 compute nodes each get their own CS-20 method (fitted out-of-band on
+// that node's sensors) and their own ring-buffered MethodStream inside one
 // StreamEngine. A shared random-forest classifier is fitted on signatures
 // from the first 60% of every run; the remaining 40% is then ingested in
 // per-node batches — fanned across nodes with parallel_for — and every
@@ -13,11 +13,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "core/stream_engine.hpp"
-#include "core/training.hpp"
 #include "hpcoda/generator.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
@@ -36,24 +37,24 @@ int main(int argc, char** argv) {
   core::StreamOptions opts;
   opts.window_length = seg.window.length;
   opts.window_step = seg.window.step;
-  opts.cs.blocks = 20;
 
-  // Out-of-band phase: per-node CS models, then one fleet-wide classifier
-  // over the training share of every run on every node.
-  std::vector<core::CsModel> models;
-  models.reserve(n_nodes);
+  // Out-of-band phase: per-node CS-20 methods, then one fleet-wide
+  // classifier over the training share of every run on every node.
+  const core::CsSignatureMethod prototype(core::CsOptions{20, false});
+  std::vector<std::shared_ptr<const core::SignatureMethod>> methods;
+  methods.reserve(n_nodes);
   for (const hpcoda::ComponentBlock& block : seg.blocks) {
-    models.push_back(core::train(block.sensors));
+    methods.push_back(prototype.fit(block.sensors));
   }
   data::Dataset train_set;
   for (const hpcoda::RunInfo& run : seg.runs) {
     const std::size_t train_len = (run.end - run.begin) * 3 / 5;
     if (train_len < opts.window_length) continue;
     for (std::size_t b = 0; b < n_nodes; ++b) {
-      core::CsStream trainer(models[b], opts);
-      for (const core::Signature& sig : trainer.push_all(
+      core::MethodStream trainer(methods[b], opts);
+      for (const std::vector<double>& features : trainer.push_all(
                seg.blocks[b].sensors.sub_cols(run.begin, train_len))) {
-        train_set.features.append_row(sig.flatten());
+        train_set.features.append_row(features);
         train_set.labels.push_back(run.label);
       }
     }
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
     std::vector<common::Matrix> batches;
     batches.reserve(n_nodes);
     for (std::size_t b = 0; b < n_nodes; ++b) {
-      engine.add_node(seg.blocks[b].name, models[b]);
+      engine.add_node(seg.blocks[b].name, methods[b]);
       batches.push_back(seg.blocks[b].sensors.sub_cols(
           test_begin, run.end - test_begin));
     }

@@ -3,9 +3,12 @@
 // 1. Load (or here: synthesise) multi-sensor monitoring data.
 // 2. Train a CS model on historical data (training stage).
 // 3. Compute compact signatures over sliding windows (sorting + smoothing).
-// 4. Inspect, flatten for ML, rescale, and persist the model.
+// 4. Inspect, flatten for ML, rescale, and ship the model through the
+//    method codec.
 #include <iostream>
+#include <memory>
 
+#include "baselines/registry.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
@@ -60,10 +63,14 @@ int main() {
   std::cout << "Rescaled to 2 blocks: " << coarse.real()[0] << ", "
             << coarse.real()[1] << '\n';
 
-  const std::string blob = model.serialize();
-  const core::CsModel shipped = core::CsModel::deserialize(blob);
+  const core::CsSignatureMethod method(
+      std::make_shared<const core::CsPipeline>(pipeline));
+  const std::string blob = method.serialize();
+  const auto shipped = baselines::default_registry().deserialize(blob);
+  const auto& revived = dynamic_cast<const core::CsSignatureMethod&>(*shipped);
+  const bool round_trip = revived.pipeline()->model() == model;
   std::cout << "Model serialises to " << blob.size()
             << " bytes and round-trips: "
-            << (shipped == model ? "OK" : "MISMATCH") << '\n';
+            << (round_trip ? "OK" : "MISMATCH") << '\n';
   return 0;
 }

@@ -1,5 +1,5 @@
 // Fuzz target: MethodRegistry::deserialize over tagged-text model bodies
-// ("csmethod v2 <key>" and the legacy v1 forms).
+// ("csmethod v2 <key>", the only text model format).
 //
 // Arbitrary text either revives a trained method or throws
 // std::runtime_error. Accepted inputs must round-trip through the canonical

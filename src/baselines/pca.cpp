@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +14,8 @@ namespace csm::baselines {
 
 namespace {
 
-// Sanity cap on deserialised dimensions (see CsModel::deserialize).
+// Sanity cap on decoded dimensions: a corrupt record must not turn into a
+// multi-gigabyte allocation before the shape checks can fail.
 constexpr std::size_t kMaxPcaDim = 1u << 24;
 
 void check_all_finite(std::span<const double> values, const char* what) {
@@ -119,55 +119,6 @@ std::vector<double> PcaModel::project_centered(
   return project_impl(components_, x, means_, inv_std_, false);
 }
 
-std::string PcaModel::serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "pcamodel v1\n" << n_sensors() << ' ' << n_components() << "\n";
-  for (std::size_t i = 0; i < n_sensors(); ++i) {
-    out << means_[i] << ' ' << inv_std_[i] << "\n";
-  }
-  for (std::size_t c = 0; c < n_components(); ++c) {
-    out << explained_[c];
-    for (double v : components_.row(c)) out << ' ' << v;
-    out << "\n";
-  }
-  return out.str();
-}
-
-PcaModel PcaModel::deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic, version;
-  in >> magic >> version;
-  if (!in || magic != "pcamodel" || version != "v1") {
-    throw std::runtime_error("PcaModel::deserialize: bad header");
-  }
-  std::size_t n = 0, k = 0;
-  in >> n >> k;
-  if (!in || n == 0 || n > kMaxPcaDim || k == 0 || k > n) {
-    throw std::runtime_error("PcaModel::deserialize: bad dimensions");
-  }
-  std::vector<double> means(n), inv_std(n), explained(k);
-  common::Matrix components(k, n);
-  for (std::size_t i = 0; i < n; ++i) in >> means[i] >> inv_std[i];
-  for (std::size_t c = 0; c < k; ++c) {
-    in >> explained[c];
-    for (std::size_t i = 0; i < n; ++i) in >> components(c, i);
-  }
-  if (!in) throw std::runtime_error("PcaModel::deserialize: truncated body");
-  std::string extra;
-  if (in >> extra) {
-    throw std::runtime_error(
-        "PcaModel::deserialize: trailing data after the model body");
-  }
-  try {
-    return PcaModel(std::move(means), std::move(inv_std),
-                    std::move(components), std::move(explained));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("PcaModel::deserialize: ") +
-                             e.what());
-  }
-}
-
 PcaMethod::PcaMethod(std::size_t components) : components_(components) {
   if (components_ == 0) {
     throw std::invalid_argument("PcaMethod: zero components");
@@ -233,11 +184,6 @@ std::unique_ptr<PcaMethod> PcaMethod::read(core::codec::Source& in) {
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("PcaMethod: ") + e.what());
   }
-}
-
-std::unique_ptr<PcaMethod> PcaMethod::deserialize_body(
-    const std::string& body) {
-  return std::make_unique<PcaMethod>(PcaModel::deserialize(body));
 }
 
 std::vector<double> PcaMethod::compute(

@@ -22,7 +22,7 @@ class PcaModel {
  public:
   PcaModel() = default;
 
-  /// Builds a model from its parts (e.g. when deserialising). Throws
+  /// Builds a model from its parts (e.g. when decoding). Throws
   /// std::invalid_argument on inconsistent shapes or non-finite values.
   PcaModel(std::vector<double> means, std::vector<double> inv_std,
            common::Matrix components, std::vector<double> explained);
@@ -42,12 +42,6 @@ class PcaModel {
   const std::vector<double>& explained_variance() const noexcept {
     return explained_;
   }
-
-  /// Human-readable text blob ("pcamodel v1 ..."), mirroring CsModel.
-  std::string serialize() const;
-  /// Throws std::runtime_error on malformed input (bad header, truncated
-  /// body, NaN values, shape mismatches).
-  static PcaModel deserialize(const std::string& text);
 
   /// Projects an n-vector (standardised internally) onto the components.
   std::vector<double> project(std::span<const double> x) const;
@@ -99,9 +93,6 @@ class PcaMethod final : public core::SignatureMethod {
   /// Reads the save() fields back from either codec back-end. Throws
   /// std::runtime_error on malformed input.
   static std::unique_ptr<PcaMethod> read(core::codec::Source& in);
-
-  /// Parses the body of the legacy "csmethod v1 pca" format.
-  static std::unique_ptr<PcaMethod> deserialize_body(const std::string& body);
 
  private:
   PcaModel model_;            ///< Default-constructed = untrained.

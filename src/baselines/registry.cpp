@@ -1,6 +1,5 @@
 #include "baselines/registry.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "baselines/bodik.hpp"
@@ -16,15 +15,6 @@ using core::MethodRegistry;
 using core::MethodSpec;
 using core::SignatureMethod;
 
-// Stateless methods serialise as a bare header; reject bodies so corrupt
-// files fail loudly instead of silently reviving a default-configured method.
-void expect_empty_body(const std::string& body, const char* method) {
-  if (body.find_first_not_of(" \t\r\n") != std::string::npos) {
-    throw std::runtime_error(std::string(method) +
-                             ": unexpected serialised body");
-  }
-}
-
 }  // namespace
 
 void register_baseline_methods(core::MethodRegistry& registry) {
@@ -37,10 +27,6 @@ void register_baseline_methods(core::MethodRegistry& registry) {
       },
       [](core::codec::Source&) -> std::unique_ptr<SignatureMethod> {
         return std::make_unique<TuncerMethod>();
-      },
-      [](const std::string& body) -> std::unique_ptr<SignatureMethod> {
-        expect_empty_body(body, "TuncerMethod");
-        return std::make_unique<TuncerMethod>();
       }});
 
   registry.add(MethodRegistry::Entry{
@@ -51,10 +37,6 @@ void register_baseline_methods(core::MethodRegistry& registry) {
         return std::make_unique<BodikMethod>();
       },
       [](core::codec::Source&) -> std::unique_ptr<SignatureMethod> {
-        return std::make_unique<BodikMethod>();
-      },
-      [](const std::string& body) -> std::unique_ptr<SignatureMethod> {
-        expect_empty_body(body, "BodikMethod");
         return std::make_unique<BodikMethod>();
       }});
 
@@ -72,21 +54,6 @@ void register_baseline_methods(core::MethodRegistry& registry) {
           throw std::runtime_error("LanMethod: wr must be positive");
         }
         return std::make_unique<LanMethod>(wr);
-      },
-      [](const std::string& body) -> std::unique_ptr<SignatureMethod> {
-        std::istringstream in(body);
-        std::string kw;
-        std::size_t wr = 0;
-        in >> kw >> wr;
-        if (!in || kw != "wr" || wr == 0) {
-          throw std::runtime_error("LanMethod: malformed serialised body");
-        }
-        std::string extra;
-        if (in >> extra) {
-          throw std::runtime_error(
-              "LanMethod: trailing data after the serialised body");
-        }
-        return std::make_unique<LanMethod>(wr);
       }});
 
   registry.add(MethodRegistry::Entry{
@@ -99,9 +66,6 @@ void register_baseline_methods(core::MethodRegistry& registry) {
       },
       [](core::codec::Source& in) -> std::unique_ptr<SignatureMethod> {
         return PcaMethod::read(in);
-      },
-      [](const std::string& body) -> std::unique_ptr<SignatureMethod> {
-        return PcaMethod::deserialize_body(body);
       }});
 }
 

@@ -1,7 +1,7 @@
 // Fixed-capacity ring buffer of matrix columns.
 //
-// Streaming consumers (core::CsStream, core::StreamEngine) keep the last
-// `capacity` sensor columns of a live stream. A naive
+// Streaming consumers (core::MethodStream, one per StreamEngine node) keep
+// the last `capacity` sensor columns of a live stream. A naive
 // std::vector<std::vector<double>> history pays one heap allocation per push
 // and an O(capacity) erase-front once full, which makes the per-sample cost
 // grow with the history length. RingMatrix stores all columns in one

@@ -1,17 +1,11 @@
 #include "core/cs_model.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace csm::core {
 
 namespace {
-
-// Sanity cap on deserialised sensor counts: a corrupt header must not turn
-// into a multi-gigabyte allocation before the body check can fail.
-constexpr std::size_t kMaxSensors = 1u << 24;
 
 void check_permutation(const std::vector<std::size_t>& p) {
   std::vector<bool> seen(p.size(), false);
@@ -49,68 +43,6 @@ common::Matrix CsModel::sort(const common::Matrix& s) const {
   }
   common::Matrix normalized = stats::normalize_rows(s, bounds_);
   return normalized.permute_rows(permutation_);
-}
-
-std::string CsModel::serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "csmodel v1\n" << n_sensors() << "\n";
-  for (std::size_t i = 0; i < n_sensors(); ++i) {
-    out << permutation_[i] << ' ' << bounds_[i].lo << ' ' << bounds_[i].hi
-        << "\n";
-  }
-  return out.str();
-}
-
-CsModel CsModel::deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic, version;
-  in >> magic >> version;
-  if (!in || magic != "csmodel" || version != "v1") {
-    throw std::runtime_error("CsModel::deserialize: bad header");
-  }
-  std::size_t n = 0;
-  in >> n;
-  if (!in || n > kMaxSensors) {
-    throw std::runtime_error("CsModel::deserialize: bad sensor count");
-  }
-  std::vector<std::size_t> perm(n);
-  std::vector<stats::MinMaxBounds> bounds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    in >> perm[i] >> bounds[i].lo >> bounds[i].hi;
-    if (!in) throw std::runtime_error("CsModel::deserialize: truncated body");
-  }
-  std::string extra;
-  if (in >> extra) {
-    throw std::runtime_error(
-        "CsModel::deserialize: trailing data after the model body");
-  }
-  try {
-    return CsModel(std::move(perm), std::move(bounds));
-  } catch (const std::invalid_argument& e) {
-    // Surface structural problems (non-permutation p, NaN bounds) with the
-    // same exception type as the other malformed-blob paths.
-    throw std::runtime_error(std::string("CsModel::deserialize: ") + e.what());
-  }
-}
-
-void CsModel::save(const std::filesystem::path& file) const {
-  std::ofstream out(file, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("CsModel::save: cannot open " + file.string());
-  }
-  out << serialize();
-  if (!out) throw std::runtime_error("CsModel::save: write failed");
-}
-
-CsModel CsModel::load(const std::filesystem::path& file) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("CsModel::load: cannot open " + file.string());
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return deserialize(buf.str());
 }
 
 }  // namespace csm::core

@@ -3,13 +3,11 @@
 // A CS model is everything the online stages need: the row permutation vector
 // p computed by Algorithm 1 and the per-row min/max bounds for normalisation.
 // Models are cheap to store and are typically trained once and reused for all
-// subsequent windows; they can be serialised to a small text format so that
-// out-of-band trainers can ship models to in-band consumers.
+// subsequent windows. Out-of-band trainers ship them to in-band consumers
+// inside a CsSignatureMethod, through the model codec (core/model_codec.hpp).
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
-#include <string>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -41,14 +39,6 @@ class CsModel {
   /// using the stored bounds, then permutes rows by p. `s` must have
   /// n_sensors() rows; any column count is accepted.
   common::Matrix sort(const common::Matrix& s) const;
-
-  /// Serialises to a human-readable text blob / parses it back.
-  std::string serialize() const;
-  static CsModel deserialize(const std::string& text);
-
-  /// File round-trip convenience.
-  void save(const std::filesystem::path& file) const;
-  static CsModel load(const std::filesystem::path& file);
 
   bool operator==(const CsModel&) const = default;
 

@@ -14,7 +14,6 @@ namespace csm::core {
 namespace {
 
 constexpr std::string_view kMagic = "csmethod";
-constexpr std::string_view kLegacyVersion = "v1";
 constexpr std::string_view kVersion = "v2";
 
 std::string_view trim(std::string_view s) {
@@ -201,8 +200,7 @@ std::unique_ptr<SignatureMethod> MethodRegistry::deserialize(
   std::istringstream in(text);
   std::string magic, version, key;
   in >> magic >> version >> key;
-  if (!in || magic != kMagic ||
-      (version != kVersion && version != kLegacyVersion)) {
+  if (!in || magic != kMagic || version != kVersion) {
     throw std::runtime_error(
         "MethodRegistry::deserialize: bad header (expected \"csmethod v2 "
         "<key>\")");
@@ -211,21 +209,12 @@ std::unique_ptr<SignatureMethod> MethodRegistry::deserialize(
     throw std::runtime_error(
         "MethodRegistry::deserialize: unknown method tag \"" + key + "\"");
   }
-  const Entry& e = entry(key);
   // Body = everything after the header line.
   const std::size_t eol = text.find('\n');
   const std::string body =
       eol == std::string::npos ? std::string{} : text.substr(eol + 1);
-  if (version == kLegacyVersion) {
-    if (!e.deserializer) {
-      throw std::runtime_error(
-          "MethodRegistry::deserialize: method \"" + key +
-          "\" has no legacy v1 reader");
-    }
-    return e.deserializer(body);
-  }
   codec::TextSource source(body);
-  std::unique_ptr<SignatureMethod> method = e.read(source);
+  std::unique_ptr<SignatureMethod> method = entry(key).read(source);
   source.finish();
   return method;
 }
@@ -264,11 +253,6 @@ std::string method_header(std::string_view key) {
   return codec::text_header(key);
 }
 
-bool is_tagged_method(std::string_view text) {
-  const std::string_view head = trim(text.substr(0, kMagic.size() + 2));
-  return head.substr(0, kMagic.size()) == kMagic;
-}
-
 void save_method(const SignatureMethod& method,
                  const std::filesystem::path& file,
                  codec::ModelFormat format) {
@@ -300,9 +284,6 @@ void register_cs_method(MethodRegistry& registry) {
       },
       [](codec::Source& in) -> std::unique_ptr<SignatureMethod> {
         return CsSignatureMethod::read(in);
-      },
-      [](const std::string& body) -> std::unique_ptr<SignatureMethod> {
-        return CsSignatureMethod::deserialize_body(body);
       }});
 }
 

@@ -17,8 +17,8 @@
 //
 // Both formats carry the same codec::Sink fields, so one Entry::read
 // callback serves text (deserialize/load) and binary (decode/ModelPack).
-// The legacy "csmethod v1 <key>" bodies from earlier releases stay readable
-// through the optional per-entry Deserializer.
+// These two are the only model formats; any other header (e.g. a
+// "csmethod v1" file) is rejected as a bad header.
 //
 // Adding a future method is one registry registration: the harness line-ups,
 // csmcli (--method / methods), the benches and the streaming layer all
@@ -77,10 +77,6 @@ class MethodRegistry {
   /// from either back-end. The registry calls Source::finish() afterwards.
   using Reader =
       std::function<std::unique_ptr<SignatureMethod>(codec::Source& in)>;
-  /// Legacy reader for pre-codec "csmethod v1" text bodies (read-only
-  /// compatibility; nothing writes v1 anymore).
-  using Deserializer =
-      std::function<std::unique_ptr<SignatureMethod>(const std::string& body)>;
 
   struct Entry {
     std::string key;      ///< Spec name, e.g. "cs".
@@ -88,12 +84,10 @@ class MethodRegistry {
     std::string summary;  ///< One-line description for listings.
     Factory factory;
     Reader read;
-    Deserializer deserializer;  ///< Optional legacy v1 text reader.
   };
 
   /// Registers an entry. Throws std::invalid_argument on an empty or
-  /// duplicate key or a missing factory/read callback (the legacy
-  /// deserializer is optional).
+  /// duplicate key or a missing factory/read callback.
   void add(Entry entry);
 
   bool contains(std::string_view key) const;
@@ -110,10 +104,9 @@ class MethodRegistry {
   std::unique_ptr<SignatureMethod> create(std::string_view spec_text) const;
 
   /// Revives a trained method from tagged text — the "csmethod v2" form
-  /// written by SignatureMethod::serialize(), or a legacy "csmethod v1"
-  /// body when the entry registered a Deserializer. Throws
-  /// std::runtime_error on a bad header or unknown tag; the per-method
-  /// reader validates the body.
+  /// written by SignatureMethod::serialize(). Throws std::runtime_error on
+  /// a bad header or unknown tag; the per-method reader validates the
+  /// body.
   std::unique_ptr<SignatureMethod> deserialize(const std::string& text) const;
 
   /// Revives a trained method from one binary record written by
@@ -133,10 +126,6 @@ class MethodRegistry {
 
 /// Current text serialisation header: "csmethod v2 <key>\n".
 std::string method_header(std::string_view key);
-
-/// True when `text` starts with the tagged-method magic (vs e.g. a legacy
-/// bare CsModel blob).
-bool is_tagged_method(std::string_view text);
 
 /// Writes the method to `file` in the requested model-codec format; throws
 /// std::runtime_error on I/O failure.

@@ -18,8 +18,9 @@
 // the old model mid-fit and the ingest thread never waits on a fit. A fit
 // superseded by a newer retrain is cancelled through its TrainContext token
 // and counted in retrain_aborts(). This single loop serves the whole method
-// fleet: CsStream is a thin typed wrapper over it, and StreamEngine fans it
-// out across nodes (sharing one executor between them).
+// fleet, CS included: a standalone component streams through one directly,
+// and StreamEngine fans it out across nodes (sharing one executor between
+// them).
 #pragma once
 
 #include <cstddef>
@@ -81,9 +82,8 @@ class MethodStream {
   }
   /// Retrained models actually swapped in (under kSync every fired retrain;
   /// under the async policies, fits that completed and reached an emit
-  /// boundary). retrain_swaps() is the explicit alias.
+  /// boundary).
   std::size_t retrain_count() const noexcept { return retrain_count_; }
-  std::size_t retrain_swaps() const noexcept { return retrain_count_; }
   /// Retrains that fired but never produced a swap: superseded (cancelled)
   /// fits, skip-if-busy suppressions, and discarded stale results.
   std::size_t retrain_aborts() const noexcept { return retrain_aborts_; }

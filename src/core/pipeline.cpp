@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "core/model_codec.hpp"
@@ -159,30 +158,6 @@ std::unique_ptr<CsSignatureMethod> CsSignatureMethod::read(codec::Source& in) {
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("CsSignatureMethod: ") + e.what());
   }
-}
-
-std::unique_ptr<CsSignatureMethod> CsSignatureMethod::deserialize_body(
-    const std::string& body) {
-  std::istringstream in(body);
-  std::string kw_blocks, kw_real;
-  CsOptions options;
-  int real_only = 0;
-  in >> kw_blocks >> options.blocks >> kw_real >> real_only;
-  if (!in || kw_blocks != "blocks" || kw_real != "real-only" ||
-      (real_only != 0 && real_only != 1)) {
-    throw std::runtime_error("CsSignatureMethod: malformed options block");
-  }
-  options.real_only = real_only == 1;
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  std::string model_text = rest.str();
-  // Strip the newline separating the options block from the model blob.
-  if (!model_text.empty() && model_text.front() == '\n') {
-    model_text.erase(model_text.begin());
-  }
-  auto pipeline = std::make_shared<const CsPipeline>(
-      CsModel::deserialize(model_text), options);
-  return std::make_unique<CsSignatureMethod>(std::move(pipeline));
 }
 
 std::vector<double> CsSignatureMethod::compute_streaming(

@@ -123,11 +123,6 @@ class CsSignatureMethod final : public SignatureMethod {
   /// std::runtime_error on malformed input.
   static std::unique_ptr<CsSignatureMethod> read(codec::Source& in);
 
-  /// Parses the body of the legacy "csmethod v1 cs" format (options plus an
-  /// embedded CsModel blob). Throws std::runtime_error on malformed input.
-  static std::unique_ptr<CsSignatureMethod> deserialize_body(
-      const std::string& body);
-
  private:
   std::shared_ptr<const CsPipeline> pipeline_;  ///< Null = untrained.
   CsOptions options_;

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "core/cs_model.hpp"
 #include "core/method_stream.hpp"
 #include "core/signature_method.hpp"
 #include "core/streaming.hpp"
@@ -156,9 +155,6 @@ class StreamEngine {
                        std::shared_ptr<const SignatureMethod> method,
                        std::size_t n_sensors = 0);
 
-  /// CS convenience: wraps `model` with this engine's CsOptions.
-  std::size_t add_node(std::string name, CsModel model);
-
   /// Fleet-store convenience: lazily deserialises node `id`'s record from a
   /// mapped ModelPack through `registry` (the node keeps `id` as its name).
   /// Throws std::runtime_error when the id is absent or its record is
@@ -210,10 +206,6 @@ class StreamEngine {
   /// Signatures this node has shed under the StreamOptions::max_pending
   /// backpressure policy (cumulative; still reported after removal).
   std::uint64_t dropped(std::size_t node) const;
-
-  /// Copy of this node's ingest-latency histogram (one sample per ingest
-  /// call; see kLatencyBins/kLatencyMaxUs for the shape).
-  stats::Histogram latency_histogram(std::size_t node) const;
 
   /// Aggregate counters summed over all nodes (including removed ones),
   /// plus accumulated wall time and the merged latency histograms.

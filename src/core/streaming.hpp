@@ -1,31 +1,18 @@
-// Online streaming CS front end.
+// Streaming configuration shared by every online signature stream.
 //
 // In-band ODA (Section I, Fig. 1) consumes monitoring samples as they are
-// produced: one column of sensor readings per time-stamp. The actual
-// ingest/emit/retrain loop lives in core::MethodStream — one loop for every
-// signature method, reading windows straight out of the ring buffer through
-// common::MatrixView. CsStream is the CS-typed face of that loop kept for
-// the classic deployment: it wraps a MethodStream driving a
-// CsSignatureMethod, translates the flat feature vectors back into
-// core::Signature values (real + derivative channel), and exposes the live
-// CsModel across retrains — the "repeat training whenever required" mode of
+// produced: one column of sensor readings per time-stamp. The ingest/emit/
+// retrain loop itself is core::MethodStream — one loop for every signature
+// method, CS included, reading windows straight out of the ring buffer
+// through common::MatrixView — and core::StreamEngine fans it out across a
+// fleet. This header holds what both share: the windowing and retrain
+// options, including the "repeat training whenever required" mode of
 // Section III-C2 for components whose correlations drift over time.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <optional>
-#include <span>
-#include <vector>
-
-#include "common/matrix.hpp"
-#include "core/cs_model.hpp"
-#include "core/pipeline.hpp"
-#include "core/signature.hpp"
 
 namespace csm::core {
-
-class MethodStream;
 
 /// How MethodStream runs the periodic retrain that retrain_interval fires.
 enum class RetrainPolicy {
@@ -56,7 +43,6 @@ enum class RetrainPolicy {
 struct StreamOptions {
   std::size_t window_length = 60;  ///< wl in samples.
   std::size_t window_step = 10;    ///< ws in samples.
-  CsOptions cs;                    ///< Block count / real-only flag.
   /// Retrain the model every this many samples (0 = never retrain). The
   /// retrain uses the last `history_length` buffered columns.
   std::size_t retrain_interval = 0;
@@ -93,54 +79,6 @@ struct StreamOptions {
   /// history_length too small to ever hold a window plus its derivative
   /// seed column (which would also make retraining silently unreachable).
   void validate() const;
-};
-
-/// Push-based CS signature stream over one monitored component: a thin
-/// typed wrapper over the single MethodStream loop.
-class CsStream {
- public:
-  /// Starts with a pre-trained model (the usual in-band deployment).
-  CsStream(CsModel model, StreamOptions options);
-  ~CsStream();
-  CsStream(CsStream&&) noexcept;
-  CsStream& operator=(CsStream&&) noexcept;
-
-  std::size_t n_sensors() const noexcept;
-  /// The live model — follows retrains. The reference stays valid for the
-  /// stream's lifetime (a retrain updates it in place, as it always has);
-  /// iterators into its vectors are invalidated by a retrain.
-  const CsModel& model() const;
-  const StreamOptions& options() const noexcept { return options_; }
-  std::size_t samples_seen() const noexcept;
-  std::size_t signatures_emitted() const noexcept;
-  std::size_t retrain_count() const noexcept;
-
-  /// Feeds one column of sensor readings (length must equal n_sensors()).
-  /// Returns a signature when a window completes (every ws samples once wl
-  /// samples have been buffered), otherwise std::nullopt.
-  std::optional<Signature> push(std::span<const double> column);
-
-  /// Feeds a whole matrix column by column; returns all emitted signatures.
-  /// Columns are gathered straight into the ring buffer (no per-column
-  /// temporary), so this is the preferred bulk-ingestion entry point.
-  std::vector<Signature> push_all(const common::Matrix& columns);
-
- private:
-  Signature unflatten(std::vector<double> features) const;
-  /// Mirrors the live method's model into model_ after a retrain (called at
-  /// the end of every ingest), keeping the model() reference contract.
-  void sync_model();
-
-  StreamOptions options_;
-  std::size_t blocks_ = 0;  ///< Resolved block count l per signature.
-  // unique_ptr keeps MethodStream an incomplete type here (streaming.hpp is
-  // included by method_stream.hpp for StreamOptions).
-  std::unique_ptr<MethodStream> stream_;
-  // Stable home for model(): MethodStream swaps its method object on
-  // retrain, so the model is mirrored here to keep handed-out references
-  // valid and current.
-  CsModel model_;
-  std::size_t model_synced_at_ = 0;  ///< retrain_count at last sync.
 };
 
 }  // namespace csm::core

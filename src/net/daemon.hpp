@@ -1,7 +1,6 @@
 // Daemon lifecycle around a FleetServer: build the engine, bind the unix
-// socket, serve until SIGINT/SIGTERM, report totals on the way out. Both
-// daemon faces — the standalone csmd binary and `csmcli serve` — are thin
-// argument parsers over run_daemon(), so they cannot drift apart.
+// socket, serve until SIGINT/SIGTERM, report totals on the way out. The csmd
+// binary is a thin argument parser over run_daemon().
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "baselines/pca.hpp"
 #include "common/rng.hpp"
@@ -135,7 +136,6 @@ TEST(DefaultRegistry, EveryMethodStreamsOverTheRingBuffer) {
   core::StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
 
   for (const auto& [key, spec_text] : example_specs()) {
     SCOPED_TRACE(spec_text);
@@ -166,37 +166,55 @@ TEST(DefaultRegistry, RejectsUnknownParameters) {
   EXPECT_THROW((void)registry.create("lan:wr=0"), std::invalid_argument);
 }
 
+// Expects `text` to be refused with a std::runtime_error whose message
+// contains `needle`, so each case pins the check that fires.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    (void)default_registry().deserialize(text);
+    FAIL() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message \"" << e.what() << "\" does not contain " << needle;
+  }
+}
+
 TEST(DefaultRegistry, StatelessBodiesMustBeEmpty) {
-  const MethodRegistry& registry = default_registry();
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 tuncer\nsurprise"),
-               std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 lan\nwr 0\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 lan\nwr 10\ngarbage"),
-               std::runtime_error);
+  expect_rejected("csmethod v2 tuncer\nsurprise", "trailing data");
+  expect_rejected("csmethod v2 lan\nwr 0\n", "wr must be positive");
+  expect_rejected("csmethod v2 lan\nwr 10\ngarbage", "trailing data");
+}
+
+TEST(DefaultRegistry, RefusesVersion1TextForEveryMethod) {
+  // "csmethod v1" text was written by earlier releases; only v2 is read,
+  // even for stateless methods whose v1 body was empty.
+  for (const std::string& key : default_registry().keys()) {
+    SCOPED_TRACE(key);
+    expect_rejected("csmethod v1 " + key + "\n", "bad header");
+  }
 }
 
 TEST(PcaSerialization, RejectsMalformedBodies) {
-  const MethodRegistry& registry = default_registry();
   // Truncated body.
-  EXPECT_THROW((void)registry.deserialize(
-                   "csmethod v1 pca\npcamodel v1\n3 2\n0 1\n"),
-               std::runtime_error);
-  // k > n.
-  EXPECT_THROW((void)registry.deserialize(
-                   "csmethod v1 pca\npcamodel v1\n1 2\n0 1\n1 1\n1 1\n"),
-               std::runtime_error);
+  expect_rejected("csmethod v2 pca\nsensors 3\ncomponents 2\nmeans 3 0 1\n",
+                  "truncated");
+  // k > n, with every array sized consistently for it.
+  expect_rejected(
+      "csmethod v2 pca\nsensors 1\ncomponents 2\nmeans 1 0\ninv-std 1 1\n"
+      "explained 2 1 1\nbasis 2 1 1\n",
+      "inconsistent part shapes");
   // NaN coefficients.
-  EXPECT_THROW(
-      (void)registry.deserialize(
-          "csmethod v1 pca\npcamodel v1\n1 1\nnan 1\n1 1\n"),
-      std::runtime_error);
+  expect_rejected(
+      "csmethod v2 pca\nsensors 1\ncomponents 1\nmeans 1 nan\n"
+      "inv-std 1 1\nexplained 1 1\nbasis 1 1\n",
+      "non-finite means");
 }
 
 TEST(PcaSerialization, ModelRoundTripsThroughText) {
   const common::Matrix history = wave_matrix(5, 120, 14);
   const PcaModel model = PcaModel::fit(history, 3);
-  const PcaModel back = PcaModel::deserialize(model.serialize());
+  const auto revived =
+      default_registry().deserialize(PcaMethod(model).serialize());
+  const PcaModel& back = dynamic_cast<const PcaMethod&>(*revived).model();
   EXPECT_EQ(back.n_sensors(), model.n_sensors());
   EXPECT_EQ(back.n_components(), model.n_components());
   EXPECT_EQ(back.means(), model.means());

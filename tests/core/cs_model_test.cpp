@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <limits>
+#include <memory>
+#include <string>
 
+#include "core/method_registry.hpp"
+#include "core/pipeline.hpp"
 #include "core/training.hpp"
 
 namespace csm::core {
@@ -13,6 +16,37 @@ namespace {
 CsModel simple_model() {
   return CsModel({2, 0, 1},
                  {{0.0, 1.0}, {10.0, 20.0}, {-1.0, 1.0}});
+}
+
+// A CsModel is persisted as part of the CS method's "csmethod v2" text;
+// these helpers wrap it in a CS-All method and unwrap it again.
+std::string to_text(const CsModel& model) {
+  return CsSignatureMethod(
+             std::make_shared<const CsPipeline>(model, CsOptions{0, false}))
+      .serialize();
+}
+
+std::unique_ptr<SignatureMethod> revive(const std::string& text) {
+  MethodRegistry registry;
+  register_cs_method(registry);
+  return registry.deserialize(text);
+}
+
+CsModel from_text(const std::string& text) {
+  const auto method = revive(text);
+  return dynamic_cast<const CsSignatureMethod&>(*method).pipeline()->model();
+}
+
+// Expects `text` to be refused with a std::runtime_error whose message
+// contains `needle`, so each case pins the check that fires.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    (void)revive(text);
+    FAIL() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message \"" << e.what() << "\" does not contain " << needle;
+  }
 }
 
 TEST(CsModel, ConstructorValidatesPermutation) {
@@ -49,36 +83,35 @@ TEST(CsModel, SortClampsOutOfTrainingRange) {
 
 TEST(CsModel, SerializeRoundTrip) {
   const CsModel model = simple_model();
-  const CsModel back = CsModel::deserialize(model.serialize());
-  EXPECT_EQ(back, model);
+  EXPECT_EQ(from_text(to_text(model)), model);
 }
 
 TEST(CsModel, DeserializeRejectsGarbage) {
-  EXPECT_THROW(CsModel::deserialize("not a model"), std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v2\n1\n0 0 1\n"),
-               std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n3\n0 0 1\n"),
-               std::runtime_error);  // Truncated body.
+  expect_rejected("not a model", "bad header");
+  // The bare "csmodel v1" body of earlier releases is no model format.
+  expect_rejected("csmodel v1\n1\n0 0 1\n", "bad header");
+  // Truncated body.
+  expect_rejected("csmethod v2 cs\nblocks 0\nreal-only 0\nperm 3 0 1\n",
+                  "truncated");
 }
 
 TEST(CsModel, DeserializeRejectsStructurallyInvalidBodies) {
+  const std::string head = "csmethod v2 cs\nblocks 0\nreal-only 0\n";
   // Non-permutation p: duplicate index.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n2\n0 0 1\n0 0 1\n"),
-               std::runtime_error);
+  expect_rejected(head + "perm 2 0 0\nlo 2 0 0\nhi 2 1 1\n",
+                  "not a valid permutation");
   // Non-permutation p: out-of-range index.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n2\n0 0 1\n5 0 1\n"),
-               std::runtime_error);
+  expect_rejected(head + "perm 2 0 5\nlo 2 0 0\nhi 2 1 1\n",
+                  "not a valid permutation");
   // NaN bounds must throw, never propagate into sort().
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 nan 1\n"),
-               std::runtime_error);
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 0 inf\n"),
-               std::runtime_error);
+  expect_rejected(head + "perm 1 0\nlo 1 nan\nhi 1 1\n",
+                  "non-finite normalisation bounds");
+  expect_rejected(head + "perm 1 0\nlo 1 0\nhi 1 inf\n",
+                  "non-finite normalisation bounds");
   // Trailing garbage after a complete body.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n1\n0 0 1\nextra"),
-               std::runtime_error);
+  expect_rejected(head + "perm 1 0\nlo 1 0\nhi 1 1\nextra", "trailing data");
   // Absurd sensor count must not allocate first.
-  EXPECT_THROW(CsModel::deserialize("csmodel v1\n999999999999\n"),
-               std::runtime_error);
+  expect_rejected(head + "perm 999999999999\n", "exceeds the element cap");
 }
 
 TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
@@ -88,28 +121,13 @@ TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
                std::invalid_argument);
 }
 
-TEST(CsModel, FileRoundTrip) {
-  const auto file = std::filesystem::temp_directory_path() /
-                    "csm_model_test.csmodel";
-  const CsModel model = simple_model();
-  model.save(file);
-  const CsModel back = CsModel::load(file);
-  EXPECT_EQ(back, model);
-  std::filesystem::remove(file);
-}
-
 TEST(CsModel, TrainedModelRoundTripsThroughText) {
   common::Matrix s{{1, 2, 3, 4}, {4, 3, 2, 1}, {2, 2, 8, 1}};
   const CsModel model = train(s);
-  const CsModel back = CsModel::deserialize(model.serialize());
+  const CsModel back = from_text(to_text(model));
   EXPECT_EQ(back.permutation(), model.permutation());
   // The sort outputs must match exactly.
   EXPECT_EQ(back.sort(s), model.sort(s));
-}
-
-TEST(CsModel, LoadMissingFileThrows) {
-  EXPECT_THROW(CsModel::load("/nonexistent/path/model.txt"),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -129,32 +131,56 @@ TEST(MethodRegistry, CsSerializeRoundTripsExactly) {
   EXPECT_EQ(revived->compute(window), trained->compute(window));
 }
 
+// Expects `text` to be refused with a std::runtime_error whose message
+// contains `needle`, so each case pins the check that fires.
+void expect_rejected(const MethodRegistry& registry, const std::string& text,
+                     const std::string& needle) {
+  try {
+    (void)registry.deserialize(text);
+    FAIL() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message \"" << e.what() << "\" does not contain " << needle;
+  }
+}
+
 TEST(MethodRegistry, DeserializeRejectsMalformedText) {
   const MethodRegistry registry = cs_registry();
-  EXPECT_THROW((void)registry.deserialize("garbage"), std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v2 cs\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 unknown\nbody"),
-               std::runtime_error);
-  // Well-formed header, malformed CS body.
-  EXPECT_THROW((void)registry.deserialize("csmethod v1 cs\nblocks x\n"),
-               std::runtime_error);
-  EXPECT_THROW(
-      (void)registry.deserialize(
-          "csmethod v1 cs\nblocks 3\nreal-only 0\ncsmodel v1\n2\n0 0 1\n"),
-      std::runtime_error);  // Truncated embedded model.
+  expect_rejected(registry, "garbage", "bad header");
+  expect_rejected(registry, "csmethod v2 cs\n", "missing field");
+  expect_rejected(registry, "csmethod v2 unknown\nbody", "unknown method tag");
+  // Only v2 text is a model format.
+  expect_rejected(registry,
+                  "csmethod v1 cs\nblocks 3\nreal-only 0\ncsmodel v1\n1\n"
+                  "0 0 1\n",
+                  "bad header");
+  // Well-formed header, malformed CS body. The CsModel checks behind the
+  // codec (permutation, finite bounds, trailing data, element cap) are
+  // pinned by CsModel.DeserializeRejectsStructurallyInvalidBodies.
+  expect_rejected(registry, "csmethod v2 cs\nblocks x\n",
+                  "not an unsigned integer");
+}
+
+TEST(MethodRegistry, FileRoundTripsInBothFormats) {
+  const MethodRegistry registry = cs_registry();
+  const auto trained = registry.create("cs:blocks=3")->fit(wave_matrix(5, 90));
+  const common::Matrix window = wave_matrix(5, 25);
+  for (const codec::ModelFormat format :
+       {codec::ModelFormat::kText, codec::ModelFormat::kBinary}) {
+    const auto file = std::filesystem::path(testing::TempDir()) /
+                      "csm_method_registry_test.model";
+    save_method(*trained, file, format);
+    const auto back = registry.load(file);
+    EXPECT_EQ(back->serialize(), trained->serialize());
+    EXPECT_EQ(back->compute(window), trained->compute(window));
+    std::filesystem::remove(file);
+  }
 }
 
 TEST(MethodRegistry, LoadMissingFileThrows) {
   const MethodRegistry registry = cs_registry();
   EXPECT_THROW((void)registry.load("/nonexistent/method.csm"),
                std::runtime_error);
-}
-
-TEST(MethodRegistry, TaggedDetection) {
-  EXPECT_TRUE(is_tagged_method("csmethod v1 cs\n..."));
-  EXPECT_FALSE(is_tagged_method("csmodel v1\n3\n"));
-  EXPECT_FALSE(is_tagged_method(""));
 }
 
 }  // namespace

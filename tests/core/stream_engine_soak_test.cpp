@@ -22,8 +22,8 @@
 #include "common/rng.hpp"
 #include "core/method_registry.hpp"
 #include "core/model_pack.hpp"
+#include "core/pipeline.hpp"
 #include "core/signature_method.hpp"
-#include "core/training.hpp"
 
 namespace csm::core {
 namespace {
@@ -43,8 +43,12 @@ StreamOptions soak_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
+}
+
+// CS-4 emitting both channels, fitted on `s`.
+std::shared_ptr<const SignatureMethod> fit_cs(const common::Matrix& s) {
+  return CsSignatureMethod(CsOptions{4, false}).fit(s);
 }
 
 constexpr std::size_t kSensors = 6;
@@ -82,7 +86,7 @@ TEST(StreamEngineSoak, ConcurrentIngestDrainAndGrowth) {
   StreamEngine engine(soak_options());
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
     engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+                    fit_cs(node_matrix(kSensors, 80, 500 + i)));
   }
 
   // Each producer owns a disjoint set of nodes, so per-node ingest order is
@@ -139,7 +143,7 @@ TEST(StreamEngineSoak, ConcurrentIngestDrainAndGrowth) {
   StreamEngine reference(soak_options());
   for (std::size_t node = 0; node < kProducerNodes; ++node) {
     reference.add_node("ref" + std::to_string(node),
-                       train(node_matrix(kSensors, 80, 500 + node)));
+                       fit_cs(node_matrix(kSensors, 80, 500 + node)));
     for (const common::Matrix& batch : batches_for(node)) {
       reference.ingest(node, batch);
     }
@@ -174,7 +178,7 @@ TEST(StreamEngineSoak, IngestBatchRacesDrain) {
   std::vector<common::Matrix> batches;
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
     engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 300 + i)));
+                    fit_cs(node_matrix(kSensors, 80, 300 + i)));
     batches.push_back(node_matrix(kSensors, 100, 400 + i));
   }
 
@@ -232,7 +236,7 @@ TEST(StreamEngineSoak, SyncRetrainRacesBitIdenticalToReference) {
   StreamEngine engine(retrain_soak_options(RetrainPolicy::kSync));
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
     engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+                    fit_cs(node_matrix(kSensors, 80, 500 + i)));
   }
 
   std::atomic<std::size_t> producers_done{0};
@@ -268,7 +272,7 @@ TEST(StreamEngineSoak, SyncRetrainRacesBitIdenticalToReference) {
   StreamEngine reference(retrain_soak_options(RetrainPolicy::kSync));
   for (std::size_t node = 0; node < kProducerNodes; ++node) {
     reference.add_node("ref" + std::to_string(node),
-                       train(node_matrix(kSensors, 80, 500 + node)));
+                       fit_cs(node_matrix(kSensors, 80, 500 + node)));
     for (const common::Matrix& batch : batches_for(node)) {
       reference.ingest(node, batch);
     }
@@ -294,7 +298,7 @@ TEST(StreamEngineSoak, AsyncRetrainRacesIngestDrainAndGrowth) {
   StreamEngine engine(retrain_soak_options(RetrainPolicy::kAsync));
   for (std::size_t i = 0; i < kProducerNodes; ++i) {
     engine.add_node("node" + std::to_string(i),
-                    train(node_matrix(kSensors, 80, 500 + i)));
+                    fit_cs(node_matrix(kSensors, 80, 500 + i)));
   }
 
   std::atomic<std::size_t> producers_done{0};
@@ -328,7 +332,7 @@ TEST(StreamEngineSoak, AsyncRetrainRacesIngestDrainAndGrowth) {
   // Grower: the fleet expands while shadow fits are in flight elsewhere.
   threads.emplace_back([&engine] {
     const std::size_t node =
-        engine.add_node("late", train(node_matrix(kSensors, 80, 8100)));
+        engine.add_node("late", fit_cs(node_matrix(kSensors, 80, 8100)));
     engine.ingest(node, node_matrix(kSensors, 200, 8200));
   });
   for (std::thread& t : threads) t.join();

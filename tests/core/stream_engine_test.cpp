@@ -6,7 +6,7 @@
 
 #include "baselines/tuncer.hpp"
 #include "common/rng.hpp"
-#include "core/training.hpp"
+#include "core/pipeline.hpp"
 
 namespace csm::core {
 namespace {
@@ -28,32 +28,35 @@ StreamOptions engine_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
 }
 
-TEST(StreamEngine, MatchesPerNodeCsStreams) {
+// CS-4 emitting both channels, fitted on `s`.
+std::shared_ptr<const SignatureMethod> fit_cs(const common::Matrix& s) {
+  return CsSignatureMethod(CsOptions{4, false}).fit(s);
+}
+
+TEST(StreamEngine, MatchesPerNodeMethodStreams) {
   const std::size_t n_nodes = 4;
   StreamEngine engine(engine_options());
   std::vector<common::Matrix> batches;
-  std::vector<CsModel> models;
+  std::vector<std::shared_ptr<const SignatureMethod>> methods;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     batches.push_back(node_matrix(6, 90, 100 + i));
-    models.push_back(train(batches.back()));
+    methods.push_back(fit_cs(batches.back()));
     std::string name = "node";  // GCC 12 -Wrestrict trips on operator+.
     name += std::to_string(i);
-    engine.add_node(std::move(name), models.back());
+    engine.add_node(std::move(name), methods.back());
   }
   engine.ingest_batch(batches);
 
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    CsStream reference(models[i], engine_options());
+    MethodStream reference(methods[i], engine_options());
     const auto expected = reference.push_all(batches[i]);
     const auto got = engine.drain(i);
     ASSERT_EQ(got.size(), expected.size()) << "node " << i;
     for (std::size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k], expected[k].flatten()) << "node " << i
-                                               << " signature " << k;
+      EXPECT_EQ(got[k], expected[k]) << "node " << i << " signature " << k;
     }
   }
 }
@@ -61,7 +64,8 @@ TEST(StreamEngine, MatchesPerNodeCsStreams) {
 TEST(StreamEngine, QueuesAccumulateAcrossBatchesAndDrainEmpties) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(5, 120, 7);
-  engine.add_node("n0", train(s));
+  const auto method = fit_cs(s);
+  engine.add_node("n0", method);
 
   engine.ingest(0, s.sub_cols(0, 60));   // Windows at 20, 30, ..., 60 -> 5.
   EXPECT_EQ(engine.pending(0), 5u);
@@ -73,12 +77,8 @@ TEST(StreamEngine, QueuesAccumulateAcrossBatchesAndDrainEmpties) {
   EXPECT_EQ(engine.pending(0), 0u);
 
   // Equivalent to one uninterrupted stream over the same columns.
-  CsStream reference(train(s), engine_options());
-  const auto expected = reference.push_all(s);
-  ASSERT_EQ(sigs.size(), expected.size());
-  for (std::size_t k = 0; k < sigs.size(); ++k) {
-    EXPECT_EQ(sigs[k], expected[k].flatten());
-  }
+  MethodStream reference(method, engine_options());
+  EXPECT_EQ(sigs, reference.push_all(s));
 }
 
 TEST(StreamEngine, AggregateStats) {
@@ -88,7 +88,7 @@ TEST(StreamEngine, AggregateStats) {
     batches.push_back(node_matrix(4, 50, 200 + i));
     std::string name = "n";
     name += std::to_string(i);
-    engine.add_node(std::move(name), train(batches.back()));
+    engine.add_node(std::move(name), fit_cs(batches.back()));
   }
   engine.ingest_batch(batches);
   const EngineStats stats = engine.stats();
@@ -106,7 +106,7 @@ TEST(StreamEngine, HeterogeneousNodesAndBatchLengths) {
   std::vector<common::Matrix> batches;
   batches.push_back(node_matrix(4, 40, 1));
   batches.push_back(node_matrix(9, 65, 2));
-  for (const auto& b : batches) engine.add_node("n", train(b));
+  for (const auto& b : batches) engine.add_node("n", fit_cs(b));
   engine.ingest_batch(batches);
   EXPECT_EQ(engine.stream(0).samples_seen(), 40u);
   EXPECT_EQ(engine.stream(1).samples_seen(), 65u);
@@ -120,7 +120,7 @@ TEST(StreamEngine, MixedMethodFleet) {
   StreamEngine engine(engine_options());
   const common::Matrix cs_data = node_matrix(4, 60, 11);
   const common::Matrix tn_data = node_matrix(3, 60, 12);
-  engine.add_node("cs-node", train(cs_data));
+  engine.add_node("cs-node", fit_cs(cs_data));
   engine.add_node("tuncer-node",
                   std::make_shared<const baselines::TuncerMethod>(),
                   tn_data.rows());
@@ -140,7 +140,7 @@ TEST(StreamEngine, MixedMethodFleet) {
 
 TEST(StreamEngine, IngestBatchValidation) {
   StreamEngine engine(engine_options());
-  engine.add_node("n0", train(node_matrix(4, 40, 3)));
+  engine.add_node("n0", fit_cs(node_matrix(4, 40, 3)));
   std::vector<common::Matrix> wrong_count;
   EXPECT_THROW(engine.ingest_batch(wrong_count), std::invalid_argument);
   std::vector<common::Matrix> wrong_rows{node_matrix(5, 30, 4)};
@@ -162,7 +162,7 @@ TEST(StreamEngine, RetrainsPropagateToStats) {
   opts.history_length = 64;
   StreamEngine engine(opts);
   const common::Matrix s = node_matrix(4, 200, 9);
-  engine.add_node("n0", train(s.sub_cols(0, 30)));
+  engine.add_node("n0", fit_cs(s.sub_cols(0, 30)));
   engine.ingest(0, s);
   EXPECT_EQ(engine.stats().retrains, 4u);  // At samples 50/100/150/200.
 }
@@ -171,8 +171,8 @@ TEST(StreamEngine, RemoveNodeTombstonesTheSlot) {
   StreamEngine engine(engine_options());
   const common::Matrix a = node_matrix(4, 60, 21);
   const common::Matrix b = node_matrix(4, 60, 22);
-  engine.add_node("a", train(a));
-  engine.add_node("b", train(b));
+  engine.add_node("a", fit_cs(a));
+  engine.add_node("b", fit_cs(b));
   engine.ingest(0, a);
   engine.ingest(1, b);
 
@@ -192,13 +192,13 @@ TEST(StreamEngine, RemoveNodeTombstonesTheSlot) {
   EXPECT_EQ(engine.drain(1).size(), 5u);
 
   // A new node reuses no index: slots are append-only.
-  EXPECT_EQ(engine.add_node("c", train(a)), 2u);
+  EXPECT_EQ(engine.add_node("c", fit_cs(a)), 2u);
 }
 
 TEST(StreamEngine, RemovedNodeCountersStayInStats) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(4, 60, 23);
-  engine.add_node("gone", train(s));
+  engine.add_node("gone", fit_cs(s));
   engine.ingest(0, s);
   const EngineStats before = engine.stats();
   EXPECT_EQ(before.nodes, 1u);
@@ -220,8 +220,8 @@ TEST(StreamEngine, IngestBatchSkipsTombstonesWithEmptyPlaceholder) {
   StreamEngine engine(engine_options());
   const common::Matrix a = node_matrix(4, 60, 24);
   const common::Matrix b = node_matrix(4, 60, 25);
-  engine.add_node("a", train(a));
-  engine.add_node("b", train(b));
+  engine.add_node("a", fit_cs(a));
+  engine.add_node("b", fit_cs(b));
   engine.remove_node(0);
 
   // The batch still has one slot per index; the tombstone's must be empty.
@@ -238,7 +238,7 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
   opts.max_pending = 3;
   StreamEngine engine(opts);
   const common::Matrix s = node_matrix(4, 120, 26);
-  engine.add_node("n0", train(s));
+  engine.add_node("n0", fit_cs(s));
   engine.ingest(0, s);  // Emits 11 signatures; the queue keeps 3.
 
   EXPECT_EQ(engine.pending(0), 3u);
@@ -248,7 +248,7 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
   // Drop-oldest: what survives is the TAIL of the full sequence.
   StreamOptions unbounded = engine_options();
   StreamEngine reference(unbounded);
-  reference.add_node("n0", train(s));
+  reference.add_node("n0", fit_cs(s));
   reference.ingest(0, s);
   const auto all = reference.drain(0);
   const auto kept = engine.drain(0);
@@ -266,16 +266,18 @@ TEST(StreamEngine, MaxPendingDropsOldestAndCounts) {
 TEST(StreamEngine, LatencyHistogramCountsIngestCalls) {
   StreamEngine engine(engine_options());
   const common::Matrix s = node_matrix(4, 60, 27);
-  engine.add_node("a", train(s));
-  engine.add_node("b", train(s));
+  engine.add_node("a", fit_cs(s));
+  engine.add_node("b", fit_cs(s));
   engine.ingest(0, s.sub_cols(0, 30));
   engine.ingest(0, s.sub_cols(30, 30));
   engine.ingest(1, s);
 
   // One histogram sample per ingest call per node (the clamp policy keeps
   // even a slow outlier in total()).
-  EXPECT_EQ(engine.latency_histogram(0).total(), 2u);
-  EXPECT_EQ(engine.latency_histogram(1).total(), 1u);
+  const std::vector<NodeStats> nodes = engine.node_stats();
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_EQ(nodes[0].ingest_latency_us.total(), 2u);
+  EXPECT_EQ(nodes[1].ingest_latency_us.total(), 1u);
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.ingest_latency_us.total(), 3u);
   EXPECT_EQ(stats.ingest_latency_us.bins(), kLatencyBins);
@@ -286,8 +288,8 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   StreamEngine engine(engine_options());
   const common::Matrix data0 = node_matrix(6, 90, 300);
   const common::Matrix data1 = node_matrix(6, 90, 301);
-  const std::size_t a = engine.add_node("a", train(data0));
-  const std::size_t b = engine.add_node("b", train(data1));
+  const std::size_t a = engine.add_node("a", fit_cs(data0));
+  const std::size_t b = engine.add_node("b", fit_cs(data1));
 
   std::vector<std::pair<std::size_t, common::Matrix>> seen;
   engine.set_tap([&seen](std::size_t node, const common::Matrix& columns) {
@@ -317,12 +319,12 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
 
 TEST(StreamEngine, TapDoesNotPerturbSignatures) {
   const common::Matrix data = node_matrix(6, 90, 310);
-  const CsModel model = train(data);
+  const auto method = fit_cs(data);
 
   StreamEngine tapped(engine_options());
   StreamEngine untapped(engine_options());
-  tapped.add_node("n", model);
-  untapped.add_node("n", model);
+  tapped.add_node("n", method);
+  untapped.add_node("n", method);
   std::size_t calls = 0;
   tapped.set_tap([&calls](std::size_t, const common::Matrix&) { ++calls; });
 

@@ -4,9 +4,13 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/method_stream.hpp"
+#include "core/pipeline.hpp"
 #include "core/training.hpp"
 
 namespace csm::core {
@@ -29,8 +33,18 @@ StreamOptions small_options() {
   StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
+}
+
+// CS-4 emitting both channels, fitted on `s`.
+std::shared_ptr<const SignatureMethod> fit_cs(const common::Matrix& s) {
+  return CsSignatureMethod(CsOptions{4, false}).fit(s);
+}
+
+// The CS model the stream currently serves (follows retrains).
+const CsModel& live_model(const MethodStream& stream) {
+  const auto& cs = dynamic_cast<const CsSignatureMethod&>(stream.method());
+  return cs.pipeline()->model();
 }
 
 // Asserts that validate() throws std::invalid_argument whose message names
@@ -84,9 +98,9 @@ TEST(StreamOptions, AcceptsMinimalLegalHistory) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(CsStream, EmitsAtWindowBoundaries) {
+TEST(CsMethodStream, EmitsAtWindowBoundaries) {
   const common::Matrix s = wave_matrix(6, 100, 1);
-  CsStream stream(train(s), small_options());
+  MethodStream stream(fit_cs(s), small_options());
   std::size_t emitted = 0;
   for (std::size_t c = 0; c < 100; ++c) {
     std::vector<double> column(6);
@@ -94,7 +108,7 @@ TEST(CsStream, EmitsAtWindowBoundaries) {
     const auto sig = stream.push(column);
     if (sig) {
       ++emitted;
-      EXPECT_EQ(sig->length(), 4u);
+      EXPECT_EQ(sig->size(), 8u);  // 4 blocks x (real + derivative).
     }
     // First emission exactly when wl samples have arrived.
     if (c + 1 < 20) {
@@ -109,74 +123,73 @@ TEST(CsStream, EmitsAtWindowBoundaries) {
   EXPECT_EQ(stream.samples_seen(), 100u);
 }
 
-TEST(CsStream, PushAllMatchesPushLoop) {
+TEST(CsMethodStream, PushAllMatchesPushLoop) {
   const common::Matrix s = wave_matrix(5, 80, 2);
-  const CsModel model = train(s);
-  CsStream a(model, small_options());
-  CsStream b(model, small_options());
+  const auto method = fit_cs(s);
+  MethodStream a(method, small_options());
+  MethodStream b(method, small_options());
   const auto batch = a.push_all(s);
-  std::vector<Signature> loop;
+  std::vector<std::vector<double>> loop;
   std::vector<double> column(5);
   for (std::size_t c = 0; c < 80; ++c) {
     for (std::size_t r = 0; r < 5; ++r) column[r] = s(r, c);
     if (auto sig = b.push(column)) loop.push_back(std::move(*sig));
   }
-  ASSERT_EQ(batch.size(), loop.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], loop[i]);
-  }
+  EXPECT_EQ(batch, loop);
 }
 
-TEST(CsStream, MatchesOfflinePipeline) {
+TEST(CsMethodStream, MatchesOfflinePipeline) {
   // Streaming signatures must match the offline pipeline's output exactly:
   // same sorting, same seeded derivatives.
   const common::Matrix s = wave_matrix(6, 90, 3);
   const CsModel model = train(s);
-  StreamOptions opts = small_options();
-  CsStream stream(model, opts);
+  const auto pipeline =
+      std::make_shared<const CsPipeline>(model, CsOptions{4, false});
+  const StreamOptions opts = small_options();
+  MethodStream stream(std::make_shared<const CsSignatureMethod>(pipeline),
+                      opts);
   const auto streamed = stream.push_all(s);
 
-  const CsPipeline pipeline(model, opts.cs);
-  const auto offline = pipeline.transform(
+  const auto offline = pipeline->transform(
       s, data::WindowSpec{opts.window_length, opts.window_step});
   ASSERT_EQ(streamed.size(), offline.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    for (std::size_t b = 0; b < streamed[i].length(); ++b) {
-      EXPECT_NEAR(streamed[i].real()[b], offline[i].real()[b], 1e-12)
-          << "signature " << i << " block " << b;
-      EXPECT_NEAR(streamed[i].imag()[b], offline[i].imag()[b], 1e-12)
-          << "signature " << i << " block " << b;
+    const std::vector<double> expected = offline[i].flatten();
+    ASSERT_EQ(streamed[i].size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_NEAR(streamed[i][k], expected[k], 1e-12)
+          << "signature " << i << " feature " << k;
     }
   }
 }
 
-TEST(CsStream, BoundedHistory) {
+TEST(CsMethodStream, BoundedHistory) {
   const common::Matrix s = wave_matrix(4, 500, 4);
   StreamOptions opts = small_options();
   opts.history_length = 25;  // Barely above wl + seed.
-  CsStream stream(train(s), opts);
+  MethodStream stream(fit_cs(s), opts);
   const auto sigs = stream.push_all(s);
   EXPECT_GT(sigs.size(), 40u);  // Still emits throughout the stream.
 }
 
-TEST(CsStream, RetrainsOnSchedule) {
+TEST(CsMethodStream, RetrainsOnSchedule) {
   const common::Matrix s = wave_matrix(4, 200, 5);
   StreamOptions opts = small_options();
   opts.retrain_interval = 50;
   opts.history_length = 64;
-  CsStream stream(train(s.sub_cols(0, 30)), opts);
-  stream.push_all(s);
+  MethodStream stream(fit_cs(s.sub_cols(0, 30)), opts);
+  (void)stream.push_all(s);
   EXPECT_EQ(stream.retrain_count(), 4u);  // At samples 50/100/150/200.
 }
 
-TEST(CsStream, NoRetrainByDefault) {
+TEST(CsMethodStream, NoRetrainByDefault) {
   const common::Matrix s = wave_matrix(4, 200, 6);
-  CsStream stream(train(s), small_options());
-  stream.push_all(s);
+  MethodStream stream(fit_cs(s), small_options());
+  (void)stream.push_all(s);
   EXPECT_EQ(stream.retrain_count(), 0u);
 }
 
-TEST(CsStream, RetrainedModelDiffersWhenDataShifts) {
+TEST(CsMethodStream, RetrainedModelDiffersWhenDataShifts) {
   // Feed a stream whose correlation structure changes halfway; with
   // retraining enabled the model must adapt (different permutation).
   common::Rng rng(7);
@@ -193,49 +206,20 @@ TEST(CsStream, RetrainedModelDiffersWhenDataShifts) {
   StreamOptions opts = small_options();
   opts.retrain_interval = 100;
   opts.history_length = 120;
-  CsStream stream(train(s.sub_cols(0, 100)), opts);
-  const auto before = stream.model().permutation();
-  stream.push_all(s);
+  MethodStream stream(fit_cs(s.sub_cols(0, 100)), opts);
+  const std::vector<std::size_t> before = live_model(stream).permutation();
+  (void)stream.push_all(s);
   EXPECT_GT(stream.retrain_count(), 0u);
-  EXPECT_NE(stream.model().permutation(), before);
+  EXPECT_NE(live_model(stream).permutation(), before);
 }
 
-TEST(CsStream, ModelReferenceFollowsRetrainsInPlace) {
-  // model() hands out a reference with the historical contract: it stays
-  // valid for the stream's lifetime and is updated in place by retrains —
-  // even though the underlying MethodStream swaps its method object. The
-  // correlation structure flips halfway so the retrained permutation is
-  // guaranteed to differ (same setup as RetrainedModelDiffersWhenDataShifts).
-  common::Rng rng(9);
-  const std::size_t n = 6;
-  common::Matrix s(n, 300);
-  for (std::size_t c = 0; c < 300; ++c) {
-    const double f = std::sin(0.1 * static_cast<double>(c));
-    for (std::size_t r = 0; r < n; ++r) {
-      const bool active = c < 150 ? r < 3 : r >= 3;
-      s(r, c) = (active ? f : 0.0) + 0.05 * rng.gaussian();
-    }
-  }
-  StreamOptions opts = small_options();
-  opts.retrain_interval = 100;
-  opts.history_length = 120;
-  CsStream stream(train(s.sub_cols(0, 100)), opts);
-  const CsModel& live = stream.model();
-  const auto before = live.permutation();
-  stream.push_all(s);
-  EXPECT_GT(stream.retrain_count(), 0u);
-  // The pre-retrain reference observes the retrained model without another
-  // model() call — the update happens in place during ingestion.
-  EXPECT_NE(live.permutation(), before);
-  EXPECT_EQ(&live, &stream.model());
-}
-
-TEST(CsStream, InputValidation) {
+TEST(CsMethodStream, InputValidation) {
+  // The stream takes its sensor count from the trained model.
   const common::Matrix s = wave_matrix(4, 60, 8);
-  CsStream stream(train(s), small_options());
+  MethodStream stream(fit_cs(s), small_options());
   const std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(stream.push(wrong), std::invalid_argument);
-  EXPECT_THROW(stream.push_all(common::Matrix(5, 10)),
+  EXPECT_THROW((void)stream.push(wrong), std::invalid_argument);
+  EXPECT_THROW((void)stream.push_all(common::Matrix(5, 10)),
                std::invalid_argument);
 }
 

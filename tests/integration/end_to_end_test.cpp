@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 
+#include "baselines/registry.hpp"
 #include "core/codec.hpp"
+#include "core/method_stream.hpp"
 #include "core/pipeline.hpp"
-#include "core/streaming.hpp"
 #include "core/training.hpp"
 #include "data/alignment.hpp"
 #include "data/csv.hpp"
@@ -93,18 +95,16 @@ TEST(EndToEnd, CsSignaturesAreSmallerThanBaselines) {
 }
 
 TEST(EndToEnd, ModelShippedAcrossProcessesViaSerialization) {
-  // Out-of-band training / in-band inference: model text round-trip must
-  // preserve signatures bit-exactly.
+  // Out-of-band training / in-band inference: the method codec's text
+  // round-trip must preserve signatures bit-exactly.
   const hpcoda::Segment seg = hpcoda::make_power_segment(tiny());
   const auto& sensors = seg.blocks.front().sensors;
-  const core::CsModel trained = core::train(sensors);
-  const core::CsModel shipped =
-      core::CsModel::deserialize(trained.serialize());
-  const core::CsPipeline a(trained, core::CsOptions{12, false});
-  const core::CsPipeline b(shipped, core::CsOptions{12, false});
-  const auto wa = a.transform_window(sensors.sub_cols(100, 10));
-  const auto wb = b.transform_window(sensors.sub_cols(100, 10));
-  EXPECT_EQ(wa, wb);
+  const auto trained =
+      core::CsSignatureMethod(core::CsOptions{12, false}).fit(sensors);
+  const auto shipped =
+      baselines::default_registry().deserialize(trained->serialize());
+  const common::Matrix window = sensors.sub_cols(100, 10);
+  EXPECT_EQ(trained->compute(window), shipped->compute(window));
 }
 
 TEST(EndToEnd, CrossArchitectureMergedTraining) {
@@ -176,17 +176,23 @@ TEST(EndToEnd, StreamedEncodedSignaturesStillClassify) {
   // decode -> classify. Quantisation must not cost measurable accuracy.
   const hpcoda::Segment seg = hpcoda::make_fault_segment(tiny());
   const common::Matrix& sensors = seg.blocks.front().sensors;
-  const core::CsModel model = core::train(sensors);
+  const std::size_t blocks = 20;
+  const std::shared_ptr<const core::SignatureMethod> method =
+      core::CsSignatureMethod(core::CsOptions{blocks, false}).fit(sensors);
   core::StreamOptions opts;
   opts.window_length = seg.window.length;
   opts.window_step = seg.window.step;
-  opts.cs.blocks = 20;
 
   data::Dataset exact, decoded;
   for (const hpcoda::RunInfo& run : seg.runs) {
-    core::CsStream stream(model, opts);
-    for (const core::Signature& sig : stream.push_all(
+    core::MethodStream stream(method, opts);
+    for (const std::vector<double>& features : stream.push_all(
              sensors.sub_cols(run.begin, run.end - run.begin))) {
+      // The flat vector is [real blocks..., derivative blocks...].
+      const auto split =
+          features.begin() + static_cast<std::ptrdiff_t>(blocks);
+      const core::Signature sig(std::vector<double>(features.begin(), split),
+                                std::vector<double>(split, features.end()));
       exact.features.append_row(sig.flatten());
       exact.labels.push_back(run.label);
       const core::Signature wire =

@@ -47,7 +47,6 @@ core::StreamOptions engine_options() {
   core::StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 10;
-  opts.cs.blocks = 4;
   return opts;
 }
 

@@ -17,7 +17,6 @@
 #include "core/method_stream.hpp"
 #include "core/pipeline.hpp"
 #include "core/smoothing.hpp"
-#include "core/streaming.hpp"
 #include "core/training.hpp"
 #include "ml/splits.hpp"
 #include "stats/correlation.hpp"
@@ -51,6 +50,10 @@ common::Matrix random_matrix(std::size_t n, std::size_t t,
 class BlockSchemeProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
+const std::vector<std::size_t> kBlockSensorCounts = {1,  2,  5,   10, 16,
+                                                     47, 52, 128, 831};
+const std::vector<std::size_t> kBlockCounts = {1, 2, 5, 10, 20, 40, 160};
+
 TEST_P(BlockSchemeProperty, CoversEverySensorExactly) {
   const auto [n, l] = GetParam();
   std::vector<int> coverage(n, 0);
@@ -75,9 +78,28 @@ TEST_P(BlockSchemeProperty, RangesAreMonotone) {
   }
 }
 
-TEST_P(BlockSchemeProperty, OverlapAtMostOneSensor) {
+INSTANTIATE_TEST_SUITE_P(
+    Grid, BlockSchemeProperty,
+    ::testing::Combine(::testing::ValuesIn(kBlockSensorCounts),
+                       ::testing::ValuesIn(kBlockCounts)));
+
+// The overlap properties hold only when no sensor is duplicated, i.e. for
+// the (n, l) grid points with l <= n; the suite is instantiated on exactly
+// those.
+class BlockOverlapProperty : public BlockSchemeProperty {};
+
+std::vector<std::tuple<std::size_t, std::size_t>> overlap_grid() {
+  std::vector<std::tuple<std::size_t, std::size_t>> out;
+  for (const std::size_t n : kBlockSensorCounts) {
+    for (const std::size_t l : kBlockCounts) {
+      if (l <= n) out.emplace_back(n, l);
+    }
+  }
+  return out;
+}
+
+TEST_P(BlockOverlapProperty, OverlapAtMostOneSensor) {
   const auto [n, l] = GetParam();
-  if (l > n) GTEST_SKIP() << "duplicated sensors expected when l > n";
   for (std::size_t i = 1; i < l; ++i) {
     const core::BlockRange prev = core::block_range(i - 1, l, n);
     const core::BlockRange cur = core::block_range(i, l, n);
@@ -86,13 +108,12 @@ TEST_P(BlockSchemeProperty, OverlapAtMostOneSensor) {
   }
 }
 
-TEST_P(BlockSchemeProperty, OverlapExactlyMatchesEq2) {
+TEST_P(BlockOverlapProperty, OverlapExactlyMatchesEq2) {
   // Quantify the "partially overlapping ranges" of Eq. 2: consecutive
   // blocks i-1 and i share exactly one boundary sensor iff l does not
   // divide i*n, and never more than one. In particular the blocks tile the
   // sensor rows disjointly whenever l | n.
   const auto [n, l] = GetParam();
-  if (l > n) GTEST_SKIP() << "duplicated sensors expected when l > n";
   std::size_t total_overlap = 0;
   std::size_t total_size = 0;
   for (std::size_t i = 0; i < l; ++i) {
@@ -114,10 +135,8 @@ TEST_P(BlockSchemeProperty, OverlapExactlyMatchesEq2) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, BlockSchemeProperty,
-    ::testing::Combine(::testing::Values(1, 2, 5, 10, 16, 47, 52, 128, 831),
-                       ::testing::Values(1, 2, 5, 10, 20, 40, 160)));
+INSTANTIATE_TEST_SUITE_P(Grid, BlockOverlapProperty,
+                         ::testing::ValuesIn(overlap_grid()));
 
 // ---------------------------------------------------------------------------
 // Training properties over random matrices.
@@ -188,6 +207,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrainingProperty,
 class SmoothingProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
+const std::vector<std::size_t> kSmoothingSensorCounts = {8, 12, 20, 40};
+const std::vector<std::size_t> kSmoothingBlockCounts = {1, 2,  4, 5,
+                                                        8, 10, 13};
+
 TEST_P(SmoothingProperty, RealChannelBoundedByWindowExtrema) {
   const auto [n, l] = GetParam();
   const common::Matrix s = random_matrix(n, 60, n * 131 + l);
@@ -200,9 +223,27 @@ TEST_P(SmoothingProperty, RealChannelBoundedByWindowExtrema) {
   }
 }
 
-TEST_P(SmoothingProperty, MeanOfSignatureEqualsMeanOfMatrixWhenDisjoint) {
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SmoothingProperty,
+    ::testing::Combine(::testing::ValuesIn(kSmoothingSensorCounts),
+                       ::testing::ValuesIn(kSmoothingBlockCounts)));
+
+// Exact only for disjoint equal blocks, i.e. the grid points where l | n.
+class DisjointSmoothingProperty : public SmoothingProperty {};
+
+std::vector<std::tuple<std::size_t, std::size_t>> disjoint_grid() {
+  std::vector<std::tuple<std::size_t, std::size_t>> out;
+  for (const std::size_t n : kSmoothingSensorCounts) {
+    for (const std::size_t l : kSmoothingBlockCounts) {
+      if (n % l == 0) out.emplace_back(n, l);
+    }
+  }
+  return out;
+}
+
+TEST_P(DisjointSmoothingProperty,
+       MeanOfSignatureEqualsMeanOfMatrixWhenDisjoint) {
   const auto [n, l] = GetParam();
-  if (n % l != 0) GTEST_SKIP() << "exact only for disjoint equal blocks";
   const common::Matrix s = random_matrix(n, 40, n * 7 + l);
   const core::Signature sig = core::smooth(s, l);
   double sig_mean = 0.0;
@@ -214,16 +255,14 @@ TEST_P(SmoothingProperty, MeanOfSignatureEqualsMeanOfMatrixWhenDisjoint) {
   EXPECT_NEAR(sig_mean, mat_mean, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SmoothingProperty,
-    ::testing::Combine(::testing::Values(8, 12, 20, 40),
-                       ::testing::Values(1, 2, 4, 5, 8, 10, 13)));
+INSTANTIATE_TEST_SUITE_P(Grid, DisjointSmoothingProperty,
+                         ::testing::ValuesIn(disjoint_grid()));
 
 // ---------------------------------------------------------------------------
-// Streaming equivalence: with retraining disabled, a CsStream must produce
-// bit-for-bit the same signatures as the offline pipeline over the same
-// data, for any history length — including ones small enough that the ring
-// buffer wraps many times mid-stream.
+// Streaming equivalence: with retraining disabled, a MethodStream driving
+// the CS method must produce the same signatures as the offline pipeline
+// over the same data, for any history length — including ones small enough
+// that the ring buffer wraps many times mid-stream.
 
 class StreamEquivalenceProperty
     : public ::testing::TestWithParam<
@@ -233,26 +272,26 @@ TEST_P(StreamEquivalenceProperty, StreamMatchesOfflinePipeline) {
   const auto [n, history, seed] = GetParam();
   const std::size_t t = 160;
   const common::Matrix s = random_matrix(n, t, seed);
-  const core::CsModel model = core::train(s);
+  const auto pipeline = std::make_shared<const core::CsPipeline>(
+      core::train(s), core::CsOptions{5, false});
 
   core::StreamOptions opts;
   opts.window_length = 20;
   opts.window_step = 7;
-  opts.cs.blocks = 5;
   opts.history_length = history;  // retrain_interval stays 0.
-  core::CsStream stream(model, opts);
+  core::MethodStream stream(
+      std::make_shared<const core::CsSignatureMethod>(pipeline), opts);
   const auto streamed = stream.push_all(s);
 
-  const core::CsPipeline pipeline(model, opts.cs);
-  const auto offline = pipeline.transform(
+  const auto offline = pipeline->transform(
       s, data::WindowSpec{opts.window_length, opts.window_step});
   ASSERT_EQ(streamed.size(), offline.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    for (std::size_t b = 0; b < streamed[i].length(); ++b) {
-      EXPECT_NEAR(streamed[i].real()[b], offline[i].real()[b], 1e-12)
-          << "signature " << i << " block " << b;
-      EXPECT_NEAR(streamed[i].imag()[b], offline[i].imag()[b], 1e-12)
-          << "signature " << i << " block " << b;
+    const std::vector<double> expected = offline[i].flatten();
+    ASSERT_EQ(streamed[i].size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_NEAR(streamed[i][k], expected[k], 1e-12)
+          << "signature " << i << " feature " << k;
     }
   }
 }
@@ -273,18 +312,36 @@ INSTANTIATE_TEST_SUITE_P(
 // dense matrix before calling compute_streaming. The reference below
 // reproduces that copy-based loop verbatim. Randomised wl/ws/history
 // combinations include history = wl + 1, where every window straddles the
-// ring wrap point once the buffer is full.
+// ring wrap point once the buffer is full. Only legal combinations
+// (history > wl) are instantiated.
+
+using ViewVsCopyParam = std::tuple<std::string, std::size_t, std::size_t,
+                                   std::size_t, std::uint64_t>;
 
 class ViewVsCopyStreamProperty
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, std::size_t, std::size_t, std::size_t,
-                     std::uint64_t>> {};
+    : public ::testing::TestWithParam<ViewVsCopyParam> {};
+
+std::vector<ViewVsCopyParam> view_vs_copy_grid() {
+  std::vector<ViewVsCopyParam> out;
+  for (const char* spec : {"cs:blocks=5", "cs:blocks=3,real-only", "tuncer",
+                           "bodik", "lan:wr=7", "pca:components=3"}) {
+    for (const std::size_t wl : {12, 20}) {
+      for (const std::size_t ws : {5, 9}) {
+        // 13 = wl + 1 for wl = 12.
+        for (const std::size_t history : {13, 21, 64}) {
+          if (history <= wl) continue;
+          for (const std::uint64_t seed : {29, 71}) {
+            out.emplace_back(spec, wl, ws, history, seed);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
 
 TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
   const auto [spec, wl, ws, history, seed] = GetParam();
-  if (history <= wl) {
-    GTEST_SKIP() << "history too small for this window length";
-  }
   const std::size_t n = 6;
   const common::Matrix train_data = random_matrix(n, 90, seed);
   const common::Matrix live = random_matrix(n, 170, seed + 1000);
@@ -329,23 +386,13 @@ TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Registry, ViewVsCopyStreamProperty,
-    ::testing::Combine(
-        ::testing::Values(std::string("cs:blocks=5"),
-                          std::string("cs:blocks=3,real-only"),
-                          std::string("tuncer"), std::string("bodik"),
-                          std::string("lan:wr=7"),
-                          std::string("pca:components=3")),
-        ::testing::Values(12, 20),    // wl
-        ::testing::Values(5, 9),      // ws
-        ::testing::Values(13, 21, 64),  // history; 13 = wl+1 for wl=12.
-        ::testing::Values(29, 71)));
+INSTANTIATE_TEST_SUITE_P(Registry, ViewVsCopyStreamProperty,
+                         ::testing::ValuesIn(view_vs_copy_grid()));
 
 // Retraining reads the ring history through history_view(); training from
 // the view must reproduce the materialised to_matrix() training bit for bit
-// (CS compares models member-wise, PCA via its full-precision
-// serialisation), including when the retained history straddles the wrap.
+// (both compare their models member-wise), including when the retained
+// history straddles the wrap.
 TEST(TrainFromViewProperty, RingHistoryViewTrainsIdenticallyToMaterialised) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const std::size_t n = 7;
@@ -358,9 +405,14 @@ TEST(TrainFromViewProperty, RingHistoryViewTrainsIdenticallyToMaterialised) {
     }
     const common::Matrix materialised = ring.to_matrix();
     EXPECT_EQ(core::train(ring.history_view()), core::train(materialised));
-    EXPECT_EQ(
-        baselines::PcaModel::fit(ring.history_view(), 3).serialize(),
-        baselines::PcaModel::fit(materialised, 3).serialize());
+    const baselines::PcaModel from_view =
+        baselines::PcaModel::fit(ring.history_view(), 3);
+    const baselines::PcaModel from_copy =
+        baselines::PcaModel::fit(materialised, 3);
+    EXPECT_EQ(from_view.means(), from_copy.means());
+    EXPECT_EQ(from_view.inv_std(), from_copy.inv_std());
+    EXPECT_EQ(from_view.components(), from_copy.components());
+    EXPECT_EQ(from_view.explained_variance(), from_copy.explained_variance());
   }
 }
 

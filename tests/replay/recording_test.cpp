@@ -10,8 +10,8 @@
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream_engine.hpp"
-#include "core/training.hpp"
 #include "replay/engine_recorder.hpp"
 
 namespace csm::replay {
@@ -229,9 +229,10 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
   }
 
   EngineRecorder recorder(file);
-  const std::size_t a = engine.add_node("alpha", core::train(train_a));
+  const core::CsSignatureMethod cs_all{core::CsOptions{}};
+  const std::size_t a = engine.add_node("alpha", cs_all.fit(train_a));
   recorder.on_node_add(a, "alpha", 3);
-  const std::size_t b = engine.add_node("beta", core::train(train_b));
+  const std::size_t b = engine.add_node("beta", cs_all.fit(train_b));
   recorder.on_node_add(b, "beta", 2);
   engine.set_tap([&recorder](std::size_t node, const common::Matrix& cols) {
     recorder.tap(node, cols);

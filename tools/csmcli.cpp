@@ -14,8 +14,7 @@
 //       Align the sensors and fit a method on them (classic CS without
 //       --method), writing the tagged model-codec format — human-readable
 //       text by default, the CRC-framed binary record with
-//       --format binary. Every other subcommand accepts both, plus the
-//       legacy bare CsModel blobs older releases wrote.
+//       --format binary. Every other subcommand accepts both.
 //
 //   csmcli info    <model_file | pack_file>
 //       Print a model summary (any model format), or the index summary of
@@ -32,15 +31,14 @@
 //       Re-encode one model file between the codec formats.
 //
 //   csmcli extract <sensor_dir> <model_file> <out_csv>
-//           [--blocks L] [--window WL] [--step WS] [--interval MS]
-//           [--real-only]
+//           [--window WL] [--step WS] [--interval MS]
 //   csmcli extract <sensor_dir> <out_csv> --method SPEC
 //           [--window WL] [--step WS] [--interval MS]
 //       Compute signatures over sliding windows and write them as a
 //       feature CSV (label column fixed to 0; relabel downstream). The
 //       two-positional form fits the spec'd method on the extraction data
 //       itself (self-trained in-band mode); the three-positional form uses
-//       a previously trained model file.
+//       a previously trained model file, which carries its own options.
 //
 //   csmcli sort    <sensor_dir> <model_file> <out_pgm> [--interval MS]
 //       Render the sorted (normalised + permuted) matrix as a PGM image
@@ -89,19 +87,10 @@
 //       in (models still fit on the recording as stored), so one clean
 //       capture can be replayed under many fault scenarios.
 //
-//   csmcli serve --socket PATH [--window WL] [--step WS] [--history H]
-//           [--retrain N] [--retrain-threads N] [--drift-threshold X]
-//           [--drift-patience N] [--max-pending N] [--pack FILE]
-//           [--record FILE]
-//       Run the fleet daemon loop in-process (same engine-behind-a-socket
-//       as the standalone csmd binary) until SIGINT/SIGTERM. --record
-//       captures everything clients push as a CSMR recording, sealed on
-//       shutdown.
-//
 //   csmcli push <segment> --socket PATH [--method SPEC] [--scale S]
 //           [--blocks L] [--batch B] [--sig-out FILE]
 //       Client counterpart of stream: fit the per-node methods locally,
-//       register each node with the daemon (model shipped inline as a CSMB
+//       register each node with a csmd daemon (model shipped inline as a CSMB
 //       record), push the segment's columns as CSMF sample batches, then
 //       drain every node's signatures back over the wire.
 //
@@ -127,10 +116,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "baselines/registry.hpp"
@@ -147,7 +134,6 @@
 #include "data/feature_csv.hpp"
 #include "harness/heatmap.hpp"
 #include "hpcoda/generator.hpp"
-#include "net/daemon.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "net/unix_socket.hpp"
@@ -178,12 +164,11 @@ struct Options {
   std::string format = "text";  // --format text|binary for model writes.
   std::string pack_file;        // --pack FILE (stream: load models from it).
   std::string dump_dir;         // --dump-models DIR (stream: save models).
-  std::string socket;           // --socket PATH (serve/push/fleet-stats).
+  std::string socket;           // --socket PATH (push/fleet-stats).
   std::string sig_out;          // --sig-out FILE (stream/push: drained sigs).
-  std::size_t max_pending = 0;  // --max-pending N (serve: queue bound).
   std::size_t retrain_threads = 0;  // --retrain-threads N (0 = sync retrain).
   std::uint64_t seed = 2021;    // --seed N (generator + scenario master seed).
-  std::string record_file;      // --record FILE (stream/serve: CSMR capture).
+  std::string record_file;      // --record FILE (stream: CSMR capture).
   std::string scenario;         // --scenario SPEC (fault-injection spec).
   double drift_threshold = 0.0;     // --drift-threshold X (> 0 = kOnDrift).
   std::size_t drift_patience = 1;   // --drift-patience N (kOnDrift streak).
@@ -211,8 +196,7 @@ void usage(std::ostream& out) {
       << "  csmcli unpack  <pack_file> <out_dir> [--format text|binary]\n"
       << "  csmcli convert <model_in> <model_out> [--format text|binary]\n"
       << "  csmcli extract <sensor_dir> <model_file> <out_csv>\n"
-      << "                 [--blocks L] [--window WL] [--step WS]\n"
-      << "                 [--interval MS] [--real-only]\n"
+      << "                 [--window WL] [--step WS] [--interval MS]\n"
       << "  csmcli extract <sensor_dir> <out_csv> --method SPEC\n"
       << "                 [--window WL] [--step WS] [--interval MS]\n"
       << "  csmcli sort    <sensor_dir> <model_file> <out_pgm>"
@@ -233,10 +217,6 @@ void usage(std::ostream& out) {
       << "                 [--retrain N] [--retrain-threads N]\n"
       << "                 [--drift-threshold X] [--drift-patience N]\n"
       << "                 [--seed N] [--scenario SPEC] [--sig-out FILE]\n"
-      << "  csmcli serve   --socket PATH [--window WL] [--step WS]\n"
-      << "                 [--history H] [--retrain N] [--retrain-threads N]\n"
-      << "                 [--drift-threshold X] [--drift-patience N]\n"
-      << "                 [--max-pending N] [--pack FILE] [--record FILE]\n"
       << "  csmcli push    <segment> --socket PATH [--method SPEC]\n"
       << "                 [--scale S] [--blocks L] [--batch B] [--seed N]\n"
       << "                 [--sig-out FILE]\n"
@@ -297,9 +277,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.socket = next_value("--socket");
     } else if (arg == "--sig-out") {
       opts.sig_out = next_value("--sig-out");
-    } else if (arg == "--max-pending") {
-      opts.max_pending = benchkit::parse_size_t("--max-pending",
-                                                next_value("--max-pending"));
     } else if (arg == "--retrain-threads") {
       opts.retrain_threads = benchkit::parse_size_t(
           "--retrain-threads", next_value("--retrain-threads"));
@@ -364,35 +341,6 @@ data::AlignedSensors load_aligned(const std::string& dir,
                          : data::align_auto(series);
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-// A model file is either a codec binary record ("CSMB..."), tagged method
-// text ("csmethod v2 ..." or legacy v1), or a legacy bare CsModel blob
-// ("csmodel v1 ...").
-using LoadedModel = std::variant<std::unique_ptr<core::SignatureMethod>,
-                                 core::CsModel>;
-
-std::span<const std::uint8_t> as_bytes(const std::string& blob) {
-  return {reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()};
-}
-
-LoadedModel load_any_model(const std::string& path) {
-  const std::string blob = read_file(path);
-  if (core::codec::is_binary_record(as_bytes(blob))) {
-    return baselines::default_registry().decode(as_bytes(blob));
-  }
-  if (core::is_tagged_method(blob)) {
-    return baselines::default_registry().deserialize(blob);
-  }
-  return core::CsModel::deserialize(blob);
-}
-
 bool is_pack_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   char head[sizeof(core::kPackMagic)] = {};
@@ -423,8 +371,7 @@ int cmd_train(const Options& opts) {
   std::cout << "aligned " << aligned.matrix.rows() << " sensors x "
             << aligned.matrix.cols() << " samples (interval "
             << aligned.interval_ms << " ms)\n";
-  // Default spec: classic CS-All. (Older releases wrote a bare CsModel blob
-  // here; reading those still works everywhere, writing them doesn't.)
+  // Default spec: classic CS-All.
   const std::string spec = opts.method.empty() ? "cs" : opts.method;
   const auto method =
       baselines::default_registry().create(spec)->fit(aligned.matrix);
@@ -454,29 +401,17 @@ int cmd_info(const Options& opts) {
     }
     return 0;
   }
-  const LoadedModel loaded = load_any_model(opts.positional[0]);
-  if (const auto* method =
-          std::get_if<std::unique_ptr<core::SignatureMethod>>(&loaded)) {
-    const std::size_t n = (*method)->n_sensors();
-    std::cout << "method: " << (*method)->name() << "\nsensors: "
-              << (n == 0 ? std::string("any") : std::to_string(n))
-              << "\nsignature length: ";
-    if (n == 0) {
-      // Sensor-count-agnostic method: quote the per-sensor scaling instead
-      // of a meaningless length for n = 0.
-      std::cout << (*method)->signature_length(1) << " per sensor\n";
-    } else {
-      std::cout << (*method)->signature_length(n) << '\n';
-    }
-    return 0;
-  }
-  const core::CsModel& model = std::get<core::CsModel>(loaded);
-  std::cout << "sensors: " << model.n_sensors() << "\npermutation:";
-  for (std::size_t idx : model.permutation()) std::cout << ' ' << idx;
-  std::cout << "\nbounds:\n";
-  for (std::size_t i = 0; i < model.n_sensors(); ++i) {
-    std::cout << "  row " << i << ": [" << model.bounds()[i].lo << ", "
-              << model.bounds()[i].hi << "]\n";
+  const auto method = baselines::default_registry().load(opts.positional[0]);
+  const std::size_t n = method->n_sensors();
+  std::cout << "method: " << method->name() << "\nsensors: "
+            << (n == 0 ? std::string("any") : std::to_string(n))
+            << "\nsignature length: ";
+  if (n == 0) {
+    // Sensor-count-agnostic method: quote the per-sensor scaling instead of
+    // a meaningless length for n = 0.
+    std::cout << method->signature_length(1) << " per sensor\n";
+  } else {
+    std::cout << method->signature_length(n) << '\n';
   }
   return 0;
 }
@@ -537,39 +472,16 @@ int cmd_extract(const Options& opts) {
   }
   const data::AlignedSensors aligned =
       load_aligned(opts.positional[0], opts.interval_ms);
-  const LoadedModel loaded = load_any_model(opts.positional[1]);
-  if (const auto* method =
-          std::get_if<std::unique_ptr<core::SignatureMethod>>(&loaded)) {
-    if (opts.blocks_set || opts.real_only) {
-      std::cerr << "--blocks/--real-only have no effect on a tagged method "
-                   "model (" << (*method)->name()
-                << " carries its own options); retrain with --method to "
-                   "change them\n";
-      return 1;
-    }
-    return write_window_features(**method, aligned.matrix, spec,
-                                 opts.positional[2]);
+  const auto method = baselines::default_registry().load(opts.positional[1]);
+  if (opts.blocks_set || opts.real_only) {
+    std::cerr << "--blocks/--real-only have no effect on a model file ("
+              << method->name()
+              << " carries its own options); retrain with --method to "
+                 "change them\n";
+    return 1;
   }
-
-  // Legacy CsModel path: batch transform over shared buffers.
-  const core::CsPipeline pipeline(
-      std::get<core::CsModel>(loaded),
-      core::CsOptions{opts.blocks, opts.real_only});
-  const auto sigs = pipeline.transform(aligned.matrix, spec);
-  if (sigs.empty()) {
-    std::cerr << "no complete windows (have " << aligned.matrix.cols()
-              << " samples, window is " << opts.window << ")\n";
-    return 2;
-  }
-  data::Dataset ds;
-  for (const core::Signature& sig : sigs) {
-    ds.features.append_row(sig.flatten(opts.real_only));
-    ds.labels.push_back(0);
-  }
-  data::write_feature_csv(opts.positional[2], ds);
-  std::cout << "wrote " << ds.size() << " signatures of length "
-            << ds.feature_length() << " to " << opts.positional[2] << '\n';
-  return 0;
+  return write_window_features(*method, aligned.matrix, spec,
+                               opts.positional[2]);
 }
 
 int cmd_sort(const Options& opts) {
@@ -579,21 +491,15 @@ int cmd_sort(const Options& opts) {
   }
   const data::AlignedSensors aligned =
       load_aligned(opts.positional[0], opts.interval_ms);
-  const LoadedModel loaded = load_any_model(opts.positional[1]);
-  const core::CsModel* model = std::get_if<core::CsModel>(&loaded);
-  if (!model) {
-    const auto& method =
-        std::get<std::unique_ptr<core::SignatureMethod>>(loaded);
-    const auto* cs = dynamic_cast<const core::CsSignatureMethod*>(
-        method.get());
-    if (!cs) {
-      std::cerr << "sort requires a CS model; " << method->name()
-                << " has no sorting stage\n";
-      return 2;
-    }
-    model = &cs->pipeline()->model();
+  const auto method = baselines::default_registry().load(opts.positional[1]);
+  const auto* cs = dynamic_cast<const core::CsSignatureMethod*>(method.get());
+  if (!cs) {
+    std::cerr << "sort requires a CS model; " << method->name()
+              << " has no sorting stage\n";
+    return 2;
   }
-  harness::write_pgm(opts.positional[2], model->sort(aligned.matrix));
+  harness::write_pgm(opts.positional[2],
+                     cs->pipeline()->model().sort(aligned.matrix));
   std::cout << "wrote sorted heatmap (" << aligned.matrix.rows() << " x "
             << aligned.matrix.cols() << ") to " << opts.positional[2]
             << '\n';
@@ -823,8 +729,6 @@ int cmd_stream(const Options& opts) {
   core::StreamOptions stream_opts;
   stream_opts.window_length = opts.window_set ? opts.window : seg.window.length;
   stream_opts.window_step = opts.step_set ? opts.step : seg.window.step;
-  stream_opts.cs.blocks = opts.blocks;
-  stream_opts.cs.real_only = opts.real_only;
   stream_opts.history_length = opts.history;
   apply_retrain_flags(opts, stream_opts);
 
@@ -974,8 +878,6 @@ int cmd_replay(const Options& opts) {
   core::StreamOptions stream_opts;
   stream_opts.window_length = opts.window;
   stream_opts.window_step = opts.step;
-  stream_opts.cs.blocks = opts.blocks;
-  stream_opts.cs.real_only = opts.real_only;
   stream_opts.history_length = opts.history;
   apply_retrain_flags(opts, stream_opts);
 
@@ -1045,51 +947,6 @@ int cmd_replay(const Options& opts) {
   }
 
   return report_and_drain(engine, opts);
-}
-
-int cmd_serve(const Options& opts) {
-  if (!opts.positional.empty() || opts.socket.empty()) {
-    if (opts.socket.empty()) std::cerr << "serve: --socket PATH required\n";
-    usage(std::cerr);
-    return 1;
-  }
-  net::DaemonOptions daemon;
-  daemon.socket_path = opts.socket;
-  daemon.stream.window_length = opts.window;
-  daemon.stream.window_step = opts.step;
-  daemon.stream.history_length = opts.history;
-  apply_retrain_flags(opts, daemon.stream);
-  daemon.stream.max_pending = opts.max_pending;
-  daemon.stream.validate();
-  daemon.pack_path = opts.pack_file;
-  daemon.version = benchkit::git_sha();
-  daemon.registry = &baselines::default_registry();
-  // --record: capture everything clients push. The daemon loop is single-
-  // threaded and the engine is torn down before run_daemon returns, so
-  // sealing the file afterwards needs no tap removal.
-  std::optional<replay::EngineRecorder> recorder;
-  if (!opts.record_file.empty()) {
-    recorder.emplace(opts.record_file);
-    daemon.engine_hook = [&recorder](core::StreamEngine& engine) {
-      engine.set_tap([&recorder](std::size_t node,
-                                 const common::Matrix& columns) {
-        recorder->tap(node, columns);
-      });
-    };
-    daemon.on_node_add = [&recorder](std::size_t index,
-                                     const std::string& name,
-                                     std::uint32_t n_sensors) {
-      recorder->on_node_add(index, name, n_sensors);
-    };
-  }
-  const int rc = net::run_daemon(daemon);
-  if (recorder) {
-    recorder->finish();
-    std::cout << "recorded " << recorder->batch_count() << " batches ("
-              << recorder->n_nodes() << " nodes) to " << opts.record_file
-              << '\n';
-  }
-  return rc;
 }
 
 int cmd_push(const Options& opts) {
@@ -1320,7 +1177,6 @@ int main(int argc, char** argv) {
     if (command == "stream") return cmd_stream(opts);
     if (command == "record") return cmd_record(opts);
     if (command == "replay") return cmd_replay(opts);
-    if (command == "serve") return cmd_serve(opts);
     if (command == "push") return cmd_push(opts);
     if (command == "fleet-stats") return cmd_fleet_stats(opts);
     if (command == "version") return cmd_version(opts);

@@ -16,10 +16,11 @@
 // --max-pending bounds each node's undrained signature queue (drop-oldest
 // with a per-node counter; 0 = unbounded). --retrain-threads N switches
 // retraining to the async shadow-fit pipeline backed by a pool of N worker
-// threads (the default, without the flag, is the synchronous in-line
-// retrain); --drift-threshold X (exclusive with both) switches to the
-// drift-triggered kOnDrift policy instead. --record FILE captures every
-// sample batch clients push as a CSMR recording (docs/RECORDING.md),
+// threads (the default, and N = 0, is the synchronous in-line retrain);
+// --drift-threshold X switches to the drift-triggered kOnDrift policy
+// instead and conflicts with --retrain/--retrain-threads in either order,
+// the same rule `csmcli stream` and `replay` apply. --record FILE captures
+// every sample batch clients push as a CSMR recording (docs/RECORDING.md),
 // sealed on shutdown — feed it to `csmcli replay` to re-drive the run.
 // SIGINT/SIGTERM shut the daemon down cleanly: the socket file is
 // unlinked, engine totals printed and the recording finished.
@@ -57,6 +58,10 @@ int main(int argc, char** argv) {
   options.stream.window_length = 60;
   options.stream.window_step = 10;
   std::string record_path;
+  // Retrain flags are collected here and applied after the parse loop, so
+  // the result does not depend on the order they were given in.
+  std::size_t retrain_threads = 0;
+  double drift_threshold = 0.0;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -87,13 +92,16 @@ int main(int argc, char** argv) {
         options.stream.retrain_interval =
             benchkit::parse_size_t("--retrain", next_value("--retrain"));
       } else if (arg == "--retrain-threads") {
-        options.stream.retrain_threads = benchkit::parse_size_t(
+        retrain_threads = benchkit::parse_size_t(
             "--retrain-threads", next_value("--retrain-threads"));
-        options.stream.retrain_policy = core::RetrainPolicy::kAsync;
       } else if (arg == "--drift-threshold") {
-        options.stream.drift_threshold = benchkit::parse_double(
+        drift_threshold = benchkit::parse_double(
             "--drift-threshold", next_value("--drift-threshold"));
-        options.stream.retrain_policy = core::RetrainPolicy::kOnDrift;
+        if (drift_threshold <= 0.0) {
+          throw std::invalid_argument(
+              "--drift-threshold: must be positive (got " +
+              std::to_string(drift_threshold) + ")");
+        }
       } else if (arg == "--drift-patience") {
         options.stream.drift_patience = benchkit::parse_size_t(
             "--drift-patience", next_value("--drift-patience"));
@@ -114,6 +122,24 @@ int main(int argc, char** argv) {
       std::cerr << "error: --socket PATH is required\n";
       usage(std::cerr);
       return 1;
+    }
+    // The drift detector replaces the periodic schedule (and runs inline),
+    // so it cannot be combined with either periodic retrain flag.
+    if (drift_threshold > 0.0 &&
+        (options.stream.retrain_interval > 0 || retrain_threads > 0)) {
+      std::cerr << "error: --drift-threshold conflicts with --retrain/"
+                   "--retrain-threads (kOnDrift replaces the periodic "
+                   "retrain schedule)\n";
+      usage(std::cerr);
+      return 1;
+    }
+    if (retrain_threads > 0) {
+      options.stream.retrain_policy = core::RetrainPolicy::kAsync;
+      options.stream.retrain_threads = retrain_threads;
+    }
+    if (drift_threshold > 0.0) {
+      options.stream.retrain_policy = core::RetrainPolicy::kOnDrift;
+      options.stream.drift_threshold = drift_threshold;
     }
     options.stream.validate();
   } catch (const std::invalid_argument& e) {

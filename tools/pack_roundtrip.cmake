@@ -3,8 +3,9 @@
 #   stream --dump-models -> pack -> info -> stream --pack -> unpack --format
 #   binary -> convert back to text
 #
-# plus two corrupt-fixture checks that wrong format-version bytes are
-# rejected with their version number named. Run with:
+# plus wrong-version fixture checks: the pack and binary-record readers
+# name the version byte they reject, and "csmethod v1" text (a format of
+# earlier releases) is refused as a bad header. Run with:
 #   cmake -DCSMCLI=... -DWORK_DIR=... -P pack_roundtrip.cmake
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -66,5 +67,9 @@ run_step(wrong_pack_version nonzero "unsupported model pack version 57"
 file(WRITE "${WORK_DIR}/bad_version.csmb" "CSMB9${filler}")
 run_step(wrong_record_version nonzero "unsupported binary model version 57"
   "${CSMCLI}" info "${WORK_DIR}/bad_version.csmb")
+file(WRITE "${WORK_DIR}/v1_text.csm"
+  "csmethod v1 cs\nblocks 2\nreal-only 0\ncsmodel v1\n1\n0 0 1\n")
+run_step(v1_text_rejected nonzero "bad header"
+  "${CSMCLI}" info "${WORK_DIR}/v1_text.csm")
 
 message(STATUS "pack round trip clean (${n_unpacked} models)")
