@@ -90,16 +90,11 @@ bool FleetServer::service(Client& client) {
       client.closing = true;
     }
   }
-  if (eof && !client.reader.at_frame_boundary()) {
-    // Disconnect mid-frame: nothing to answer (the peer is gone), but the
-    // truncated tail must not be mistaken for a clean close.
-    client.closing = true;
-  }
   flush(client);
-  if (client.closing && client.out_head == client.out.size()) {
-    client.conn->close();
-  }
-  if (eof && client.out_head == client.out.size()) {
+  // At EOF the peer may only have half-closed and still read: it gets what
+  // the socket accepts now, then the connection closes (nothing more can
+  // arrive to answer, and is_open() already reads false).
+  if (eof || (client.closing && client.out_head == client.out.size())) {
     client.conn->close();
   }
   return client.conn->is_open();
@@ -117,7 +112,7 @@ void FleetServer::reply(Client& client, FrameType type,
 }
 
 void FleetServer::flush(Client& client) {
-  while (client.out_head < client.out.size() && client.conn->is_open()) {
+  while (client.out_head < client.out.size()) {
     const std::size_t n = client.conn->write_some(
         std::span(client.out).subspan(client.out_head));
     if (n == 0) break;  // Would-block: retry on the next iteration.

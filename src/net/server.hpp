@@ -59,6 +59,9 @@ struct FleetServerOptions {
   /// Resolves kNodeAdd-by-pack-id requests. Optional.
   const core::ModelPack* pack = nullptr;
   /// run()'s wait granularity: how stale a stop() flag can go unnoticed.
+  /// It bounds only stop() latency, not reply latency: the listener's wait
+  /// also returns as soon as a reply cut short by a full send buffer can be
+  /// written further.
   int poll_timeout_ms = 100;
   /// Per-frame payload cap handed to each connection's FrameReader.
   std::size_t max_frame_payload = kMaxFramePayload;

@@ -11,8 +11,14 @@
 // return 0 instead of blocking, and wait_readable/wait_writable provide the
 // blocking edge for clients that want simple request/response calls. A
 // Listener multiplexes one server thread over many connections: wait()
-// blocks until a new connection can be accepted or any of the given
-// connections has bytes (or EOF) to deliver.
+// blocks until a new connection can be accepted, any of the given
+// connections has bytes (or EOF) to deliver, or one whose last write was
+// cut short can take more bytes.
+//
+// Threading: a Listener and the connections it accepted may share state
+// (the unix transport tracks cut-short writes there), so use them from one
+// thread, as FleetServer does, or serialise every call on them with one
+// lock.
 #pragma once
 
 #include <cstddef>
@@ -48,10 +54,12 @@ class Connection {
   /// Writes up to data.size() bytes; returns the count accepted (0 =
   /// would-block). A peer that vanished mid-write closes the connection
   /// (open() turns false) instead of throwing — disconnects are routine.
+  /// Only such a failed write or close() stops writes: after EOF on the
+  /// read side, a peer that merely half-closed still receives bytes.
   virtual std::size_t write_some(std::span<const std::uint8_t> data) = 0;
 
-  /// True until close() is called or the peer's bytes are exhausted (peer
-  /// closed AND everything it sent has been read).
+  /// True until close() is called, a write fails, or the peer's bytes are
+  /// exhausted (peer closed AND everything it sent has been read).
   virtual bool is_open() const noexcept = 0;
 
   virtual void close() noexcept = 0;
@@ -82,9 +90,13 @@ class Listener {
   virtual std::unique_ptr<Connection> accept() = 0;
 
   /// Blocks up to timeout_ms (-1 = indefinitely) until a connection is
-  /// waiting to be accepted or any connection in `conns` has readable
-  /// bytes/EOF. Returns false on timeout. `conns` must be connections of
-  /// this listener's transport.
+  /// waiting to be accepted, any connection in `conns` has readable
+  /// bytes/EOF, or one whose last write_some was cut short can take more
+  /// bytes. Returns false on timeout. The transport tracks cut-short writes
+  /// itself, so a decorator that forwards native_handle() and write_some()
+  /// keeps this behaviour; the caller must then write again (or close), or
+  /// the wait keeps returning. `conns` must be connections of this
+  /// listener's transport.
   virtual bool wait(std::span<Connection* const> conns, int timeout_ms) = 0;
 
   virtual void close() noexcept = 0;

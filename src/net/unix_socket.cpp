@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <system_error>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -50,9 +51,25 @@ sockaddr_un make_address(const std::string& path) {
   return addr;
 }
 
+/// Fds of a listener's accepted connections whose last write_some was cut
+/// short (EAGAIN or a partial send). The listener polls exactly these for
+/// POLLOUT as well as POLLIN, so a reply that filled the send buffer resumes
+/// as soon as the peer drains it instead of on the next timeout, while an
+/// idle or non-reading peer never wakes the poll. Keyed by fd because that
+/// is all a decorator forwards to wait(). A connection drops its mark on a
+/// complete write, a failed write and before closing its fd, so a reused fd
+/// never inherits it. Shared by the listener and those connections, which
+/// the transport.hpp threading rule keeps on one thread.
+using BlockedWrites = std::unordered_set<int>;
+
 class UnixConnection final : public Connection {
  public:
-  explicit UnixConnection(int fd) : fd_(fd) { set_common_flags(fd_); }
+  /// `blocked` is the accepting listener's set; nullptr for a client-side
+  /// connection, which no listener waits on.
+  UnixConnection(int fd, std::shared_ptr<BlockedWrites> blocked)
+      : fd_(fd), blocked_(std::move(blocked)) {
+    set_common_flags(fd_);
+  }
 
   ~UnixConnection() override { close(); }
 
@@ -61,38 +78,49 @@ class UnixConnection final : public Connection {
     const ssize_t n = ::recv(fd_, out.data(), out.size(), 0);
     if (n > 0) return static_cast<std::size_t>(n);
     if (n == 0) {  // Orderly peer shutdown.
-      open_ = false;
+      eof_ = true;
       return 0;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
     if (errno == ECONNRESET) {
-      open_ = false;
+      eof_ = true;
       return 0;
     }
     throw_errno("recv on " + peer_name() + " failed", errno);
   }
 
+  /// Still writes after EOF: a peer that half-closed its side reads on.
   std::size_t write_some(std::span<const std::uint8_t> data) override {
-    if (fd_ < 0 || !open_ || data.empty()) return 0;
+    if (fd_ < 0 || write_failed_ || data.empty()) return 0;
     const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n >= 0) return static_cast<std::size_t>(n);
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
-    if (errno == EPIPE || errno == ECONNRESET) {
-      // Routine disconnect: surface as a closed connection, not a throw.
-      open_ = false;
+    const int err = errno;
+    if (n >= 0) {
+      mark_blocked(static_cast<std::size_t>(n) < data.size());
+      return static_cast<std::size_t>(n);
+    }
+    if (err == EAGAIN || err == EWOULDBLOCK || err == EINTR) {
+      mark_blocked(true);
       return 0;
     }
-    throw_errno("send on " + peer_name() + " failed", errno);
+    mark_blocked(false);
+    if (err == EPIPE || err == ECONNRESET) {
+      // Routine disconnect: surface as a closed connection, not a throw.
+      write_failed_ = true;
+      return 0;
+    }
+    throw_errno("send on " + peer_name() + " failed", err);
   }
 
-  bool is_open() const noexcept override { return fd_ >= 0 && open_; }
+  bool is_open() const noexcept override {
+    return fd_ >= 0 && !eof_ && !write_failed_;
+  }
 
   void close() noexcept override {
     if (fd_ >= 0) {
+      mark_blocked(false);
       ::close(fd_);
       fd_ = -1;
     }
-    open_ = false;
   }
 
   bool wait_readable(int timeout_ms) override {
@@ -120,8 +148,19 @@ class UnixConnection final : public Connection {
     return n > 0;
   }
 
+  void mark_blocked(bool blocked) {
+    if (!blocked_) return;
+    if (blocked) {
+      blocked_->insert(fd_);
+    } else {
+      blocked_->erase(fd_);
+    }
+  }
+
   int fd_;
-  bool open_ = true;
+  std::shared_ptr<BlockedWrites> blocked_;
+  bool eof_ = false;           ///< The peer's bytes are exhausted.
+  bool write_failed_ = false;  ///< A send hit EPIPE/ECONNRESET.
 };
 
 class UnixListener final : public Listener {
@@ -158,7 +197,7 @@ class UnixListener final : public Listener {
       }
       throw_errno("accept on " + path_ + " failed", errno);
     }
-    return std::make_unique<UnixConnection>(conn_fd);
+    return std::make_unique<UnixConnection>(conn_fd, blocked_);
   }
 
   bool wait(std::span<Connection* const> conns, int timeout_ms) override {
@@ -167,7 +206,9 @@ class UnixListener final : public Listener {
     if (fd_ >= 0) fds.push_back({fd_, POLLIN, 0});
     for (Connection* c : conns) {
       const int fd = c->native_handle();
-      if (fd >= 0) fds.push_back({fd, POLLIN, 0});
+      if (fd < 0) continue;
+      const short events = blocked_->contains(fd) ? POLLIN | POLLOUT : POLLIN;
+      fds.push_back({fd, events, 0});
     }
     if (fds.empty()) return false;
     const int n = ::poll(fds.data(), fds.size(), timeout_ms);
@@ -204,6 +245,7 @@ class UnixListener final : public Listener {
 
   std::string path_;
   int fd_ = -1;
+  std::shared_ptr<BlockedWrites> blocked_ = std::make_shared<BlockedWrites>();
 };
 
 }  // namespace
@@ -224,7 +266,7 @@ std::unique_ptr<Connection> connect_unix(const std::string& path) {
     ::close(fd);
     throw_errno("connect to " + path + " failed", err);
   }
-  return std::make_unique<UnixConnection>(fd);
+  return std::make_unique<UnixConnection>(fd, nullptr);
 }
 
 }  // namespace csm::net

@@ -1,9 +1,10 @@
 // Unix-domain socket transport: csmd's production face. The listener owns
 // a SOCK_STREAM socket bound to a filesystem path (a stale socket file
 // left by a crashed daemon is unlinked first); accepted connections are
-// non-blocking and multiplexed with poll(2). Client connections made with
-// connect_unix() carry the same non-blocking contract — the blocking
-// helpers in net/transport.hpp supply the waiting.
+// non-blocking and multiplexed with poll(2), which also watches for
+// POLLOUT on each connection whose last write was cut short. Client
+// connections made with connect_unix() carry the same non-blocking
+// contract — the blocking helpers in net/transport.hpp supply the waiting.
 #pragma once
 
 #include <memory>

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "core/training.hpp"
 #include "net/loopback.hpp"
 #include "net/message.hpp"
+#include "net/unix_socket.hpp"
 
 namespace csm::net {
 namespace {
@@ -50,38 +56,66 @@ core::StreamOptions engine_options() {
   return opts;
 }
 
+FleetServerOptions server_options() {
+  FleetServerOptions options;
+  options.server_version = "test-build";
+  options.registry = &baselines::default_registry();
+  return options;
+}
+
+/// Sends `request` on `conn` and pumps `server` on the calling thread until
+/// one response frame is back. Unlike transport.hpp's call(), a kError
+/// answer is returned, not thrown, so tests can inspect it.
+Frame roundtrip(FleetServer& server, Connection& conn, FrameReader& reader,
+                const Frame& request) {
+  write_frame(conn, request);
+  for (int i = 0; i < 1000; ++i) {
+    server.poll_once(10);
+    std::array<std::uint8_t, 4096> buf{};
+    while (const std::size_t n = conn.read_some(buf)) {
+      reader.feed({buf.data(), n});
+    }
+    if (std::optional<Frame> frame = reader.next()) {
+      return *std::move(frame);
+    }
+  }
+  ADD_FAILURE() << "no response after 1000 poll iterations";
+  return Frame{};
+}
+
+Frame node_add_frame(const std::string& name,
+                     const core::SignatureMethod& method) {
+  NodeAdd add;
+  add.source = NodeAddSource::kInlineRecord;
+  add.record = core::codec::encode_binary(method);
+  Frame frame;
+  frame.type = FrameType::kNodeAdd;
+  frame.node = name;
+  frame.payload = encode_node_add(add);
+  return frame;
+}
+
+Frame batch_frame(const std::string& name, const common::Matrix& cols) {
+  Frame frame;
+  frame.type = FrameType::kSampleBatch;
+  frame.node = name;
+  frame.payload = encode_sample_batch(cols);
+  return frame;
+}
+
 // One server + one client on the same thread: the client writes a frame,
 // then the fixture pumps poll_once until the response arrives. Loopback
 // writes never block, so this cannot deadlock.
 class FleetServerTest : public ::testing::Test {
  protected:
   FleetServerTest() {
-    FleetServerOptions options;
-    options.server_version = "test-build";
-    options.registry = &baselines::default_registry();
     server_ = std::make_unique<FleetServer>(hub_.listen(), engine_,
-                                            std::move(options));
+                                            server_options());
     conn_ = hub_.connect();
   }
 
-  /// Sends `request` and pumps the server until one response frame is
-  /// back. Unlike transport.hpp's call(), a kError answer is returned,
-  /// not thrown, so tests can inspect it.
   Frame roundtrip(const Frame& request) {
-    write_frame(*conn_, request);
-    FrameReader& reader = reader_;
-    for (int i = 0; i < 1000; ++i) {
-      server_->poll_once(10);
-      std::array<std::uint8_t, 4096> buf{};
-      while (const std::size_t n = conn_->read_some(buf)) {
-        reader.feed({buf.data(), n});
-      }
-      if (std::optional<Frame> frame = reader.next()) {
-        return *std::move(frame);
-      }
-    }
-    ADD_FAILURE() << "no response after 1000 poll iterations";
-    return Frame{};
+    return net::roundtrip(*server_, *conn_, reader_, request);
   }
 
   /// Fire-and-forget (sample batches): write, then pump once so the
@@ -89,26 +123,6 @@ class FleetServerTest : public ::testing::Test {
   void push(const Frame& frame) {
     write_frame(*conn_, frame);
     server_->poll_once(10);
-  }
-
-  Frame node_add_frame(const std::string& name,
-                       const core::SignatureMethod& method) {
-    NodeAdd add;
-    add.source = NodeAddSource::kInlineRecord;
-    add.record = core::codec::encode_binary(method);
-    Frame frame;
-    frame.type = FrameType::kNodeAdd;
-    frame.node = name;
-    frame.payload = encode_node_add(add);
-    return frame;
-  }
-
-  Frame batch_frame(const std::string& name, const common::Matrix& cols) {
-    Frame frame;
-    frame.type = FrameType::kSampleBatch;
-    frame.node = name;
-    frame.payload = encode_sample_batch(cols);
-    return frame;
   }
 
   LoopbackHub hub_;
@@ -227,30 +241,13 @@ TEST(FleetServerPack, NodeAddFromModelPack) {
   }
   const core::ModelPack pack = core::ModelPack::open(file);
 
-  FleetServerOptions options;
-  options.server_version = "test-build";
-  options.registry = &baselines::default_registry();
+  FleetServerOptions options = server_options();
   options.pack = &pack;
   core::StreamEngine engine(engine_options());
   LoopbackHub hub;
   FleetServer server(hub.listen(), engine, std::move(options));
   auto conn = hub.connect();
   FrameReader reader;
-  const auto roundtrip = [&](const Frame& request) {
-    write_frame(*conn, request);
-    for (int i = 0; i < 1000; ++i) {
-      server.poll_once(10);
-      std::array<std::uint8_t, 4096> buf{};
-      while (const std::size_t n = conn->read_some(buf)) {
-        reader.feed({buf.data(), n});
-      }
-      if (std::optional<Frame> frame = reader.next()) {
-        return *std::move(frame);
-      }
-    }
-    ADD_FAILURE() << "no response after 1000 poll iterations";
-    return Frame{};
-  };
 
   NodeAdd add;
   add.source = NodeAddSource::kPackId;
@@ -260,14 +257,14 @@ TEST(FleetServerPack, NodeAddFromModelPack) {
   frame.type = FrameType::kNodeAdd;
   frame.node = "n0";
   frame.payload = encode_node_add(add);
-  const Frame ack = roundtrip(frame);
+  const Frame ack = roundtrip(server, *conn, reader, frame);
   ASSERT_EQ(ack.type, FrameType::kOk) << decode_error_text(ack.payload);
 
   // An id the pack does not contain is a semantic error.
   add.pack_id = "no-such-id";
   frame.node = "n1";
   frame.payload = encode_node_add(add);
-  EXPECT_EQ(roundtrip(frame).type, FrameType::kError);
+  EXPECT_EQ(roundtrip(server, *conn, reader, frame).type, FrameType::kError);
   std::filesystem::remove(file);
 }
 
@@ -361,6 +358,98 @@ TEST_F(FleetServerTest, SampleBatchesAreNotAcked) {
   Frame scrape;
   scrape.type = FrameType::kStatsRequest;
   EXPECT_EQ(roundtrip(scrape).type, FrameType::kStatsResponse);
+}
+
+// FleetServer over its production transport. Loopback writes never block,
+// so only a real socket shows what the server does with a reply larger
+// than the send buffer or with a client that half-closes. The test thread
+// pumps the server and reads the client in turn.
+class FleetServerUnixTest : public ::testing::Test {
+ protected:
+  /// Registers `count` nodes ("n0", "n1", ...) sharing one inline model.
+  void add_nodes(std::size_t count) {
+    Frame add = node_add_frame("", *fit_method(node_matrix(4, 60, 21)));
+    for (std::size_t i = 0; i < count; ++i) {
+      add.node = "n" + std::to_string(i);
+      ASSERT_EQ(roundtrip(server_, *conn_, reader_, add).type, FrameType::kOk);
+    }
+  }
+
+  const std::string path_ =
+      "/tmp/csm_srv_" + std::to_string(::getpid()) + ".sock";
+  core::StreamEngine engine_{engine_options()};
+  FleetServer server_{listen_unix(path_), engine_, server_options()};
+  std::unique_ptr<Connection> conn_ = connect_unix(path_);
+  FrameReader reader_;
+};
+
+// A node-stats row is ~2.2 KiB, so 512 nodes make a reply of over 1 MiB:
+// several refills of any unix socket send buffer.
+constexpr std::size_t kLargeFleet = 512;
+
+TEST_F(FleetServerUnixTest, LargeReplyResumesAsSoonAsTheClientDrains) {
+  ASSERT_NO_FATAL_FAILURE(add_nodes(kLargeFleet));
+  Frame request;
+  request.type = FrameType::kNodeStatsRequest;
+  write_frame(*conn_, request);
+
+  std::vector<std::uint8_t> buf(64 * 1024);
+  std::optional<Frame> reply;
+  for (int polls = 0; !reply.has_value(); ++polls) {
+    ASSERT_LT(polls, 1000) << "no reply";
+    // Every poll after the first follows a drain, so it must not sit out
+    // its timeout.
+    const auto start = std::chrono::steady_clock::now();
+    server_.poll_once(10000);
+    const auto took = std::chrono::steady_clock::now() - start;
+    ASSERT_LT(took, std::chrono::seconds(2)) << "poll " << polls;
+    while (const std::size_t n = conn_->read_some(buf)) {
+      reader_.feed({buf.data(), n});
+    }
+    reply = reader_.next();
+  }
+  ASSERT_EQ(reply->type, FrameType::kNodeStatsResponse);
+  EXPECT_GT(reply->payload.size(), std::size_t{1} << 20);
+  const NodeStatsResponse decoded = decode_node_stats_response(reply->payload);
+  EXPECT_EQ(decoded.nodes.size(), kLargeFleet);
+  NodeStatsResponse expected;
+  expected.nodes = engine_.node_stats();
+  EXPECT_EQ(reply->payload, encode_node_stats_response(expected));
+}
+
+TEST_F(FleetServerUnixTest, NonReadingClientLeavesTheWaitIdle) {
+  ASSERT_NO_FATAL_FAILURE(add_nodes(kLargeFleet));
+  Frame request;
+  request.type = FrameType::kNodeStatsRequest;
+  write_frame(*conn_, request);
+  ASSERT_TRUE(server_.poll_once(10000));  // Handled; the reply is stuck.
+
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(server_.poll_once(100));
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(took, std::chrono::milliseconds(90));
+  }
+  EXPECT_EQ(server_.n_connections(), 1u);
+}
+
+TEST_F(FleetServerUnixTest, HalfClosedClientStillGetsItsReply) {
+  Frame scrape;
+  scrape.type = FrameType::kStatsRequest;
+  write_frame(*conn_, scrape);
+  ASSERT_EQ(::shutdown(conn_->native_handle(), SHUT_WR), 0);
+  for (int i = 0; i < 100 && server_.frames_handled() == 0; ++i) {
+    server_.poll_once(100);
+  }
+  ASSERT_EQ(server_.frames_handled(), 1u);
+
+  const std::optional<Frame> reply = read_frame(*conn_, reader_, 5000);
+  ASSERT_TRUE(reply.has_value()) << "EOF instead of the stats response";
+  ASSERT_EQ(reply->type, FrameType::kStatsResponse);
+  const StatsResponse stats = decode_stats_response(reply->payload);
+  EXPECT_EQ(stats.server_version, "test-build");
+  EXPECT_FALSE(read_frame(*conn_, reader_, 5000).has_value());  // Then EOF.
+  EXPECT_EQ(server_.n_connections(), 0u);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,28 @@ namespace {
 // so build trees are out and /tmp is in.
 std::string socket_path(const char* tag) {
   return "/tmp/csm_ux_" + std::to_string(::getpid()) + "_" + tag + ".sock";
+}
+
+// Reads everything the peer has sent so far; returns the byte count.
+std::size_t drain(Connection& conn) {
+  std::vector<std::uint8_t> buf(64 * 1024);
+  std::size_t total = 0;
+  while (const std::size_t n = conn.read_some(buf)) {
+    total += n;
+  }
+  return total;
+}
+
+// Writes 16 KiB chunks until write_some comes back short, without assuming
+// a buffer size (macOS unix buffers are far smaller than Linux's). Returns
+// the bytes of the last chunk left unsent.
+std::size_t write_until_short(Connection& conn) {
+  const std::vector<std::uint8_t> chunk(16 * 1024, 0x5a);
+  std::size_t n = 0;
+  do {
+    n = conn.write_some(chunk);
+  } while (n == chunk.size());
+  return chunk.size() - n;
 }
 
 TEST(UnixSocket, ConnectAcceptAndExchangeFrames) {
@@ -137,6 +161,52 @@ TEST(UnixSocket, ListenerWaitMultiplexesConnections) {
   std::array<std::uint8_t, 8> buf{};
   EXPECT_EQ(server_b->read_some(buf), 1u);
   EXPECT_EQ(buf[0], 42u);
+  listener->close();
+}
+
+// A write cut short by a full send buffer makes the listener's wait also
+// return once the peer has drained, and only until the write completes or
+// the connection closes; a new connection reusing the fd starts unmarked.
+TEST(UnixSocket, ListenerWaitWakesWhenACutShortWriteCanResume) {
+  const std::string path = socket_path("pollout");
+  auto listener = listen_unix(path);
+  auto client = connect_unix(path);
+  ASSERT_TRUE(listener->wait({}, 5000));
+  auto server = listener->accept();
+  ASSERT_NE(server, nullptr);
+  Connection* conns[] = {server.get()};
+
+  const std::size_t unsent = write_until_short(*server);
+  EXPECT_FALSE(listener->wait(conns, 50));  // The peer has not read.
+
+  EXPECT_GT(drain(*client), 0u);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(listener->wait(conns, 5000));
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::seconds(1));
+
+  // The rest, written in full: an idle wait times out again.
+  const std::vector<std::uint8_t> rest(unsent, 0x5a);
+  std::span<const std::uint8_t> left(rest);
+  while (!left.empty()) {
+    left = left.subspan(server->write_some(left));
+    drain(*client);
+  }
+  EXPECT_FALSE(listener->wait(conns, 50));
+
+  // Cut a write short again, then close that connection. The next accept
+  // reuses its fd (the new client's socket is opened first so it cannot
+  // take it), and that idle, writable connection must not wake the wait.
+  write_until_short(*server);
+  const int blocked_fd = server->native_handle();
+  auto next_client = connect_unix(path);
+  server->close();
+  ASSERT_TRUE(listener->wait({}, 5000));
+  auto reused = listener->accept();
+  ASSERT_NE(reused, nullptr);
+  ASSERT_EQ(reused->native_handle(), blocked_fd);
+  Connection* reused_conns[] = {reused.get()};
+  EXPECT_FALSE(listener->wait(reused_conns, 50));
   listener->close();
 }
 
