@@ -114,7 +114,7 @@ CellRun run_cell(const std::shared_ptr<const core::SignatureMethod>& method,
     for (std::size_t c = 0; c < data.cols(); ++c) {
       for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, c);
       if (stream.push(column)) ++out.signatures;
-      if (!out.first_drift_retrain_at && stream.drift_retrains() > 0) {
+      if (!out.first_drift_retrain_at && stream.counters().drift_retrains > 0) {
         out.first_drift_retrain_at = c + 1;
       }
     }
@@ -122,9 +122,9 @@ CellRun run_cell(const std::shared_ptr<const core::SignatureMethod>& method,
     out.error = e.what();
   }
   out.swaps = stream.retrain_count();
-  out.drift_windows = stream.drift_windows();
-  out.drift_flags = stream.drift_flags();
-  out.drift_retrains = stream.drift_retrains();
+  out.drift_windows = stream.counters().drift_windows;
+  out.drift_flags = stream.counters().drift_flags;
+  out.drift_retrains = stream.counters().drift_retrains;
   return out;
 }
 

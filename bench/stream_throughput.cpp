@@ -19,12 +19,6 @@
 // samples/sec, and the driver exits non-zero if StreamEngine ever
 // disagrees with per-node MethodStream runs.
 //
-// The daemon-loopback table prices the fleet-daemon service path: the same
-// ingest driven through a FleetServer over the in-process loopback
-// transport — CSMF frame encode, CRC, connection servicing and all —
-// against direct StreamEngine calls. The drained signatures must be
-// bit-for-bit identical to the direct engine's, or the driver fails.
-//
 // The cold-start table measures the fleet-standup path the ModelPack exists
 // for: reviving all N trained node models, once from N per-file text models
 // (open + parse each) and once from a single mmap-ed pack (open once,
@@ -40,6 +34,10 @@
 // shadow-fit (async) retraining, recording per-push wall times: the sync
 // stall surfaces in the p99/max columns, and the driver fails if async
 // ingest p99 with retrains firing exceeds 5x the no-retrain baseline.
+//
+// Every section runs even after a check fails: each FAIL is printed and
+// counted, and the run exits 1 once the JSON is written, so one missed
+// floor never hides the sections after it.
 //
 // Runs under the shared benchkit CLI (see --help). Naive and ring cases at
 // one sweep point share the same derived data seed — the before/after
@@ -57,7 +55,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/registry.hpp"
@@ -75,10 +72,6 @@
 #include "core/stream_engine.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
-#include "net/loopback.hpp"
-#include "net/message.hpp"
-#include "net/server.hpp"
-#include "net/transport.hpp"
 #include "stats/correlation.hpp"
 #include "stats/finite_diff.hpp"
 
@@ -288,7 +281,7 @@ RetrainRun run_retrain_policy(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   out.swaps = stream.retrain_count();
-  out.aborts = stream.retrain_aborts();
+  out.aborts = stream.counters().retrain_aborts;
   return out;
 }
 
@@ -310,14 +303,15 @@ namespace csm::benchkit {
 Setup bench_setup() {
   return {"stream_throughput",
           "CS stream push path (erase-front history vs ring buffer), "
-          "StreamEngine fleet-scaling throughput, the daemon loopback "
-          "frame path vs direct engine ingest, and fleet cold-start from "
-          "per-file models vs one model pack",
+          "StreamEngine fleet-scaling throughput, fleet cold-start from "
+          "per-file models vs one model pack, the training kernel and the "
+          "retrain policies",
           kFlagOutDir, ""};
 }
 
 int bench_run(Runner& run) {
   const bool quick = run.quick();
+  int failures = 0;  // FAILs so far; every section still runs.
 
   core::StreamOptions opts;
   opts.window_length = 60;
@@ -370,7 +364,7 @@ int bench_run(Runner& run) {
       if (naive_sigs != ring_sigs) {
         std::fprintf(stderr, "FAIL: signature count mismatch (%zu vs %zu)\n",
                      naive_sigs, ring_sigs);
-        return 1;
+        ++failures;
       }
       std::printf("%8zu %9zu %9zu %15.0f %15.0f %8.1fx\n", n, history, t,
                   naive.items_per_sec, ring.items_per_sec,
@@ -425,7 +419,7 @@ int bench_run(Runner& run) {
         std::fprintf(stderr,
                      "FAIL: view emit differs from copy emit at %s\n",
                      point.c_str());
-        return 1;
+        ++failures;
       }
       // The zero-copy invariant this driver guards: the view emit must not
       // be slower than the copy emit at any sweep point. The 10% grace
@@ -436,7 +430,7 @@ int bench_run(Runner& run) {
                      "FAIL: view emit slower than copy emit at %s "
                      "(%.0f vs %.0f smp/s)\n",
                      point.c_str(), view.items_per_sec, copy.items_per_sec);
-        return 1;
+        ++failures;
       }
       std::printf("%8zu %9zu %9zu %15.0f %15.0f %8.2fx\n", n, history, t,
                   copy.items_per_sec, view.items_per_sec,
@@ -478,136 +472,6 @@ int bench_run(Runner& run) {
                 static_cast<unsigned long long>(signatures));
   }
 
-  // Daemon frame path: the same fleet ingest, once through direct
-  // StreamEngine calls and once through a FleetServer serving CSMF frames
-  // over the in-process loopback transport. The gap is the whole protocol
-  // tax — frame encode on the client (pre-paid outside the timed region,
-  // as a real collector would pay it), CRC verify + decode + connection
-  // servicing on the daemon. Both paths must drain bit-for-bit identical
-  // signatures. Wire bytes are pre-encoded so repetitions re-run only the
-  // daemon side: fresh engine, fresh server thread, fresh connection.
-  {
-    const std::size_t daemon_nodes = 4;
-    const std::size_t daemon_sensors = 16;
-    const std::size_t daemon_t = quick ? 2000 : 8000;
-    const std::size_t daemon_chunk = 250;  // Columns per kSampleBatch.
-    const std::uint64_t daemon_seed = run.derive_seed("daemon-loopback");
-    std::printf("\n== Fleet ingest: direct engine vs daemon loopback frame "
-                "path (%zu nodes, %zu sensors/node, %zu samples/node) ==\n",
-                daemon_nodes, daemon_sensors, daemon_t);
-
-    core::StreamOptions d_opts;
-    d_opts.window_length = 60;
-    d_opts.window_step = 10;
-    d_opts.history_length = 1024;
-    const auto& registry = baselines::default_registry();
-
-    std::vector<std::string> ids;
-    std::vector<common::Matrix> batches;
-    std::vector<std::shared_ptr<const core::SignatureMethod>> methods;
-    std::vector<net::Frame> add_frames;
-    std::vector<std::vector<std::uint8_t>> wire(daemon_nodes);
-    for (std::size_t i = 0; i < daemon_nodes; ++i) {
-      ids.push_back("bench" + std::to_string(i));
-      batches.push_back(
-          synthetic_stream(daemon_sensors, daemon_t, daemon_seed + i));
-      methods.push_back(registry.create("cs:blocks=8")->fit(batches.back()));
-      net::NodeAdd add;
-      add.record = core::codec::encode_binary(*methods.back());
-      net::Frame frame;
-      frame.type = net::FrameType::kNodeAdd;
-      frame.node = ids.back();
-      frame.payload = net::encode_node_add(add);
-      add_frames.push_back(std::move(frame));
-      for (std::size_t at = 0; at < daemon_t; at += daemon_chunk) {
-        net::Frame batch;
-        batch.type = net::FrameType::kSampleBatch;
-        batch.node = ids.back();
-        batch.payload = net::encode_sample_batch(batches.back().sub_cols(
-            at, std::min(daemon_chunk, daemon_t - at)));
-        const std::vector<std::uint8_t> bytes = net::encode_frame(batch);
-        wire[i].insert(wire[i].end(), bytes.begin(), bytes.end());
-      }
-    }
-
-    const std::string daemon_point =
-        "nodes=" + std::to_string(daemon_nodes);
-    std::vector<std::vector<std::vector<double>>> expected(daemon_nodes);
-    CaseResult& direct = run.measure(
-        "engine-direct/" + daemon_point,
-        static_cast<double>(daemon_nodes * daemon_t), [&] {
-          core::StreamEngine engine(d_opts);
-          for (std::size_t i = 0; i < daemon_nodes; ++i) {
-            engine.add_node(ids[i], methods[i]);
-          }
-          engine.ingest_batch(batches);
-          for (std::size_t i = 0; i < daemon_nodes; ++i) {
-            expected[i] = engine.drain(i);
-          }
-        });
-
-    std::vector<std::vector<std::vector<double>>> drained(daemon_nodes);
-    CaseResult& daemon = run.measure(
-        "daemon-loopback/" + daemon_point,
-        static_cast<double>(daemon_nodes * daemon_t), [&] {
-          core::StreamEngine engine(d_opts);
-          net::LoopbackHub hub;
-          net::FleetServerOptions server_opts;
-          server_opts.server_version = "bench";
-          server_opts.registry = &registry;
-          server_opts.poll_timeout_ms = 10;
-          net::FleetServer server(hub.listen(), engine,
-                                  std::move(server_opts));
-          std::thread server_thread([&] { server.run(); });
-          {
-            const std::unique_ptr<net::Connection> conn = hub.connect();
-            net::FrameReader reader;
-            for (const net::Frame& add : add_frames) {
-              net::call(*conn, reader, add, 30000);
-            }
-            for (std::size_t i = 0; i < daemon_nodes; ++i) {
-              net::write_all(*conn, wire[i]);
-            }
-            // Drains double as the sync point: batches are not acked, but
-            // the server answers a drain only after every frame queued
-            // before it on this connection has been ingested.
-            for (std::size_t i = 0; i < daemon_nodes; ++i) {
-              net::Frame request;
-              request.type = net::FrameType::kDrainRequest;
-              request.node = ids[i];
-              const net::Frame response =
-                  net::call(*conn, reader, request, 30000);
-              drained[i] =
-                  net::decode_drain_response(response.payload).signatures;
-            }
-          }
-          server.stop();
-          server_thread.join();
-        });
-
-    for (std::size_t i = 0; i < daemon_nodes; ++i) {
-      if (expected[i].empty() || drained[i] != expected[i]) {
-        std::fprintf(stderr,
-                     "FAIL: daemon-drained signatures differ from the "
-                     "direct engine on %s\n", ids[i].c_str());
-        return 1;
-      }
-    }
-    for (CaseResult* c : {&direct, &daemon}) {
-      c->seed = daemon_seed;
-      c->param("nodes", std::to_string(daemon_nodes));
-      c->param("sensors", std::to_string(daemon_sensors));
-      c->param("samples_per_node", std::to_string(daemon_t));
-      c->param("batch_cols", std::to_string(daemon_chunk));
-    }
-    const double tax = direct.items_per_sec / daemon.items_per_sec;
-    daemon.metric("slowdown_vs_direct", tax);
-    std::printf("%12s %15s %11s\n", "path", "agg smp/s", "frame tax");
-    std::printf("%12s %15.0f %11s\n", "direct", direct.items_per_sec, "-");
-    std::printf("%12s %15.0f %10.2fx\n", "loopback", daemon.items_per_sec,
-                tax);
-  }
-
   // Fleet cold-start: the same N trained models land on disk twice — once
   // as N per-file "csmethod v2" text models, once inside a single pack —
   // and each layout stands up a fresh StreamEngine from zero. Only the
@@ -629,7 +493,8 @@ int bench_run(Runner& run) {
 
   std::printf("\n== Fleet cold-start: %zu nodes, per-file text models vs "
               "one mmap-ed pack ==\n", cold_nodes);
-  {
+  const int failures_before_cold_start = failures;
+  [&] {  // A lambda, so a fixture write failure can leave just this section.
     // 32 distinct 32-sensor CS models; node i carries model i % 32. The
     // text blob and binary record of each are encoded once and replicated,
     // so fixture setup is file-I/O bound, not codec bound.
@@ -657,7 +522,8 @@ int bench_run(Runner& run) {
       out << text_blobs[k];
       if (!out) {
         std::fprintf(stderr, "FAIL: cannot write cold-start fixtures\n");
-        return 1;
+        ++failures;
+        return;
       }
       writer.add_record(ids.back(), bin_records[k]);
     }
@@ -732,7 +598,8 @@ int bench_run(Runner& run) {
         std::fprintf(stderr,
                      "FAIL: pack-loaded node %zu streams differently from "
                      "its file-loaded twin\n", i);
-        return 1;
+        ++failures;
+        break;
       }
     }
 
@@ -747,12 +614,14 @@ int bench_run(Runner& run) {
                    "FAIL: pack cold-start only %.2fx faster than per-file "
                    "models (fixtures kept in %s)\n",
                    speedup, work_dir.string().c_str());
-      return 1;
+      ++failures;
     }
+  }();
+  if (failures == failures_before_cold_start) {  // Else keep the fixtures.
+    fs::remove_all(model_dir);
+    fs::remove(pack_file);
+    if (!run.opts().out_dir) fs::remove_all(work_dir);
   }
-  fs::remove_all(model_dir);
-  fs::remove(pack_file);
-  if (!run.opts().out_dir) fs::remove_all(work_dir);
 
   // Training kernel: the cache-tiled shifted-correlation pass against the
   // scalar reference it replaced. The tiled path must be bit-identical (the
@@ -795,7 +664,7 @@ int bench_run(Runner& run) {
         std::fprintf(stderr,
                      "FAIL: tiled correlation kernel is not bit-identical "
                      "to the reference at %s\n", point.c_str());
-        return 1;
+        ++failures;
       }
       const double speedup = tiled.items_per_sec / ref.items_per_sec;
       tiled.metric("speedup_vs_reference", speedup);
@@ -807,7 +676,7 @@ int bench_run(Runner& run) {
         std::fprintf(stderr,
                      "FAIL: tiled kernel only %.2fx faster than the scalar "
                      "reference at n=1024\n", speedup);
-        return 1;
+        ++failures;
       }
     }
   }
@@ -895,7 +764,7 @@ int bench_run(Runner& run) {
         std::fprintf(stderr,
                      "FAIL: %s emitted %zu signatures, baseline emitted "
                      "%zu\n", pc.label, rr.signatures, off_signatures);
-        return 1;
+        ++failures;
       }
       if (pc.policy == core::RetrainPolicy::kAsync && pc.interval != 0) {
         async_p99 = p99;
@@ -908,13 +777,13 @@ int bench_run(Runner& run) {
                        "FAIL: async retrain accounting off (%zu swaps + "
                        "%zu aborts vs %zu triggers)\n",
                        rr.swaps, rr.aborts, triggers);
-          return 1;
+          ++failures;
         }
         if (rr.swaps == 0) {
           std::fprintf(stderr,
                        "FAIL: no async retrain ever completed and swapped "
                        "in\n");
-          return 1;
+          ++failures;
         }
         result.metric("p99_vs_no_retrain", p99 / off_p99);
       }
@@ -926,7 +795,7 @@ int bench_run(Runner& run) {
       std::fprintf(stderr,
                    "FAIL: async retrain ingest p99 %.1f us exceeds 5x the "
                    "no-retrain baseline %.1f us\n", async_p99, off_p99);
-      return 1;
+      ++failures;
     }
   }
 
@@ -935,9 +804,14 @@ int bench_run(Runner& run) {
   if (!engine_matches_per_node_streams(opts, blocks,
                                        run.derive_seed("equivalence"))) {
     std::printf("FAIL: engine output differs from per-node streams\n");
+    ++failures;
+  } else {
+    std::printf("OK: identical signatures on all nodes\n");
+  }
+  if (failures != 0) {
+    std::fprintf(stderr, "stream_throughput: %d check(s) FAILED\n", failures);
     return 1;
   }
-  std::printf("OK: identical signatures on all nodes\n");
   return 0;
 }
 

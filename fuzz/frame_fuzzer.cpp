@@ -1,4 +1,5 @@
-// Fuzz target: FrameReader over raw CSMF byte streams.
+// Fuzz target: FrameReader and the CSMF payload decoders over raw byte
+// streams.
 //
 // Properties under test:
 //   1. Reassembly fixpoint — feeding the same bytes in fuzzer-chosen chunk
@@ -10,6 +11,10 @@
 //      the input is reproduced bit-for-bit.
 //   3. Arbitrary bytes either decode or throw FrameError — nothing else
 //      (no crashes, no unbounded allocation from unvalidated lengths).
+//   4. Every accepted frame's payload goes through the message.hpp decoder
+//      for its type, which returns or throws MessageError — nothing else.
+//      A decoded payload re-encodes to a fixpoint: after one
+//      encode(decode()) pass, a second pass reproduces the same bytes.
 #include <algorithm>
 #include <cstdint>
 #include <optional>
@@ -19,8 +24,49 @@
 
 #include "fuzz/fuzz_util.hpp"
 #include "net/frame.hpp"
+#include "net/message.hpp"
 
 namespace {
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// encode(decode(payload)) for the frame types that carry a payload
+/// schema; std::nullopt for the empty-payload requests.
+std::optional<Bytes> reencode(csm::net::FrameType type,
+                              std::span<const std::uint8_t> payload) {
+  namespace net = csm::net;
+  switch (type) {
+    case net::FrameType::kSampleBatch:
+      return net::encode_sample_batch(net::decode_sample_batch(payload));
+    case net::FrameType::kNodeAdd:
+      return net::encode_node_add(net::decode_node_add(payload));
+    case net::FrameType::kDrainResponse:
+      return net::encode_drain_response(net::decode_drain_response(payload));
+    case net::FrameType::kStatsResponse:
+      return net::encode_stats_response(net::decode_stats_response(payload));
+    case net::FrameType::kNodeStatsResponse:
+      return net::encode_node_stats_response(
+          net::decode_node_stats_response(payload));
+    case net::FrameType::kOk:
+      return net::encode_ok(net::decode_ok(payload));
+    case net::FrameType::kError:
+      return net::encode_error_text(net::decode_error_text(payload));
+    default:
+      return std::nullopt;
+  }
+}
+
+void check_payload(const csm::net::Frame& frame) {
+  std::optional<Bytes> once;
+  try {
+    once = reencode(frame.type, frame.payload);
+  } catch (const csm::net::MessageError&) {
+    return;  // A malformed payload, named: the daemon answers kError.
+  }
+  if (!once) return;
+  csm::fuzz::require(reencode(frame.type, *once) == once,
+                     "payload re-encode is not a fixpoint after one pass");
+}
 
 struct ParseResult {
   std::vector<csm::net::Frame> frames;
@@ -90,5 +136,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   csm::fuzz::require(
       std::equal(reencoded.begin(), reencoded.end(), bytes.begin()),
       "re-encoded frames differ from the bytes they were decoded from");
+
+  for (const csm::net::Frame& frame : whole.frames) check_payload(frame);
   return 0;
 }

@@ -207,6 +207,9 @@ int main(int argc, char** argv) {
     row.retrains = 3;
     row.retrain_aborts = 1;
     row.dropped = 12;
+    row.drift_windows = 380;
+    row.drift_flags = 6;
+    row.drift_retrains = 2;
     row.ingest_latency_us.add(2.5);
     row.ingest_latency_us.add(40.0);
     row.retrain_latency_us.add(1.25e5);
@@ -214,6 +217,19 @@ int main(int argc, char** argv) {
     rows.nodes.emplace_back();  // A fresh node: all counters zero.
     node_stats.payload = csm::net::encode_node_stats_response(rows);
     dump("node-stats-response.csmf", node_stats);
+
+    Frame stats_response;
+    stats_response.type = FrameType::kStatsResponse;
+    const csm::net::StatsResponse fleet{{row, 2, 0.75}, "0123456789ab"};
+    stats_response.payload = csm::net::encode_stats_response(fleet);
+    dump("stats-response.csmf", stats_response);
+
+    Frame drain_response;
+    drain_response.type = FrameType::kDrainResponse;
+    drain_response.node = "node-07";
+    drain_response.payload = csm::net::encode_drain_response(
+        {3, {{0.5, -1.25, 2.0}, {}, {1e-3}}});
+    dump("drain-response.csmf", drain_response);
 
     Frame error;
     error.type = FrameType::kError;

@@ -70,7 +70,7 @@ std::optional<std::vector<double>> MethodStream::push(
   }
   const std::span<double> slot = history_.push_slot();
   std::copy(column.begin(), column.end(), slot.begin());
-  ++samples_seen_;
+  ++counters_.samples;
 
   maybe_retrain();
   return emit_if_due();
@@ -89,7 +89,7 @@ std::vector<std::vector<double>> MethodStream::push_all(
     const double* src = columns.data() + c;
     const std::size_t stride = columns.cols();
     for (std::size_t r = 0; r < slot.size(); ++r) slot[r] = src[r * stride];
-    ++samples_seen_;
+    ++counters_.samples;
 
     maybe_retrain();
     if (auto features = emit_if_due()) out.push_back(std::move(*features));
@@ -98,7 +98,7 @@ std::vector<std::vector<double>> MethodStream::push_all(
 }
 
 std::optional<std::vector<double>> MethodStream::emit_if_due() {
-  if (samples_seen_ < next_emit_at_) return std::nullopt;
+  if (counters_.samples < next_emit_at_) return std::nullopt;
   next_emit_at_ += options_.window_step;
 
   // The emit boundary is where a finished shadow fit becomes visible: one
@@ -118,7 +118,7 @@ std::optional<std::vector<double>> MethodStream::emit_if_due() {
   if (options_.retrain_policy == RetrainPolicy::kOnDrift) {
     maybe_drift_retrain(window);
   }
-  ++signatures_emitted_;
+  ++counters_.signatures;
   if (history_.size() > wl) {
     const std::span<const double> seed = history_.newest(wl);
     return method_->compute_streaming(window, &seed);
@@ -128,7 +128,7 @@ std::optional<std::vector<double>> MethodStream::emit_if_due() {
 
 void MethodStream::maybe_retrain() {
   if (options_.retrain_interval == 0) return;
-  if (samples_seen_ % options_.retrain_interval != 0) return;
+  if (counters_.samples % options_.retrain_interval != 0) return;
   if (history_.size() < options_.window_length + 1) return;
   switch (options_.retrain_policy) {
     case RetrainPolicy::kSync: {
@@ -139,8 +139,8 @@ void MethodStream::maybe_retrain() {
       const common::Timer timer;
       method_ = std::shared_ptr<const SignatureMethod>(
           method_->fit(history_.history_view(), *spare_context_));
-      ++retrain_count_;
-      retrain_latency_us_.add(timer.seconds() * 1e6);
+      ++counters_.retrains;
+      counters_.retrain_latency_us.add(timer.seconds() * 1e6);
       break;
     }
     case RetrainPolicy::kAsync:
@@ -164,13 +164,13 @@ void MethodStream::maybe_drift_retrain(const common::MatrixView& window) {
     drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
     return;
   }
-  ++drift_windows_;
+  ++counters_.drift_windows;
   last_drift_score_ = stats::drift_score(window, drift_ref_);
   if (last_drift_score_ < options_.drift_threshold) {
     drift_streak_ = 0;
     return;
   }
-  ++drift_flags_;
+  ++counters_.drift_flags;
   if (++drift_streak_ < options_.drift_patience) return;
   drift_streak_ = 0;
   if (history_.size() < options_.window_length + 1) return;
@@ -180,9 +180,9 @@ void MethodStream::maybe_drift_retrain(const common::MatrixView& window) {
   const common::Timer timer;
   method_ = std::shared_ptr<const SignatureMethod>(
       method_->fit(history_.history_view(), *spare_context_));
-  ++retrain_count_;
-  ++drift_retrains_;
-  retrain_latency_us_.add(timer.seconds() * 1e6);
+  ++counters_.retrains;
+  ++counters_.drift_retrains;
+  counters_.retrain_latency_us.add(timer.seconds() * 1e6);
   // The stream now tracks the new regime: rebuild the reference from the
   // window that triggered the retrain so a completed shift scores clean.
   drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
@@ -198,19 +198,19 @@ void MethodStream::launch_shadow_fit(bool supersede) {
     if (!done) {
       if (!supersede) {
         // kSkipIfBusy: leave the in-flight fit alone, skip this retrain.
-        ++retrain_aborts_;
+        ++counters_.retrain_aborts;
         return;
       }
       // kAsync: supersede. The cancelled job keeps its context (it may be
       // mid-kernel in the workspace); a fresh one is minted below.
       shadow_->ctx->cancel.cancel();
-      ++retrain_aborts_;
+      ++counters_.retrain_aborts;
       shadow_.reset();
     } else {
       // Finished, but no emit boundary swapped it in yet. Its result is
       // stale relative to the history this retrain is about to snapshot.
       const std::exception_ptr error = shadow_->error;
-      if (shadow_->result) ++retrain_aborts_;
+      if (shadow_->result) ++counters_.retrain_aborts;
       reclaim_context(std::move(shadow_->ctx));
       shadow_.reset();
       // Surface a failed fit on the ingest thread, where kSync would have.
@@ -267,8 +267,8 @@ void MethodStream::apply_pending_swap() {
     return;
   }
   method_ = state->result;
-  ++retrain_count_;
-  retrain_latency_us_.add(state->fit_seconds * 1e6);
+  ++counters_.retrains;
+  counters_.retrain_latency_us.add(state->fit_seconds * 1e6);
   reclaim_context(std::move(state->ctx));
 }
 

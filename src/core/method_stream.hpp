@@ -17,10 +17,10 @@
 // in — one shared_ptr store — at the next emit boundary; emits keep serving
 // the old model mid-fit and the ingest thread never waits on a fit. A fit
 // superseded by a newer retrain is cancelled through its TrainContext token
-// and counted in retrain_aborts(). This single loop serves the whole method
-// fleet, CS included: a standalone component streams through one directly,
-// and StreamEngine fans it out across nodes (sharing one executor between
-// them).
+// and counted in counters().retrain_aborts. This single loop serves the
+// whole method fleet, CS included: a standalone component streams through
+// one directly, and StreamEngine fans it out across nodes (sharing one
+// executor between them).
 #pragma once
 
 #include <cstddef>
@@ -35,22 +35,12 @@
 // unique_ptr fallback pool in every TU that moves a stream.
 #include "core/retrain_executor.hpp"
 #include "core/signature_method.hpp"
+#include "core/stream_counters.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
 #include "stats/drift.hpp"
-#include "stats/histogram.hpp"
 
 namespace csm::core {
-
-/// Shape of the retrain-latency histograms (method streams, EngineStats and
-/// the wire schema must agree so Histogram::merge works). Retrains run
-/// milliseconds to seconds — a much coarser range than ingest latency.
-inline constexpr std::size_t kRetrainLatencyBins = 128;
-inline constexpr double kRetrainLatencyMaxUs = 16.0e6;  // 16 s.
-
-inline stats::Histogram make_retrain_latency_histogram() {
-  return stats::Histogram(kRetrainLatencyBins, 0.0, kRetrainLatencyMaxUs);
-}
 
 /// Push-based feature-vector stream over one monitored component.
 class MethodStream {
@@ -76,32 +66,15 @@ class MethodStream {
   std::size_t n_sensors() const noexcept { return n_sensors_; }
   const SignatureMethod& method() const noexcept { return *method_; }
   const StreamOptions& options() const noexcept { return options_; }
-  std::size_t samples_seen() const noexcept { return samples_seen_; }
-  std::size_t signatures_emitted() const noexcept {
-    return signatures_emitted_;
-  }
-  /// Retrained models actually swapped in (under kSync every fired retrain;
-  /// under the async policies, fits that completed and reached an emit
-  /// boundary).
-  std::size_t retrain_count() const noexcept { return retrain_count_; }
-  /// Retrains that fired but never produced a swap: superseded (cancelled)
-  /// fits, skip-if-busy suppressions, and discarded stale results.
-  std::size_t retrain_aborts() const noexcept { return retrain_aborts_; }
-  /// Wall-clock fit latency of every swapped-in retrain, in microseconds
-  /// (shape: make_retrain_latency_histogram()).
-  const stats::Histogram& retrain_latency_us() const noexcept {
-    return retrain_latency_us_;
-  }
-  /// kOnDrift bookkeeping (all 0 under the other policies). Windows scored
-  /// against the drift reference — every emitted window except the one that
-  /// built the reference.
-  std::size_t drift_windows() const noexcept { return drift_windows_; }
-  /// Scored windows whose drift score reached drift_threshold.
-  std::size_t drift_flags() const noexcept { return drift_flags_; }
-  /// Retrains the drift detector actually fired (a subset of
-  /// retrain_count(): flags only convert once the patience streak fills).
-  std::size_t drift_retrains() const noexcept { return drift_retrains_; }
-  /// Score of the most recently scored window (0 before any scoring).
+  /// This stream's counter record. The drift reference window is never
+  /// scored itself, so drift_windows is every emitted window but the one
+  /// that built the reference. ingest_latency_us stays empty here unless a
+  /// StreamEngine drives the stream (it times each ingest call).
+  const StreamCounters& counters() const noexcept { return counters_; }
+  /// Retrained models swapped in (counters().retrains).
+  std::size_t retrain_count() const noexcept { return counters_.retrains; }
+  /// kOnDrift score of the most recently scored window (0 before any
+  /// scoring).
   double last_drift_score() const noexcept { return last_drift_score_; }
 
   /// Feeds one column of sensor readings (length must equal n_sensors()).
@@ -140,25 +113,22 @@ class MethodStream {
   StreamOptions options_;
   std::size_t n_sensors_ = 0;
   common::RingMatrix history_;  ///< n_sensors x history_length column ring.
-  std::size_t samples_seen_ = 0;
   std::size_t next_emit_at_ = 0;
-  std::size_t signatures_emitted_ = 0;
-  std::size_t retrain_count_ = 0;
-  std::size_t retrain_aborts_ = 0;
-  std::size_t drift_windows_ = 0;
-  std::size_t drift_flags_ = 0;
-  std::size_t drift_retrains_ = 0;
+  StreamCounters counters_;
   std::size_t drift_streak_ = 0;  ///< Consecutive flagged windows so far.
   double last_drift_score_ = 0.0;
   /// kOnDrift regime reference; empty until the first emitted window.
   stats::DriftReference drift_ref_;
-  stats::Histogram retrain_latency_us_ = make_retrain_latency_histogram();
   /// Correlation workspace recycled across retrains (fresh one minted when
   /// a superseded fit still owns it).
   std::shared_ptr<TrainContext> spare_context_;
   std::shared_ptr<ShadowFit> shadow_;   ///< In-flight / unswapped async fit.
   RetrainExecutor* executor_ = nullptr;  ///< Borrowed (engine) pool, if any.
   std::unique_ptr<RetrainExecutor> own_executor_;  ///< Standalone fallback.
+
+  /// StreamEngine records each ingest call's latency straight into
+  /// counters_, so one record per node holds every counter.
+  friend class StreamEngine;
 };
 
 }  // namespace csm::core

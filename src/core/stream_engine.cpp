@@ -65,7 +65,7 @@ void StreamEngine::ingest_locked(std::size_t index, Node& n,
   }
   enqueue(n, n.stream->push_all(columns));
   const double seconds = timer.seconds();
-  n.latency_us.add(seconds * 1e6);
+  n.stream->counters_.ingest_latency_us.add(seconds * 1e6);
   add_ingest_seconds(seconds);
   if (columns.cols() == 0) return;
   // Tap AFTER the push, still under the node mutex: a recorder sees each
@@ -127,7 +127,7 @@ bool StreamEngine::alive(std::size_t node) const noexcept {
 
 std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
   // Exclusive table lock: stats() and a racing remove of the same node
-  // serialise against the retired_ fold below. The Node shell survives so
+  // serialise against the removed_ fold below. The Node shell survives so
   // threads already holding a reference merely observe the tombstone.
   std::unique_lock lock(nodes_mutex_);
   if (node >= nodes_.size()) {
@@ -141,16 +141,8 @@ std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
     throw std::invalid_argument("StreamEngine: node " + std::to_string(node) +
                                 " (\"" + n.name + "\") has been removed");
   }
-  retired_.samples += n.stream->samples_seen();
-  retired_.signatures += n.stream->signatures_emitted();
-  retired_.retrains += n.stream->retrain_count();
-  retired_.retrain_aborts += n.stream->retrain_aborts();
-  retired_.drift_windows += n.stream->drift_windows();
-  retired_.drift_flags += n.stream->drift_flags();
-  retired_.drift_retrains += n.stream->drift_retrains();
-  retired_.dropped += n.dropped;
-  retired_.latency_us.merge(n.latency_us);
-  retired_.retrain_latency_us.merge(n.stream->retrain_latency_us());
+  removed_ += n.stream->counters();
+  removed_.dropped += n.dropped;
   n.stream.reset();  // Frees the ring history; the tombstone stays.
   std::vector<std::vector<double>> remaining(
       std::make_move_iterator(n.queue.begin()),
@@ -234,30 +226,13 @@ EngineStats StreamEngine::stats() const {
   EngineStats s;
   s.ingest_seconds = ingest_seconds_.load(std::memory_order_relaxed);
   std::shared_lock lock(nodes_mutex_);
-  s.samples = retired_.samples;
-  s.signatures = retired_.signatures;
-  s.retrains = retired_.retrains;
-  s.retrain_aborts = retired_.retrain_aborts;
-  s.drift_windows = retired_.drift_windows;
-  s.drift_flags = retired_.drift_flags;
-  s.drift_retrains = retired_.drift_retrains;
-  s.dropped = retired_.dropped;
-  s.ingest_latency_us.merge(retired_.latency_us);
-  s.retrain_latency_us.merge(retired_.retrain_latency_us);
+  s += removed_;
   for (const auto& n : nodes_) {
     std::lock_guard node_lock(n->mutex);
     if (!n->stream.has_value()) continue;
     ++s.nodes;
-    s.samples += n->stream->samples_seen();
-    s.signatures += n->stream->signatures_emitted();
-    s.retrains += n->stream->retrain_count();
-    s.retrain_aborts += n->stream->retrain_aborts();
-    s.drift_windows += n->stream->drift_windows();
-    s.drift_flags += n->stream->drift_flags();
-    s.drift_retrains += n->stream->drift_retrains();
+    s += n->stream->counters();
     s.dropped += n->dropped;
-    s.ingest_latency_us.merge(n->latency_us);
-    s.retrain_latency_us.merge(n->stream->retrain_latency_us());
   }
   return s;
 }
@@ -269,19 +244,8 @@ std::vector<NodeStats> StreamEngine::node_stats() const {
   for (const auto& n : nodes_) {
     std::lock_guard node_lock(n->mutex);
     if (!n->stream.has_value()) continue;  // Tombstone: folded into stats().
-    NodeStats row;
-    row.name = n->name;
-    row.samples = n->stream->samples_seen();
-    row.signatures = n->stream->signatures_emitted();
-    row.retrains = n->stream->retrain_count();
-    row.retrain_aborts = n->stream->retrain_aborts();
-    row.drift_windows = n->stream->drift_windows();
-    row.drift_flags = n->stream->drift_flags();
-    row.drift_retrains = n->stream->drift_retrains();
-    row.dropped = n->dropped;
-    row.ingest_latency_us = n->latency_us;
-    row.retrain_latency_us = n->stream->retrain_latency_us();
-    rows.push_back(std::move(row));
+    rows.push_back({n->stream->counters(), n->name});
+    rows.back().dropped = n->dropped;
   }
   return rows;
 }

@@ -46,51 +46,21 @@
 #include "common/matrix.hpp"
 #include "core/method_stream.hpp"
 #include "core/signature_method.hpp"
+#include "core/stream_counters.hpp"
 #include "core/streaming.hpp"
-#include "stats/histogram.hpp"
 
 namespace csm::core {
 
 class MethodRegistry;
 class ModelPack;
 
-/// Per-node ingest-latency histogram shape: time spent processing one
-/// ingest call (push_all + queue append, excluding lock wait) in
-/// microseconds. Fixed-width bins over [0, kLatencyMaxUs]; slower calls
-/// (e.g. a retrain pass inside the ingest) clamp into the last bin and
-/// show up in overflow() per the stats::Histogram clamp policy.
-inline constexpr std::size_t kLatencyBins = 128;
-inline constexpr double kLatencyMaxUs = 16384.0;
-
-inline stats::Histogram make_latency_histogram() {
-  return stats::Histogram(kLatencyBins, 0.0, kLatencyMaxUs);
-}
-
 /// Aggregate counters across all nodes of a StreamEngine. Counters are
 /// cumulative over the engine's lifetime: removing a node folds its totals
-/// into the aggregate instead of subtracting them.
-struct EngineStats {
-  std::uint64_t samples = 0;     ///< Columns ingested, summed over nodes.
-  std::uint64_t signatures = 0;  ///< Feature vectors emitted, summed.
-  std::uint64_t retrains = 0;    ///< Retraining passes, summed over nodes.
-  std::uint64_t dropped = 0;     ///< Signatures shed by queue backpressure.
-  std::uint64_t nodes = 0;       ///< Live (non-removed) nodes.
-  /// Retrains that fired but never swapped a model in: superseded or
-  /// skip-if-busy fits under the async policies (always 0 under kSync).
-  std::uint64_t retrain_aborts = 0;
-  /// kOnDrift drift-detector totals, summed over nodes (0 under the other
-  /// policies): windows scored, windows whose score reached the threshold,
-  /// and retrains the detector fired.
-  std::uint64_t drift_windows = 0;
-  std::uint64_t drift_flags = 0;
-  std::uint64_t drift_retrains = 0;
-  double ingest_seconds = 0.0;   ///< Wall time spent inside ingestion calls.
-  /// Fleet-wide ingest-latency distribution: per-node histograms merged
-  /// (one sample per ingest call per node).
-  stats::Histogram ingest_latency_us = make_latency_histogram();
-  /// Fleet-wide retrain fit latency (one sample per swapped-in retrain;
-  /// shape: make_retrain_latency_histogram()).
-  stats::Histogram retrain_latency_us = make_retrain_latency_histogram();
+/// into the aggregate instead of subtracting them. The histograms are the
+/// per-node ones merged.
+struct EngineStats : StreamCounters {
+  std::uint64_t nodes = 0;      ///< Live (non-removed) nodes.
+  double ingest_seconds = 0.0;  ///< Wall time spent inside ingestion calls.
 
   /// Samples per second over the accumulated ingestion time (0 if no time
   /// has been accumulated yet).
@@ -101,24 +71,10 @@ struct EngineStats {
   }
 };
 
-/// Per-node counters for the per-node stats scrape (`csmcli fleet-stats`).
-/// Live nodes only: tombstones fold into the fleet-wide EngineStats instead.
-struct NodeStats {
+/// One live node's counters for the per-node stats scrape (`csmcli
+/// fleet-stats`). Tombstones fold into the fleet-wide EngineStats instead.
+struct NodeStats : StreamCounters {
   std::string name;
-  std::uint64_t samples = 0;
-  std::uint64_t signatures = 0;
-  std::uint64_t retrains = 0;        ///< Retrained models swapped in.
-  std::uint64_t retrain_aborts = 0;  ///< Superseded / skipped retrains.
-  std::uint64_t dropped = 0;
-  /// kOnDrift per-node drift-detector counters (see EngineStats). NOTE:
-  /// these are NOT carried by the node-stats wire rows — that row format
-  /// has no extension seam (appending per-row fields breaks decoding in
-  /// both directions) — only by the appended kStatsResponse fields.
-  std::uint64_t drift_windows = 0;
-  std::uint64_t drift_flags = 0;
-  std::uint64_t drift_retrains = 0;
-  stats::Histogram ingest_latency_us = make_latency_histogram();
-  stats::Histogram retrain_latency_us = make_retrain_latency_histogram();
 };
 
 /// Multi-node streaming front end over per-node MethodStreams.
@@ -233,27 +189,13 @@ class StreamEngine {
     /// Drop-oldest under max_pending: deque so eviction at the front is
     /// O(1) per dropped signature.
     std::deque<std::vector<double>> queue;
+    /// Kept outside the stream's record so dropped(node) outlives
+    /// remove_node.
     std::uint64_t dropped = 0;
-    stats::Histogram latency_us = make_latency_histogram();
     mutable std::mutex mutex;  ///< Guards stream + queue + counters above.
 
     Node(std::string name_, MethodStream stream_)
         : name(std::move(name_)), stream(std::move(stream_)) {}
-  };
-
-  /// Counters of removed nodes, folded in at removal so stats() stays
-  /// cumulative. Guarded by nodes_mutex_ (exclusive on write).
-  struct Retired {
-    std::uint64_t samples = 0;
-    std::uint64_t signatures = 0;
-    std::uint64_t retrains = 0;
-    std::uint64_t retrain_aborts = 0;
-    std::uint64_t drift_windows = 0;
-    std::uint64_t drift_flags = 0;
-    std::uint64_t drift_retrains = 0;
-    std::uint64_t dropped = 0;
-    stats::Histogram latency_us = make_latency_histogram();
-    stats::Histogram retrain_latency_us = make_retrain_latency_histogram();
   };
 
   /// Looks a node up under the table lock; throws std::out_of_range for a
@@ -278,7 +220,9 @@ class StreamEngine {
   /// add_node grows the table under the exclusive lock.
   std::vector<std::unique_ptr<Node>> nodes_;
   mutable std::shared_mutex nodes_mutex_;  ///< Guards the nodes_ table.
-  Retired retired_;
+  /// Counters of removed nodes, folded in at removal so stats() stays
+  /// cumulative. Guarded by nodes_mutex_ (exclusive on write).
+  StreamCounters removed_;
   std::atomic<double> ingest_seconds_{0.0};
   /// Ingest tap behind a shared_ptr so a concurrent set_tap never frees a
   /// function an in-flight ingest is still calling. Guarded by tap_mutex_

@@ -39,7 +39,10 @@ namespace csm::net {
 
 /// Frame framing constants.
 inline constexpr std::uint8_t kFrameMagic[4] = {'C', 'S', 'M', 'F'};
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// Version 2 carries the stats payloads as one counter block
+/// (docs/PROTOCOL.md); a peer on any other version is refused with a
+/// FrameError naming the version, never misparsed.
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 12;
 inline constexpr std::size_t kFrameTrailerSize = 4;  ///< Trailing CRC32.
 /// Cap on the node-id field: ids are pack-id-sized names, never bulk data.

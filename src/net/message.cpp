@@ -1,6 +1,7 @@
 #include "net/message.hpp"
 
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -18,14 +19,12 @@ void append_f64(std::vector<std::uint8_t>& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-// Shared histogram wire form: f64 lo | f64 hi | u64 underflow |
-// u64 overflow | u32 bins | u64 x bins (stats-response ingest + retrain
-// histograms and every node-stats row use it).
+// Histogram wire form: f64 lo | f64 hi | u64 underflow | u64 overflow |
+// u32 bins | u64 x bins.
 void append_histogram(std::vector<std::uint8_t>& out,
                       const stats::Histogram& h) {
   if (h.bins() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(
-        "encode_stats_response: histogram bin count exceeds u32");
+    throw std::invalid_argument("CSMF encode: histogram bin count exceeds u32");
   }
   append_f64(out, h.lo());
   append_f64(out, h.hi());
@@ -35,20 +34,85 @@ void append_histogram(std::vector<std::uint8_t>& out,
   for (std::size_t i = 0; i < h.bins(); ++i) append_u64(out, h.count(i));
 }
 
-stats::Histogram read_histogram(PayloadReader& in, const char* what) {
+stats::Histogram read_histogram(PayloadReader& in, const char* field) {
   const double lo = in.f64("hist_lo");
   const double hi = in.f64("hist_hi");
   const std::uint64_t underflow = in.u64("hist_underflow");
   const std::uint64_t overflow = in.u64("hist_overflow");
   const std::uint64_t bins = in.u32("hist_bins");
   std::vector<std::uint64_t> counts = in.u64_array("hist_counts", bins);
-  if (counts.empty() || hi < lo) {
+  // NaN fails every comparison, so hi < lo alone would let it through.
+  if (counts.empty() || !std::isfinite(lo) || !std::isfinite(hi) || hi < lo) {
     throw MessageError("CSMF payload: bad histogram shape in " +
-                       std::string(what) + " (bins=" + std::to_string(bins) +
+                       std::string(field) + " (bins=" + std::to_string(bins) +
                        ", lo=" + std::to_string(lo) +
                        ", hi=" + std::to_string(hi) + ")");
   }
   return stats::Histogram(lo, hi, std::move(counts), underflow, overflow);
+}
+
+// One half of the counter block (message.hpp): the u8 count, then every
+// u64 counter, or every histogram, in StreamCounters::for_each_field order.
+template <bool kHistograms>
+void append_fields(std::vector<std::uint8_t>& out,
+                   const core::StreamCounters& c) {
+  const std::size_t count_at = out.size();
+  out.push_back(0);
+  core::StreamCounters::for_each_field([&](const char*, auto field) {
+    if constexpr (core::kIsHistogramField<decltype(field)> == kHistograms) {
+      if constexpr (kHistograms) {
+        append_histogram(out, c.*field);
+      } else {
+        append_u64(out, c.*field);
+      }
+      ++out[count_at];
+    }
+  });
+}
+
+// Reads the fields of one half this build knows, skips a newer peer's
+// extra ones and leaves the ones an older peer lacks at their zero
+// defaults. The count is bounded by the bytes present before anything is
+// read: a u64 costs 8 bytes, a histogram at least its 36-byte header.
+template <bool kHistograms>
+void read_fields(PayloadReader& in, core::StreamCounters& c) {
+  const char* const count_field =
+      kHistograms ? "histogram_count" : "counter_count";
+  const std::uint64_t count = in.u8(count_field);
+  if (count > in.remaining() / (kHistograms ? 36 : 8)) {
+    throw MessageError("CSMF payload: bad " + std::string(count_field) +
+                       ": " + std::to_string(count) +
+                       " fields cannot fit in " +
+                       std::to_string(in.remaining()) + " remaining bytes");
+  }
+  const auto read_one = [&](const char* name) {
+    if constexpr (kHistograms) {
+      return read_histogram(in, name);
+    } else {
+      return in.u64(name);
+    }
+  };
+  std::uint64_t read = 0;
+  core::StreamCounters::for_each_field([&](const char* name, auto field) {
+    if constexpr (core::kIsHistogramField<decltype(field)> == kHistograms) {
+      if (read < count) {
+        c.*field = read_one(name);
+        ++read;
+      }
+    }
+  });
+  for (; read < count; ++read) read_one("extra_field");
+}
+
+void append_counters(std::vector<std::uint8_t>& out,
+                     const core::StreamCounters& c) {
+  append_fields<false>(out, c);
+  append_fields<true>(out, c);
+}
+
+void read_counters(PayloadReader& in, core::StreamCounters& c) {
+  read_fields<false>(in, c);
+  read_fields<true>(in, c);
 }
 
 }  // namespace
@@ -290,25 +354,6 @@ DrainResponse decode_drain_response(std::span<const std::uint8_t> payload) {
 // kStatsResponse
 // ---------------------------------------------------------------------------
 
-StatsResponse make_stats_response(const core::EngineStats& stats,
-                                  std::string server_version) {
-  StatsResponse msg;
-  msg.samples = stats.samples;
-  msg.signatures = stats.signatures;
-  msg.retrains = stats.retrains;
-  msg.dropped = stats.dropped;
-  msg.nodes = stats.nodes;
-  msg.ingest_seconds = stats.ingest_seconds;
-  msg.server_version = std::move(server_version);
-  msg.ingest_latency_us = stats.ingest_latency_us;
-  msg.retrain_aborts = stats.retrain_aborts;
-  msg.retrain_latency_us = stats.retrain_latency_us;
-  msg.drift_windows = stats.drift_windows;
-  msg.drift_flags = stats.drift_flags;
-  msg.drift_retrains = stats.drift_retrains;
-  return msg;
-}
-
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg) {
   constexpr std::size_t kU16Max = std::numeric_limits<std::uint16_t>::max();
   if (msg.server_version.size() > kU16Max) {
@@ -316,51 +361,23 @@ std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg) {
         "encode_stats_response: server version string too long");
   }
   std::vector<std::uint8_t> out;
-  append_u64(out, msg.samples);
-  append_u64(out, msg.signatures);
-  append_u64(out, msg.retrains);
-  append_u64(out, msg.dropped);
   append_u64(out, msg.nodes);
   append_f64(out, msg.ingest_seconds);
   append_u16(out, static_cast<std::uint16_t>(msg.server_version.size()));
   out.insert(out.end(), msg.server_version.begin(),
              msg.server_version.end());
-  append_histogram(out, msg.ingest_latency_us);
-  // Retrain-pressure fields, appended (never renumbered): a pre-retrain
-  // decoder stops at the ingest histogram and ignores these bytes' absence.
-  append_u64(out, msg.retrain_aborts);
-  append_histogram(out, msg.retrain_latency_us);
-  // Drift-detector fields, appended after the retrain block under the same
-  // rule: a pre-drift decoder stops at the retrain histogram.
-  append_u64(out, msg.drift_windows);
-  append_u64(out, msg.drift_flags);
-  append_u64(out, msg.drift_retrains);
+  append_counters(out, msg);
   return out;
 }
 
 StatsResponse decode_stats_response(std::span<const std::uint8_t> payload) {
   PayloadReader in(payload);
   StatsResponse msg;
-  msg.samples = in.u64("samples");
-  msg.signatures = in.u64("signatures");
-  msg.retrains = in.u64("retrains");
-  msg.dropped = in.u64("dropped");
   msg.nodes = in.u64("nodes");
   msg.ingest_seconds = in.f64("ingest_seconds");
   const std::uint64_t version_len = in.u16("version_len");
   msg.server_version = in.text("server_version", version_len);
-  msg.ingest_latency_us = read_histogram(in, "stats-response");
-  // A payload ending here came from a peer that predates the appended
-  // retrain fields: keep their zero-valued defaults.
-  if (in.remaining() == 0) return msg;
-  msg.retrain_aborts = in.u64("retrain_aborts");
-  msg.retrain_latency_us = read_histogram(in, "stats-response retrain");
-  // A payload ending here came from a peer that predates the appended
-  // drift-detector fields: keep their zero-valued defaults.
-  if (in.remaining() == 0) return msg;
-  msg.drift_windows = in.u64("drift_windows");
-  msg.drift_flags = in.u64("drift_flags");
-  msg.drift_retrains = in.u64("drift_retrains");
+  read_counters(in, msg);
   in.finish("stats-response");
   return msg;
 }
@@ -386,13 +403,7 @@ std::vector<std::uint8_t> encode_node_stats_response(
     }
     append_u16(out, static_cast<std::uint16_t>(row.name.size()));
     out.insert(out.end(), row.name.begin(), row.name.end());
-    append_u64(out, row.samples);
-    append_u64(out, row.signatures);
-    append_u64(out, row.retrains);
-    append_u64(out, row.retrain_aborts);
-    append_u64(out, row.dropped);
-    append_histogram(out, row.ingest_latency_us);
-    append_histogram(out, row.retrain_latency_us);
+    append_counters(out, row);
   }
   return out;
 }
@@ -407,26 +418,20 @@ NodeStatsResponse decode_node_stats_response(
                        std::to_string(count) + " rows exceed the cap of " +
                        std::to_string(kMaxNodeStatsRows));
   }
-  // Each row costs at least its 2-byte name length, so the count is bounded
-  // by the bytes present before the vector is sized.
-  if (count > in.remaining() / 2) {
+  // Each row costs at least its 2-byte name length and the block's two
+  // counts, so the count is bounded by the bytes present before the vector
+  // is sized.
+  if (count > in.remaining() / 4) {
     throw MessageError("CSMF payload: bad node_count: " +
                        std::to_string(count) + " rows cannot fit in " +
                        std::to_string(in.remaining()) + " remaining bytes");
   }
   msg.nodes.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    core::NodeStats row;
+    core::NodeStats& row = msg.nodes.emplace_back();
     const std::uint64_t name_len = in.u16("node_name_len");
     row.name = in.text("node_name", name_len);
-    row.samples = in.u64("node_samples");
-    row.signatures = in.u64("node_signatures");
-    row.retrains = in.u64("node_retrains");
-    row.retrain_aborts = in.u64("node_retrain_aborts");
-    row.dropped = in.u64("node_dropped");
-    row.ingest_latency_us = read_histogram(in, "node-stats ingest");
-    row.retrain_latency_us = read_histogram(in, "node-stats retrain");
-    msg.nodes.push_back(std::move(row));
+    read_counters(in, row);
   }
   in.finish("node-stats-response");
   return msg;

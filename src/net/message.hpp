@@ -21,7 +21,6 @@
 
 #include "common/matrix.hpp"
 #include "core/stream_engine.hpp"
-#include "stats/histogram.hpp"
 
 namespace csm::net {
 
@@ -122,53 +121,29 @@ std::vector<std::uint8_t> encode_drain_response(const DrainResponse& msg);
 DrainResponse decode_drain_response(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
-// kStatsResponse: u64 samples | u64 signatures | u64 retrains | u64 dropped
-// | u64 nodes | f64 ingest_seconds | u16 version_len | version bytes |
-// f64 hist_lo | f64 hist_hi | u64 underflow | u64 overflow | u32 bins |
-// u64 x bins — then the fields APPENDED for retrain pressure (old peers
-// simply stop before them, and the decoder fills zero-valued defaults):
-// u64 retrain_aborts | f64 rt_lo | f64 rt_hi | u64 rt_underflow |
-// u64 rt_overflow | u32 rt_bins | u64 x rt_bins — and then the fields
-// APPENDED for the kOnDrift drift detector (same rule: old peers stop
-// before them): u64 drift_windows | u64 drift_flags | u64 drift_retrains.
-// Histograms restore losslessly through the stats::Histogram restore
-// constructor.
+// Counter block: the core::StreamCounters record as both stats payloads
+// carry it, u8 n | n x u64 | u8 m | m x histogram, each in
+// StreamCounters::for_each_field order (histograms as f64 lo | f64 hi |
+// u64 underflow | u64 overflow | u32 bins | u64 x bins). The list only
+// grows at its end: a decoder reads the fields it knows, skips a newer
+// peer's extra ones and zero-fills the ones an older peer lacks.
+//
+// kStatsResponse: u64 nodes | f64 ingest_seconds | u16 version_len |
+// version bytes | counter block — the fleet-wide EngineStats plus the
+// daemon's build identity (git sha), so a scrape tells you what is
+// actually running.
 // ---------------------------------------------------------------------------
 
-struct StatsResponse {
-  std::uint64_t samples = 0;
-  std::uint64_t signatures = 0;
-  std::uint64_t retrains = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t nodes = 0;
-  double ingest_seconds = 0.0;
-  /// The daemon's build identity (git sha), so a scrape tells you what is
-  /// actually running.
+struct StatsResponse : core::EngineStats {
   std::string server_version;
-  stats::Histogram ingest_latency_us = core::make_latency_histogram();
-  /// Appended fields (PROTOCOL.md: appended, never renumbered). Zero-valued
-  /// defaults when decoding a pre-retrain-pressure peer's payload.
-  std::uint64_t retrain_aborts = 0;
-  stats::Histogram retrain_latency_us = core::make_retrain_latency_histogram();
-  /// Second appended block: kOnDrift drift-detector totals. Zero-valued
-  /// defaults when the peer predates the drift detector.
-  std::uint64_t drift_windows = 0;
-  std::uint64_t drift_flags = 0;
-  std::uint64_t drift_retrains = 0;
 };
 
-/// Builds the wire message from an engine snapshot + build identity.
-StatsResponse make_stats_response(const core::EngineStats& stats,
-                                  std::string server_version);
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg);
 StatsResponse decode_stats_response(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
-// kNodeStatsResponse: u32 count | count x node row, each row
-// u16 name_len | name bytes | u64 samples | u64 signatures | u64 retrains |
-// u64 retrain_aborts | u64 dropped | ingest histogram | retrain histogram
-// (histograms as f64 lo | f64 hi | u64 underflow | u64 overflow | u32 bins |
-// u64 x bins). One row per LIVE engine node, in node-index order — the
+// kNodeStatsResponse: u32 count | count x (u16 name_len | name bytes |
+// counter block). One row per LIVE engine node, in node-index order — the
 // un-merged per-node view that kStatsResponse's fleet-wide rollup loses.
 // The request (kNodeStatsRequest) is empty with an empty frame id.
 // ---------------------------------------------------------------------------

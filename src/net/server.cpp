@@ -152,12 +152,11 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
               encode_drain_response(response));
         break;
       }
-      case FrameType::kStatsRequest: {
+      case FrameType::kStatsRequest:
         reply(client, FrameType::kStatsResponse, "",
-              encode_stats_response(make_stats_response(
-                  engine_.stats(), options_.server_version)));
+              encode_stats_response(
+                  {engine_.stats(), options_.server_version}));
         break;
-      }
       case FrameType::kNodeStatsRequest: {
         NodeStatsResponse response;
         response.nodes = engine_.node_stats();

@@ -245,10 +245,10 @@ TEST(MethodStreamRetrain, SyncSwapsInlineAndRecordsLatency) {
   // same-sample emit, so the emits at 20..80 see generations
   // 0, 0, 1, 1, 1, 1, 2.
   EXPECT_EQ(stream.retrain_count(), 2u);
-  EXPECT_EQ(stream.retrain_aborts(), 0u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 0u);
   EXPECT_EQ(probe->started, 2);
   EXPECT_EQ(probe->finished, 2);
-  EXPECT_EQ(stream.retrain_latency_us().total(), 2u);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 2u);
   ASSERT_EQ(sigs.size(), 7u);  // Emits at 20, 30, ..., 80.
   EXPECT_EQ(sigs.front(), std::vector<double>{0.0});
   EXPECT_EQ(sigs.back(), std::vector<double>{2.0});
@@ -281,8 +281,8 @@ TEST(MethodStreamRetrain, AsyncSwapLandsAtEmitBoundary) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(stream.retrain_count(), 1u);
-  EXPECT_EQ(stream.retrain_aborts(), 0u);
-  EXPECT_EQ(stream.retrain_latency_us().total(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 0u);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 1u);
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
 }
 
@@ -295,7 +295,7 @@ TEST(MethodStreamRetrain, SkipIfBusyLeavesInFlightFitAlone) {
   probe->await(&FitProbe::started, 1);
   // The sample-80 retrain finds the fit still running: skipped, counted.
   push_columns(stream, 40);
-  EXPECT_EQ(stream.retrain_aborts(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 1u);
   EXPECT_EQ(probe->started, 1);
   EXPECT_EQ(stream.retrain_count(), 0u);
 
@@ -307,7 +307,7 @@ TEST(MethodStreamRetrain, SkipIfBusyLeavesInFlightFitAlone) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(stream.retrain_count(), 1u);
-  EXPECT_EQ(stream.retrain_aborts(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 1u);
   ASSERT_FALSE(sigs.empty());
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
 }
@@ -322,7 +322,7 @@ TEST(MethodStreamRetrain, AsyncSupersedeCancelsInFlightFit) {
   // The sample-80 retrain supersedes: the first fit's token fires (it
   // unwinds via OperationCancelled) and a second fit launches.
   push_columns(stream, 40);
-  EXPECT_EQ(stream.retrain_aborts(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 1u);
   probe->await(&FitProbe::cancelled, 1);
   probe->await(&FitProbe::started, 2);
 
@@ -435,7 +435,7 @@ TEST(MethodStreamDrift, RegimeShiftFiresExactlyOneRetrain) {
   for (std::size_t c = 0; c < t; ++c) {
     for (std::size_t r = 0; r < 6; ++r) column[r] = data(r, c);
     if (auto sig = stream.push(column)) signatures.push_back(std::move(*sig));
-    if (first_retrain_at == 0 && stream.drift_retrains() > 0) {
+    if (first_retrain_at == 0 && stream.counters().drift_retrains > 0) {
       first_retrain_at = c + 1;
     }
   }
@@ -443,13 +443,13 @@ TEST(MethodStreamDrift, RegimeShiftFiresExactlyOneRetrain) {
   // Exactly one retrain: the detector fires on the regime change, the
   // reference is rebuilt from the post-shift window, and the new regime —
   // stationary again — never re-triggers.
-  EXPECT_EQ(stream.drift_retrains(), 1u);
+  EXPECT_EQ(stream.counters().drift_retrains, 1u);
   EXPECT_EQ(stream.retrain_count(), 1u);
   EXPECT_GT(first_retrain_at, shift_at);
   EXPECT_LE(first_retrain_at, shift_at + 100);  // Detection latency bound.
   // Every window after the first is scored; flags at least fill patience.
-  EXPECT_EQ(stream.drift_windows(), stream.signatures_emitted() - 1);
-  EXPECT_GE(stream.drift_flags(), stream.options().drift_patience);
+  EXPECT_EQ(stream.counters().drift_windows, stream.counters().signatures - 1);
+  EXPECT_GE(stream.counters().drift_flags, stream.options().drift_patience);
   // Signatures name the generation: 0 before the swap, 1 at the end.
   EXPECT_EQ(signatures.front()[0], 0.0);
   EXPECT_EQ(signatures.back()[0], 1.0);
@@ -464,10 +464,10 @@ TEST(MethodStreamDrift, StationaryStreamNeverRetrains) {
                       drift_options());
   const auto signatures = stream.push_all(data);
 
-  EXPECT_EQ(stream.drift_retrains(), 0u);
+  EXPECT_EQ(stream.counters().drift_retrains, 0u);
   EXPECT_EQ(stream.retrain_count(), 0u);
-  EXPECT_EQ(stream.drift_windows(), signatures.size() - 1);
-  EXPECT_EQ(stream.drift_flags(), 0u);
+  EXPECT_EQ(stream.counters().drift_windows, signatures.size() - 1);
+  EXPECT_EQ(stream.counters().drift_flags, 0u);
   for (const auto& sig : signatures) {
     EXPECT_EQ(sig[0], 0.0);  // The deployed model, never swapped.
   }
@@ -484,8 +484,8 @@ TEST(MethodStreamDrift, PatienceHoldsBackPersistentFlags) {
   MethodStream stream(std::make_shared<const GenerationMethod>(6, probe),
                       opts);
   stream.push_all(data);
-  EXPECT_GT(stream.drift_flags(), 0u);
-  EXPECT_EQ(stream.drift_retrains(), 0u);
+  EXPECT_GT(stream.counters().drift_flags, 0u);
+  EXPECT_EQ(stream.counters().drift_retrains, 0u);
   EXPECT_EQ(stream.retrain_count(), 0u);
 }
 
@@ -495,9 +495,9 @@ TEST(MethodStreamDrift, CountersStayZeroUnderOtherPolicies) {
                       retrain_options(RetrainPolicy::kSync));
   push_columns(stream, 100);
   EXPECT_GT(stream.retrain_count(), 0u);  // Periodic retrains fired...
-  EXPECT_EQ(stream.drift_windows(), 0u);  // ...but nothing was scored.
-  EXPECT_EQ(stream.drift_flags(), 0u);
-  EXPECT_EQ(stream.drift_retrains(), 0u);
+  EXPECT_EQ(stream.counters().drift_windows, 0u);  // ...but nothing was scored.
+  EXPECT_EQ(stream.counters().drift_flags, 0u);
+  EXPECT_EQ(stream.counters().drift_retrains, 0u);
   EXPECT_EQ(stream.last_drift_score(), 0.0);
 }
 

@@ -108,8 +108,8 @@ TEST(StreamEngine, HeterogeneousNodesAndBatchLengths) {
   batches.push_back(node_matrix(9, 65, 2));
   for (const auto& b : batches) engine.add_node("n", fit_cs(b));
   engine.ingest_batch(batches);
-  EXPECT_EQ(engine.stream(0).samples_seen(), 40u);
-  EXPECT_EQ(engine.stream(1).samples_seen(), 65u);
+  EXPECT_EQ(engine.stream(0).counters().samples, 40u);
+  EXPECT_EQ(engine.stream(1).counters().samples, 65u);
   EXPECT_EQ(engine.pending(0), 3u);  // 20, 30, 40.
   EXPECT_EQ(engine.pending(1), 5u);  // 20, ..., 60.
 }
@@ -146,7 +146,7 @@ TEST(StreamEngine, IngestBatchValidation) {
   std::vector<common::Matrix> wrong_rows{node_matrix(5, 30, 4)};
   EXPECT_THROW(engine.ingest_batch(wrong_rows), std::invalid_argument);
   // Failed validation must not have ingested anything.
-  EXPECT_EQ(engine.stream(0).samples_seen(), 0u);
+  EXPECT_EQ(engine.stream(0).counters().samples, 0u);
 }
 
 TEST(StreamEngine, NodeIndexOutOfRangeThrows) {
@@ -214,6 +214,67 @@ TEST(StreamEngine, RemovedNodeCountersStayInStats) {
   EXPECT_EQ(after.nodes, 0u);
   // The per-node drop counter stays queryable on the tombstone.
   EXPECT_EQ(engine.dropped(0), 0u);
+}
+
+// node_matrix() whose second half jumps to a new level and gain: a regime
+// change kOnDrift flags and refits on.
+common::Matrix drifting_matrix(std::size_t n, std::size_t t,
+                               std::uint64_t seed) {
+  common::Matrix s = node_matrix(n, t, seed);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = t / 2; c < t; ++c) s(r, c) = 3.0 * s(r, c) + 4.0;
+  }
+  return s;
+}
+
+TEST(StreamEngine, StatsEqualRemovedTotalsPlusLiveRows) {
+  StreamOptions opts = engine_options();
+  opts.history_length = 64;
+  opts.retrain_policy = RetrainPolicy::kOnDrift;
+  opts.drift_threshold = 0.8;
+  opts.drift_patience = 2;
+  opts.max_pending = 4;  // So `dropped` is exercised too.
+  StreamEngine engine(opts);
+  std::vector<common::Matrix> batches;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    batches.push_back(drifting_matrix(5, 200, 40 + i));
+    std::string name = "n";  // GCC 12 -Wrestrict trips on operator+.
+    name += std::to_string(i);
+    engine.add_node(std::move(name), fit_cs(batches.back().sub_cols(0, 100)));
+  }
+  engine.ingest_batch(batches);
+  const NodeStats removed = engine.node_stats()[1];
+  engine.remove_node(1);
+  engine.ingest(0, batches[0].sub_cols(0, 30));
+
+  const EngineStats stats = engine.stats();
+  const std::vector<NodeStats> rows = engine.node_stats();
+  ASSERT_EQ(rows.size(), 2u);
+  StreamCounters expected = removed;
+  for (const NodeStats& row : rows) expected += row;
+  StreamCounters::for_each_field([&](const char* name, auto field) {
+    if constexpr (kIsHistogramField<decltype(field)>) {
+      const stats::Histogram& got = stats.*field;
+      const stats::Histogram& want = expected.*field;
+      EXPECT_EQ(got.total(), want.total()) << name;
+      EXPECT_EQ(got.underflow(), want.underflow()) << name;
+      EXPECT_EQ(got.overflow(), want.overflow()) << name;
+      ASSERT_EQ(got.bins(), want.bins()) << name;
+      for (std::size_t b = 0; b < got.bins(); ++b) {
+        EXPECT_EQ(got.count(b), want.count(b)) << name << " bin " << b;
+      }
+    } else {
+      EXPECT_EQ(stats.*field, expected.*field) << name;
+    }
+  });
+  // The identity is not vacuous: drift, drops and both histograms counted.
+  EXPECT_GT(removed.drift_flags, 0u);
+  EXPECT_GT(stats.drift_windows, 0u);
+  EXPECT_GT(stats.drift_retrains, 0u);
+  EXPECT_GT(stats.dropped, 0u);
+  EXPECT_EQ(stats.ingest_latency_us.total(), 4u);
+  EXPECT_EQ(stats.retrain_latency_us.total(), stats.retrains);
+  EXPECT_EQ(stats.nodes, 2u);
 }
 
 TEST(StreamEngine, IngestBatchSkipsTombstonesWithEmptyPlaceholder) {

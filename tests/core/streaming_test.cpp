@@ -120,7 +120,7 @@ TEST(CsMethodStream, EmitsAtWindowBoundaries) {
   }
   // Windows at samples 20, 30, ..., 100 -> 9 signatures.
   EXPECT_EQ(emitted, 9u);
-  EXPECT_EQ(stream.samples_seen(), 100u);
+  EXPECT_EQ(stream.counters().samples, 100u);
 }
 
 TEST(CsMethodStream, PushAllMatchesPushLoop) {

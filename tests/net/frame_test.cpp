@@ -119,6 +119,25 @@ TEST(FrameReader, RejectsBadMagicNamingOffset) {
   }
 }
 
+TEST(FrameReader, RejectsVersionOneFramesNamingTheVersion) {
+  // A v1 peer (positional stats payloads) must fail at the frame layer
+  // instead of being misparsed.
+  std::vector<std::uint8_t> wire = encode_frame(sample_frame());
+  ASSERT_EQ(wire[4], 2);
+  wire[4] = 1;
+  FrameReader reader;
+  reader.feed(wire);
+  try {
+    reader.next();
+    FAIL() << "expected FrameError";
+  } catch (const FrameError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad version at stream offset 4: "
+                                         "expected 2, got 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FrameReader, RejectsBadVersionAndUnknownType) {
   {
     std::vector<std::uint8_t> wire = encode_frame(sample_frame());

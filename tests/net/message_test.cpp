@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -149,7 +152,7 @@ TEST(StatsResponse, RoundTripsCountersVersionAndHistogram) {
   stats.ingest_seconds = 1.5;
   stats.ingest_latency_us.add(12.0);
   stats.ingest_latency_us.add(90000.0);  // Overflow sample.
-  const StatsResponse msg = make_stats_response(stats, "abc123");
+  const StatsResponse msg{stats, "abc123"};
 
   const StatsResponse back =
       decode_stats_response(encode_stats_response(msg));
@@ -175,7 +178,7 @@ TEST(StatsResponse, RoundTripsCountersVersionAndHistogram) {
 }
 
 TEST(StatsResponse, RejectsTruncatedHistogram) {
-  const StatsResponse msg = make_stats_response(core::EngineStats{}, "v");
+  const StatsResponse msg{core::EngineStats{}, "v"};
   std::vector<std::uint8_t> payload = encode_stats_response(msg);
   payload.resize(payload.size() - 4);
   EXPECT_THROW(decode_stats_response(payload), MessageError);
@@ -187,8 +190,8 @@ TEST(StatsResponse, RoundTripsAppendedRetrainFields) {
   stats.retrain_aborts = 2;
   stats.retrain_latency_us.add(1500.0);
   stats.retrain_latency_us.add(2.0e7);  // Overflow sample.
-  const StatsResponse back = decode_stats_response(
-      encode_stats_response(make_stats_response(stats, "v")));
+  const StatsResponse back =
+      decode_stats_response(encode_stats_response({stats, "v"}));
   EXPECT_EQ(back.retrains, 4u);
   EXPECT_EQ(back.retrain_aborts, 2u);
   EXPECT_EQ(back.retrain_latency_us.total(),
@@ -203,67 +206,169 @@ TEST(StatsResponse, RoundTripsAppendedRetrainFields) {
   }
 }
 
-TEST(StatsResponse, DecodesPreRetrainPayloadWithZeroDefaults) {
-  // A pre-retrain-pressure peer's payload simply ends after the ingest
-  // histogram; the appended fields decode to zero-valued defaults instead
-  // of a MessageError (fields are appended, never renumbered).
-  core::EngineStats stats;
-  stats.retrains = 9;
-  stats.retrain_aborts = 5;
-  stats.retrain_latency_us.add(100.0);
-  const StatsResponse msg = make_stats_response(stats, "old");
-  std::vector<std::uint8_t> payload = encode_stats_response(msg);
-  const std::size_t appended =
-      8 +                                         // u64 retrain_aborts
-      (8 + 8 + 8 + 8 + 4) +                       // histogram header
-      8 * msg.retrain_latency_us.bins() +         // histogram counts
-      3 * 8;                                      // drift counter block
-  ASSERT_GT(payload.size(), appended);
-  payload.resize(payload.size() - appended);
-
-  const StatsResponse back = decode_stats_response(payload);
-  EXPECT_EQ(back.retrains, 9u);  // Pre-existing field still carried.
-  EXPECT_EQ(back.retrain_aborts, 0u);
-  EXPECT_EQ(back.retrain_latency_us.total(), 0u);
-  EXPECT_EQ(back.drift_windows, 0u);
-  EXPECT_EQ(back.drift_flags, 0u);
-  EXPECT_EQ(back.drift_retrains, 0u);
-}
-
-TEST(StatsResponse, DecodesPreDriftPayloadWithZeroDefaults) {
-  // A peer from before the kOnDrift counters ends after the retrain
-  // histogram; the drift block decodes to zeros, the retrain fields survive.
-  core::EngineStats stats;
-  stats.retrains = 9;
-  stats.retrain_aborts = 5;
-  stats.retrain_latency_us.add(100.0);
-  stats.drift_windows = 40;
-  stats.drift_flags = 4;
-  stats.drift_retrains = 2;
-  const StatsResponse msg = make_stats_response(stats, "old");
-  std::vector<std::uint8_t> payload = encode_stats_response(msg);
-  payload.resize(payload.size() - 3 * 8);  // Strip only the drift block.
-
-  const StatsResponse back = decode_stats_response(payload);
-  EXPECT_EQ(back.retrains, 9u);
-  EXPECT_EQ(back.retrain_aborts, 5u);
-  EXPECT_EQ(back.retrain_latency_us.total(), 1u);
-  EXPECT_EQ(back.drift_windows, 0u);
-  EXPECT_EQ(back.drift_flags, 0u);
-  EXPECT_EQ(back.drift_retrains, 0u);
-}
-
 TEST(StatsResponse, RoundTripsDriftCounters) {
   core::EngineStats stats;
   stats.drift_windows = 1234;
   stats.drift_flags = 56;
   stats.drift_retrains = 7;
-  const StatsResponse msg = make_stats_response(stats, "drifty");
+  const StatsResponse msg{stats, "drifty"};
   const StatsResponse back =
       decode_stats_response(encode_stats_response(msg));
   EXPECT_EQ(back.drift_windows, 1234u);
   EXPECT_EQ(back.drift_flags, 56u);
   EXPECT_EQ(back.drift_retrains, 7u);
+}
+
+// A counter block cut into its parts, so a test can splice the block an
+// older peer (fewer fields) or a newer one (extra fields) would send.
+struct CounterBlock {
+  std::vector<std::uint8_t> head;  ///< Payload bytes before the block.
+  std::vector<std::vector<std::uint8_t>> counters;    ///< 8 bytes each.
+  std::vector<std::vector<std::uint8_t>> histograms;  ///< Encoded whole.
+
+  /// Splits the block that ends `payload`, starting at byte `at`.
+  CounterBlock(const std::vector<std::uint8_t>& payload, std::size_t at)
+      : head(payload.begin(), payload.begin() + at) {
+    const auto take = [&](std::size_t n) {
+      std::vector<std::uint8_t> part(payload.begin() + at,
+                                     payload.begin() + at + n);
+      at += n;
+      return part;
+    };
+    for (std::size_t n = take(1)[0]; n > 0; --n) counters.push_back(take(8));
+    for (std::size_t m = take(1)[0]; m > 0; --m) {
+      std::uint32_t bins = 0;
+      std::memcpy(&bins, payload.data() + at + 32, 4);  // After lo..overflow.
+      histograms.push_back(take(36 + 8 * std::size_t{bins}));
+    }
+    EXPECT_EQ(at, payload.size());
+  }
+
+  std::vector<std::uint8_t> bytes() const {
+    std::vector<std::uint8_t> out = head;
+    out.push_back(static_cast<std::uint8_t>(counters.size()));
+    for (const auto& c : counters) out.insert(out.end(), c.begin(), c.end());
+    out.push_back(static_cast<std::uint8_t>(histograms.size()));
+    for (const auto& h : histograms) out.insert(out.end(), h.begin(), h.end());
+    return out;
+  }
+};
+
+// A stats payload with every counter and both histograms non-zero; its
+// block starts after u64 nodes | f64 ingest_seconds | u16 len | "v".
+constexpr std::size_t kStatsBlockAt = 8 + 8 + 2 + 1;
+
+std::vector<std::uint8_t> full_stats_payload() {
+  StatsResponse msg;
+  msg.server_version = "v";
+  msg.nodes = 3;
+  std::uint64_t next = 1;
+  core::StreamCounters::for_each_field([&](const char*, auto field) {
+    if constexpr (core::kIsHistogramField<decltype(field)>) {
+      (msg.*field).add(10.0);
+    } else {
+      msg.*field = next++;
+    }
+  });
+  return encode_stats_response(msg);
+}
+
+TEST(CounterBlock, MissingFieldsDecodeAsZero) {
+  // An older peer's block: the first three counters and one histogram.
+  CounterBlock block(full_stats_payload(), kStatsBlockAt);
+  ASSERT_EQ(block.counters.size(), 8u);
+  ASSERT_EQ(block.histograms.size(), 2u);
+  block.counters.resize(3);
+  block.histograms.resize(1);
+
+  const StatsResponse back = decode_stats_response(block.bytes());
+  EXPECT_EQ(back.samples, 1u);
+  EXPECT_EQ(back.signatures, 2u);
+  EXPECT_EQ(back.retrains, 3u);
+  EXPECT_EQ(back.retrain_aborts, 0u);
+  EXPECT_EQ(back.dropped, 0u);
+  EXPECT_EQ(back.drift_windows, 0u);
+  EXPECT_EQ(back.drift_flags, 0u);
+  EXPECT_EQ(back.drift_retrains, 0u);
+  EXPECT_EQ(back.ingest_latency_us.total(), 1u);
+  EXPECT_EQ(back.retrain_latency_us.total(), 0u);
+  EXPECT_EQ(back.retrain_latency_us.bins(), core::kRetrainLatencyBins);
+  EXPECT_EQ(back.nodes, 3u);
+  EXPECT_EQ(back.server_version, "v");
+}
+
+TEST(CounterBlock, ExtraFieldsAreSkipped) {
+  // A newer peer's block: one more counter and one more histogram.
+  const std::vector<std::uint8_t> payload = full_stats_payload();
+  CounterBlock block(payload, kStatsBlockAt);
+  block.counters.push_back(std::vector<std::uint8_t>(8, 0xab));
+  block.histograms.push_back(block.histograms.front());
+
+  const StatsResponse back = decode_stats_response(block.bytes());
+  EXPECT_EQ(encode_stats_response(back), payload);
+}
+
+TEST(CounterBlock, CountBeyondThePayloadIsRejected) {
+  CounterBlock block(full_stats_payload(), kStatsBlockAt);
+  block.histograms.clear();
+  std::vector<std::uint8_t> bytes = block.bytes();
+  bytes[kStatsBlockAt] = 255;  // 255 counters cannot fit in 65 bytes.
+  try {
+    decode_stats_response(bytes);
+    FAIL() << "expected MessageError";
+  } catch (const MessageError& e) {
+    EXPECT_NE(std::string(e.what()).find("counter_count"), std::string::npos)
+        << e.what();
+  }
+
+  bytes = CounterBlock(full_stats_payload(), kStatsBlockAt).bytes();
+  bytes[kStatsBlockAt + 1 + 8 * 8] = 255;  // Histogram count.
+  try {
+    decode_stats_response(bytes);
+    FAIL() << "expected MessageError";
+  } catch (const MessageError& e) {
+    EXPECT_NE(std::string(e.what()).find("histogram_count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The stats payload with the ingest histogram's lo and hi overwritten.
+std::vector<std::uint8_t> stats_with_bounds(double lo, double hi) {
+  CounterBlock block(full_stats_payload(), kStatsBlockAt);
+  std::vector<std::uint8_t>& ingest = block.histograms.front();
+  const std::uint64_t lo_bits = std::bit_cast<std::uint64_t>(lo);
+  const std::uint64_t hi_bits = std::bit_cast<std::uint64_t>(hi);
+  std::memcpy(ingest.data(), &lo_bits, 8);
+  std::memcpy(ingest.data() + 8, &hi_bits, 8);
+  return block.bytes();
+}
+
+void expect_bounds_rejected(double lo, double hi) {
+  try {
+    decode_stats_response(stats_with_bounds(lo, hi));
+    FAIL() << "expected MessageError for lo=" << lo << " hi=" << hi;
+  } catch (const MessageError& e) {
+    EXPECT_NE(std::string(e.what()).find("ingest_latency_us"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CounterBlock, RejectsNanHistogramBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_bounds_rejected(nan, nan);
+  expect_bounds_rejected(0.0, nan);
+  expect_bounds_rejected(nan, 1.0);
+}
+
+TEST(CounterBlock, RejectsInfiniteHistogramBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_bounds_rejected(-inf, inf);
+  expect_bounds_rejected(0.0, inf);
+  expect_bounds_rejected(-inf, 0.0);
+  // Finite bounds through the same splice still decode.
+  EXPECT_NO_THROW(decode_stats_response(stats_with_bounds(0.0, 1.0)));
 }
 
 TEST(NodeStatsResponse, RoundTripsRows) {
@@ -275,6 +380,9 @@ TEST(NodeStatsResponse, RoundTripsRows) {
   a.retrains = 11;
   a.retrain_aborts = 3;
   a.dropped = 2;
+  a.drift_windows = 40;
+  a.drift_flags = 5;
+  a.drift_retrains = 1;
   a.ingest_latency_us.add(42.0);
   a.retrain_latency_us.add(90000.0);
   core::NodeStats b;  // All-default row (empty name is legal on the wire).
@@ -289,6 +397,9 @@ TEST(NodeStatsResponse, RoundTripsRows) {
   EXPECT_EQ(back.nodes[0].retrains, a.retrains);
   EXPECT_EQ(back.nodes[0].retrain_aborts, a.retrain_aborts);
   EXPECT_EQ(back.nodes[0].dropped, a.dropped);
+  EXPECT_EQ(back.nodes[0].drift_windows, a.drift_windows);
+  EXPECT_EQ(back.nodes[0].drift_flags, a.drift_flags);
+  EXPECT_EQ(back.nodes[0].drift_retrains, a.drift_retrains);
   EXPECT_EQ(back.nodes[0].ingest_latency_us.total(), 1u);
   EXPECT_EQ(back.nodes[0].retrain_latency_us.total(), 1u);
   EXPECT_EQ(back.nodes[0].retrain_latency_us.bins(),

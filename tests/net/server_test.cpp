@@ -302,6 +302,50 @@ TEST_F(FleetServerTest, StatsScrapeReportsEngineAndBuild) {
   EXPECT_EQ(stats.ingest_latency_us.total(), 1u);
 }
 
+TEST(FleetServerDrift, NodeStatsScrapeCarriesDriftCounters) {
+  core::StreamOptions opts = engine_options();
+  opts.history_length = 64;
+  opts.retrain_policy = core::RetrainPolicy::kOnDrift;
+  opts.drift_threshold = 0.8;
+  opts.drift_patience = 2;
+  core::StreamEngine engine(opts);
+  LoopbackHub hub;
+  FleetServer server(hub.listen(), engine, server_options());
+  const std::unique_ptr<Connection> conn = hub.connect();
+  FrameReader reader;
+  // A level and gain jump halfway through: a regime change to flag.
+  common::Matrix s = node_matrix(5, 200, 12);
+  for (std::size_t r = 0; r < s.rows(); ++r) {
+    for (std::size_t c = 100; c < s.cols(); ++c) s(r, c) = 3.0 * s(r, c) + 4.0;
+  }
+  ASSERT_EQ(roundtrip(server, *conn, reader,
+                      node_add_frame("n0", *fit_method(s.sub_cols(0, 100))))
+                .type,
+            FrameType::kOk);
+  write_frame(*conn, batch_frame("n0", s));
+
+  Frame scrape;
+  scrape.type = FrameType::kNodeStatsRequest;
+  const Frame reply = roundtrip(server, *conn, reader, scrape);
+  ASSERT_EQ(reply.type, FrameType::kNodeStatsResponse);
+  const std::vector<core::NodeStats> rows =
+      decode_node_stats_response(reply.payload).nodes;
+  const std::vector<core::NodeStats> local = engine.node_stats();
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(local.size(), 1u);
+  EXPECT_GT(rows[0].drift_windows, 0u);
+  EXPECT_GT(rows[0].drift_flags, 0u);
+  EXPECT_GT(rows[0].drift_retrains, 0u);
+  EXPECT_EQ(rows[0].name, local[0].name);
+  core::StreamCounters::for_each_field([&](const char* name, auto field) {
+    if constexpr (core::kIsHistogramField<decltype(field)>) {
+      EXPECT_EQ((rows[0].*field).total(), (local[0].*field).total()) << name;
+    } else {
+      EXPECT_EQ(rows[0].*field, local[0].*field) << name;
+    }
+  });
+}
+
 TEST_F(FleetServerTest, CorruptFrameGetsErrorThenDisconnect) {
   std::vector<std::uint8_t> garbage = encode_frame(Frame{});
   garbage[0] = 'Z';  // Bad magic: the stream is unframeable.

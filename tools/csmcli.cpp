@@ -95,13 +95,11 @@
 //       drain every node's signatures back over the wire.
 //
 //   csmcli fleet-stats --socket PATH
-//       Scrape a running daemon's EngineStats: fleet counters, ingest
-//       throughput, the merged ingest-latency and retrain-latency
-//       histograms (p50/p99), the drift-detector counters, the server's
-//       build sha — then the per-node breakdown (one row per live node,
-//       via the node-stats frame; older daemons that answer with an error
-//       simply skip the breakdown, and pre-drift daemons report zeroed
-//       drift counters — appended fields decode as defaults).
+//       Scrape a running daemon: the fleet totals stream and push print
+//       (counters, ingest throughput, p50/p99 of the merged ingest- and
+//       retrain-latency histograms, the drift-detector counters), the
+//       server's build sha, then one row per live node with every counter
+//       by name.
 //
 //   csmcli version
 //       Print this build's git sha.
@@ -624,24 +622,63 @@ void write_signature_lines(std::ostream& out, const std::string& node,
   }
 }
 
-void print_latency(const stats::Histogram& lat) {
+unsigned long long ull(std::uint64_t v) { return v; }
+
+// Fleet totals from one EngineStats record: stream and replay print their
+// local engine's, push and fleet-stats a daemon's scrape. Swaps (models that
+// replaced the live one) are counted apart from aborts (superseded,
+// skipped-busy or discarded shadow fits), so a stall-free async run is
+// distinguishable from one that never kept up.
+void print_totals(const char* who, const core::EngineStats& s) {
+  std::printf("%s totals: %llu samples ingested, %llu signatures emitted, "
+              "%llu retrains, %llu dropped across %llu nodes\n",
+              who, ull(s.samples), ull(s.signatures), ull(s.retrains),
+              ull(s.dropped), ull(s.nodes));
+  std::printf("ingested in %.3f s (%.0f samples/s aggregate)\n",
+              s.ingest_seconds, s.samples_per_second());
+  const stats::Histogram& in = s.ingest_latency_us;
   std::printf("ingest latency: p50 %.1f us, p99 %.1f us "
               "(%llu calls, %llu beyond %g us)\n",
-              lat.quantile(0.5), lat.quantile(0.99),
-              static_cast<unsigned long long>(lat.total()),
-              static_cast<unsigned long long>(lat.overflow()), lat.hi());
-}
-
-// Counts swaps (models that actually replaced the live one) separately from
-// aborts (superseded, skipped-busy or discarded shadow fits) so a stall-free
-// async replay is distinguishable from one that never kept up.
-void print_retrain(const stats::Histogram& lat, std::uint64_t swaps,
-                   std::uint64_t aborts) {
+              in.quantile(0.5), in.quantile(0.99), ull(in.total()),
+              ull(in.overflow()), in.hi());
+  const stats::Histogram& rt = s.retrain_latency_us;
   std::printf("retrain latency: p50 %.1f us, p99 %.1f us "
               "(%llu swaps, %llu aborted)\n",
-              lat.quantile(0.5), lat.quantile(0.99),
-              static_cast<unsigned long long>(swaps),
-              static_cast<unsigned long long>(aborts));
+              rt.quantile(0.5), rt.quantile(0.99), ull(s.retrains),
+              ull(s.retrain_aborts));
+  std::printf("drift detector: %llu windows scored, %llu flagged, "
+              "%llu drift retrains\n",
+              ull(s.drift_windows), ull(s.drift_flags),
+              ull(s.drift_retrains));
+}
+
+// One node-stats row with every field under its StreamCounters list name,
+// so a counter the list gains shows up here without an edit.
+void print_node_row(const core::NodeStats& row) {
+  std::printf("  %s:", row.name.c_str());
+  core::StreamCounters::for_each_field([&](const char* name, auto field) {
+    if constexpr (core::kIsHistogramField<decltype(field)>) {
+      std::printf(" %s p50=%.1f p99=%.1f", name, (row.*field).quantile(0.5),
+                  (row.*field).quantile(0.99));
+    } else {
+      std::printf(" %s=%llu", name, ull(row.*field));
+    }
+  });
+  std::printf("\n");
+}
+
+// One request/reply round trip; returns the reply's payload, which must
+// come in an `expected` frame.
+std::vector<std::uint8_t> ask(net::Connection& conn, net::FrameReader& reader,
+                              const net::Frame& request,
+                              net::FrameType expected) {
+  net::Frame reply = net::call(conn, reader, request);
+  if (reply.type != expected) {
+    throw std::runtime_error(std::string("expected ") +
+                             net::frame_type_name(expected) + ", got " +
+                             net::frame_type_name(reply.type));
+  }
+  return std::move(reply.payload);
 }
 
 // Maps the tool-level retrain flags onto StreamOptions: --retrain-threads N
@@ -668,40 +705,15 @@ replay::Scenario make_scenario(const Options& opts) {
   return replay::Scenario::parse(opts.scenario, opts.seed);
 }
 
-void print_drift(std::uint64_t windows, std::uint64_t flags,
-                 std::uint64_t retrains) {
-  std::printf("drift detector: %llu windows scored, %llu flagged, "
-              "%llu drift retrains\n",
-              static_cast<unsigned long long>(windows),
-              static_cast<unsigned long long>(flags),
-              static_cast<unsigned long long>(retrains));
-}
-
 // The tail every engine-driving subcommand shares: per-node accounting,
-// EngineStats totals, the latency/retrain/drift lines, then the optional
-// --sig-out drain.
+// the engine totals, then the optional --sig-out drain.
 int report_and_drain(core::StreamEngine& engine, const Options& opts) {
-  for (std::size_t b = 0; b < engine.n_nodes(); ++b) {
-    const core::MethodStream& stream = engine.stream(b);
-    std::printf("  %-12s %6zu samples -> %5zu signatures, %zu retrains\n",
-                engine.node_name(b).c_str(), stream.samples_seen(),
-                stream.signatures_emitted(), stream.retrain_count());
+  for (const core::NodeStats& row : engine.node_stats()) {
+    std::printf("  %-12s %6llu samples -> %5llu signatures, %llu retrains\n",
+                row.name.c_str(), ull(row.samples), ull(row.signatures),
+                ull(row.retrains));
   }
-  const core::EngineStats stats = engine.stats();
-  std::printf("engine totals: %llu samples ingested, %llu signatures "
-              "emitted, %llu retrains\n",
-              static_cast<unsigned long long>(stats.samples),
-              static_cast<unsigned long long>(stats.signatures),
-              static_cast<unsigned long long>(stats.retrains));
-  std::printf("ingested %llu samples -> %llu signatures in %.3f s "
-              "(%.0f samples/s aggregate)\n",
-              static_cast<unsigned long long>(stats.samples),
-              static_cast<unsigned long long>(stats.signatures),
-              stats.ingest_seconds, stats.samples_per_second());
-  print_latency(stats.ingest_latency_us);
-  print_retrain(stats.retrain_latency_us, stats.retrains,
-                stats.retrain_aborts);
-  print_drift(stats.drift_windows, stats.drift_flags, stats.drift_retrains);
+  print_totals("engine", engine.stats());
 
   if (!opts.sig_out.empty()) {
     std::ofstream out(opts.sig_out);
@@ -1004,21 +1016,13 @@ int cmd_push(const Options& opts) {
   }
   std::uint64_t total_signatures = 0;
   for (const hpcoda::ComponentBlock& block : seg.blocks) {
-    net::Frame request;
-    request.type = net::FrameType::kDrainRequest;
-    request.node = block.name;
-    const net::Frame response = net::call(*conn, reader, request);
-    if (response.type != net::FrameType::kDrainResponse) {
-      throw std::runtime_error(std::string("push: expected drain-response, "
-                                           "got ") +
-                               net::frame_type_name(response.type));
-    }
-    const net::DrainResponse drained =
-        net::decode_drain_response(response.payload);
+    const net::DrainResponse drained = net::decode_drain_response(
+        ask(*conn, reader, {net::FrameType::kDrainRequest, block.name, {}},
+            net::FrameType::kDrainResponse));
     total_signatures += drained.signatures.size();
     std::printf("  %-12s %5zu signatures drained, %llu dropped\n",
                 block.name.c_str(), drained.signatures.size(),
-                static_cast<unsigned long long>(drained.dropped));
+                ull(drained.dropped));
     if (sig_out.is_open()) {
       write_signature_lines(sig_out, block.name, drained.signatures);
     }
@@ -1028,18 +1032,10 @@ int cmd_push(const Options& opts) {
               << opts.sig_out << '\n';
   }
 
-  net::Frame stats_request;
-  stats_request.type = net::FrameType::kStatsRequest;
-  const net::Frame stats_frame = net::call(*conn, reader, stats_request);
-  const net::StatsResponse stats =
-      net::decode_stats_response(stats_frame.payload);
-  std::printf("daemon totals: %llu samples ingested, %llu signatures "
-              "emitted, %llu dropped across %llu nodes\n",
-              static_cast<unsigned long long>(stats.samples),
-              static_cast<unsigned long long>(stats.signatures),
-              static_cast<unsigned long long>(stats.dropped),
-              static_cast<unsigned long long>(stats.nodes));
-  print_latency(stats.ingest_latency_us);
+  const net::StatsResponse stats = net::decode_stats_response(
+      ask(*conn, reader, {net::FrameType::kStatsRequest, "", {}},
+          net::FrameType::kStatsResponse));
+  print_totals("daemon", stats);
   std::cout << "server build: " << stats.server_version << " (client "
             << benchkit::git_sha() << ")\n";
   return 0;
@@ -1055,78 +1051,19 @@ int cmd_fleet_stats(const Options& opts) {
   }
   auto conn = net::connect_unix(opts.socket);
   net::FrameReader reader;
-  net::Frame request;
-  request.type = net::FrameType::kStatsRequest;
-  const net::Frame response = net::call(*conn, reader, request);
-  if (response.type != net::FrameType::kStatsResponse) {
-    throw std::runtime_error(std::string("fleet-stats: expected "
-                                         "stats-response, got ") +
-                             net::frame_type_name(response.type));
-  }
-  const net::StatsResponse stats =
-      net::decode_stats_response(response.payload);
+  const net::StatsResponse stats = net::decode_stats_response(
+      ask(*conn, reader, {net::FrameType::kStatsRequest, "", {}},
+          net::FrameType::kStatsResponse));
   std::cout << "fleet stats from unix:" << opts.socket << ":\n";
-  std::printf("  nodes:      %llu live\n",
-              static_cast<unsigned long long>(stats.nodes));
-  std::printf("  samples:    %llu ingested\n",
-              static_cast<unsigned long long>(stats.samples));
-  std::printf("  signatures: %llu emitted (%llu dropped by backpressure)\n",
-              static_cast<unsigned long long>(stats.signatures),
-              static_cast<unsigned long long>(stats.dropped));
-  std::printf("  retrains:   %llu (%llu aborted)\n",
-              static_cast<unsigned long long>(stats.retrains),
-              static_cast<unsigned long long>(stats.retrain_aborts));
-  std::printf("  ingest:     %.3f s total (%.0f samples/s)\n",
-              stats.ingest_seconds,
-              stats.ingest_seconds > 0.0
-                  ? static_cast<double>(stats.samples) / stats.ingest_seconds
-                  : 0.0);
-  print_latency(stats.ingest_latency_us);
-  print_retrain(stats.retrain_latency_us, stats.retrains,
-                stats.retrain_aborts);
-  // Pre-drift daemons simply end their payload before these appended
-  // fields, which decode as zeros — the line is printed either way.
-  print_drift(stats.drift_windows, stats.drift_flags, stats.drift_retrains);
+  print_totals("daemon", stats);
   std::cout << "server build: " << stats.server_version << " (client "
             << benchkit::git_sha() << ")\n";
 
-  // Per-node breakdown over the node-stats frame. A pre-node-stats daemon
-  // rejects the unknown frame type (an error frame, then it hangs up) —
-  // degrade to the fleet-wide rollup above instead of failing the scrape.
-  net::Frame node_request;
-  node_request.type = net::FrameType::kNodeStatsRequest;
-  net::Frame node_frame;
-  try {
-    node_frame = net::call(*conn, reader, node_request);
-  } catch (const std::exception&) {
-    std::cout << "per-node stats unavailable (server predates the "
-                 "node-stats frame)\n";
-    return 0;
-  }
-  if (node_frame.type != net::FrameType::kNodeStatsResponse) {
-    std::cout << "per-node stats unavailable (server answered "
-              << net::frame_type_name(node_frame.type) << ")\n";
-    return 0;
-  }
-  const net::NodeStatsResponse node_stats =
-      net::decode_node_stats_response(node_frame.payload);
+  const net::NodeStatsResponse node_stats = net::decode_node_stats_response(
+      ask(*conn, reader, {net::FrameType::kNodeStatsRequest, "", {}},
+          net::FrameType::kNodeStatsResponse));
   std::cout << "per-node (" << node_stats.nodes.size() << " live):\n";
-  for (const core::NodeStats& node : node_stats.nodes) {
-    std::printf("  %-12s %8llu samples -> %6llu signatures, "
-                "%llu retrains (%llu aborted), %llu dropped\n",
-                node.name.c_str(),
-                static_cast<unsigned long long>(node.samples),
-                static_cast<unsigned long long>(node.signatures),
-                static_cast<unsigned long long>(node.retrains),
-                static_cast<unsigned long long>(node.retrain_aborts),
-                static_cast<unsigned long long>(node.dropped));
-    std::printf("               ingest p50 %.1f us / p99 %.1f us, "
-                "retrain p50 %.1f us / p99 %.1f us\n",
-                node.ingest_latency_us.quantile(0.5),
-                node.ingest_latency_us.quantile(0.99),
-                node.retrain_latency_us.quantile(0.5),
-                node.retrain_latency_us.quantile(0.99));
-  }
+  for (const core::NodeStats& row : node_stats.nodes) print_node_row(row);
   return 0;
 }
 
