@@ -55,6 +55,10 @@ MethodStream::MethodStream(std::shared_ptr<const SignatureMethod> method,
   }
   history_ = common::RingMatrix(n_sensors_, options_.history_length);
   next_emit_at_ = options_.window_length;
+  if (options_.retrain_policy == RetrainPolicy::kOnDrift) {
+    drift_.emplace(n_sensors_, options_.window_length, options_.window_step,
+                   options_.drift_pairs);
+  }
 }
 
 MethodStream::~MethodStream() {
@@ -71,6 +75,7 @@ std::optional<std::vector<double>> MethodStream::push(
   const std::span<double> slot = history_.push_slot();
   std::copy(column.begin(), column.end(), slot.begin());
   ++counters_.samples;
+  if (drift_) drift_->push(slot);
 
   maybe_retrain();
   return emit_if_due();
@@ -90,6 +95,7 @@ std::vector<std::vector<double>> MethodStream::push_all(
     const std::size_t stride = columns.cols();
     for (std::size_t r = 0; r < slot.size(); ++r) slot[r] = src[r * stride];
     ++counters_.samples;
+    if (drift_) drift_->push(slot);
 
     maybe_retrain();
     if (auto features = emit_if_due()) out.push_back(std::move(*features));
@@ -110,14 +116,12 @@ std::optional<std::vector<double>> MethodStream::emit_if_due() {
   // ring segments, plus a span over the raw column preceding the window
   // when one exists; the method decides what to do with the seed (CS feeds
   // its derivative channel, others ignore it).
-  const std::size_t wl = options_.window_length;
-  const common::MatrixView window = history_.latest_view(wl);
   // Score (and possibly retrain on) the window BEFORE computing it, so the
   // first signature after a detected regime change already comes from the
   // refitted model.
-  if (options_.retrain_policy == RetrainPolicy::kOnDrift) {
-    maybe_drift_retrain(window);
-  }
+  if (drift_) maybe_drift_retrain();
+  const std::size_t wl = options_.window_length;
+  const common::MatrixView window = history_.latest_view(wl);
   ++counters_.signatures;
   if (history_.size() > wl) {
     const std::span<const double> seed = history_.newest(wl);
@@ -157,15 +161,17 @@ void MethodStream::maybe_retrain() {
   }
 }
 
-void MethodStream::maybe_drift_retrain(const common::MatrixView& window) {
+void MethodStream::maybe_drift_retrain() {
+  // The tracker completed this window on the push that made it due: its
+  // chunk summaries already cover exactly the newest wl columns.
   if (drift_ref_.empty()) {
     // First emitted window: presumed in-regime (the method was trained on
     // data like it), so it becomes the reference rather than being scored.
-    drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
+    drift_ref_ = drift_->reference();
     return;
   }
   ++counters_.drift_windows;
-  last_drift_score_ = stats::drift_score(window, drift_ref_);
+  last_drift_score_ = drift_->score(drift_ref_);
   if (last_drift_score_ < options_.drift_threshold) {
     drift_streak_ = 0;
     return;
@@ -185,7 +191,9 @@ void MethodStream::maybe_drift_retrain(const common::MatrixView& window) {
   counters_.retrain_latency_us.add(timer.seconds() * 1e6);
   // The stream now tracks the new regime: rebuild the reference from the
   // window that triggered the retrain so a completed shift scores clean.
-  drift_ref_ = stats::make_drift_reference(window, options_.drift_pairs);
+  // Only the reference changes; the chunk summaries describe the data, not
+  // the model, and carry on into the next window.
+  drift_ref_ = drift_->reference();
 }
 
 void MethodStream::launch_shadow_fit(bool supersede) {

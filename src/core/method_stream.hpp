@@ -95,9 +95,10 @@ class MethodStream {
 
   void maybe_retrain();
   /// kOnDrift per-window check, run at each emit boundary on the window
-  /// about to be computed: builds the reference on first sight, scores
-  /// later windows, and refits inline once the patience streak fills.
-  void maybe_drift_retrain(const common::MatrixView& window);
+  /// about to be computed: builds the reference from the tracker's summary
+  /// on first sight, scores later windows, and refits inline once the
+  /// patience streak fills.
+  void maybe_drift_retrain();
   void launch_shadow_fit(bool supersede);
   /// Applies a finished shadow fit (called at emit boundaries): swaps the
   /// method shared_ptr, bumps the counters, rethrows a fit failure on the
@@ -117,6 +118,9 @@ class MethodStream {
   StreamCounters counters_;
   std::size_t drift_streak_ = 0;  ///< Consecutive flagged windows so far.
   double last_drift_score_ = 0.0;
+  /// kOnDrift only: chunk summaries of every pushed column, so each window
+  /// is scored without rescanning its samples.
+  std::optional<stats::DriftTracker> drift_;
   /// kOnDrift regime reference; empty until the first emitted window.
   stats::DriftReference drift_ref_;
   /// Correlation workspace recycled across retrains (fresh one minted when

@@ -33,6 +33,11 @@ void RetrainExecutor::submit(std::function<void()> job) {
   cv_.notify_one();
 }
 
+void RetrainExecutor::drain() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+}
+
 void RetrainExecutor::worker_loop() {
   for (;;) {
     std::function<void()> job;
@@ -42,8 +47,15 @@ void RetrainExecutor::worker_loop() {
       if (stopping_ && queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
+      ++running_;
     }
     job();
+    job = nullptr;  // Release the job's captures before reporting idle.
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      --running_;
+    }
+    idle_cv_.notify_all();
   }
 }
 

@@ -38,6 +38,11 @@ class RetrainExecutor {
   /// try/catch and park the failure in shared state, as MethodStream does).
   void submit(std::function<void()> job);
 
+  /// Blocks until no job is queued or running, including jobs submitted
+  /// while waiting. Lets a caller reach a point where every fit it launched
+  /// has finished (e.g. a bench that needs the last shadow fit swapped in).
+  void drain();
+
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
  private:
@@ -45,7 +50,9 @@ class RetrainExecutor {
 
   std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;  ///< Signalled when running_ drops.
   std::deque<std::function<void()>> queue_;
+  std::size_t running_ = 0;  ///< Jobs taken off the queue, not yet done.
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

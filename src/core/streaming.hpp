@@ -36,6 +36,14 @@ enum class RetrainPolicy {
   /// consecutive windows, the stream refits inline over the buffered
   /// history — synchronously, like kSync, so the post-drift model is
   /// deterministic. Requires drift_threshold > 0 and retrain_interval == 0.
+  ///
+  /// The score never rescans a window. The stream's stats::DriftTracker
+  /// summarises each chunk of gcd(wl, ws) pushed columns once — per-sensor
+  /// moments and the watched pairs' co-moments, O(n + drift_pairs) per
+  /// sample — and a window merges its chunks' summaries, O(n + drift_pairs)
+  /// per merge with about 2 ws/gcd + 1 merges per window.
+  /// stats::drift_score(view, ref), which rescans at O((n + drift_pairs) wl)
+  /// per window, is the reference the tracker is tested against.
   kOnDrift,
 };
 

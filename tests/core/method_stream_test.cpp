@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
+#include "stats/drift.hpp"
 
 namespace csm::core {
 namespace {
@@ -487,6 +488,73 @@ TEST(MethodStreamDrift, PatienceHoldsBackPersistentFlags) {
   EXPECT_GT(stream.counters().drift_flags, 0u);
   EXPECT_EQ(stream.counters().drift_retrains, 0u);
   EXPECT_EQ(stream.retrain_count(), 0u);
+}
+
+TEST(MethodStreamDrift, FlatSensorsNeverFlagAStationaryStream) {
+  // One sensor stuck at 48.65 (its sums round) and one at 5e10 (exact):
+  // their reference sd sits at the score's 1e-9 floor, so any rounding
+  // noise in their window means would be magnified a billionfold.
+  common::Matrix data = regime_matrix(6, 600, 600, 57);
+  for (std::size_t c = 0; c < data.cols(); ++c) {
+    data(1, c) = 48.65;
+    data(4, c) = 5e10;
+  }
+  const auto probe = std::make_shared<FitProbe>();
+  MethodStream stream(std::make_shared<const GenerationMethod>(6, probe),
+                      drift_options());
+  const auto signatures = stream.push_all(data);
+  EXPECT_EQ(stream.counters().drift_windows, signatures.size() - 1);
+  EXPECT_EQ(stream.counters().drift_flags, 0u);
+  EXPECT_EQ(stream.counters().drift_retrains, 0u);
+  EXPECT_LT(stream.last_drift_score(), drift_options().drift_threshold);
+}
+
+TEST(MethodStreamDrift, RefitRebuildsTheReferenceAndKeepsChunkState) {
+  // A standalone tracker fed the same columns, whose reference is rebuilt
+  // from the window that triggered the refit, predicts every score the
+  // stream reports: the refit swaps the reference, never the chunk
+  // summaries the next windows are made of.
+  const std::size_t t = 600;
+  const common::Matrix data = regime_matrix(6, t, 300, 51);
+  const StreamOptions opts = drift_options();
+  const auto probe = std::make_shared<FitProbe>();
+  const auto method = std::make_shared<const GenerationMethod>(6, probe);
+  MethodStream stream(method, opts);
+  stats::DriftTracker tracker(6, opts.window_length, opts.window_step,
+                              opts.drift_pairs);
+  stats::DriftReference ref;
+  std::vector<double> column(6);
+  std::vector<std::vector<double>> signatures;
+  std::uint64_t refits = 0;
+  std::size_t scored_after_refit = 0;
+  for (std::size_t c = 0; c < t; ++c) {
+    for (std::size_t r = 0; r < 6; ++r) column[r] = data(r, c);
+    if (auto sig = stream.push(column)) signatures.push_back(std::move(*sig));
+    if (!tracker.push(column)) continue;
+    if (ref.empty()) {
+      ref = tracker.reference();
+      continue;
+    }
+    ASSERT_EQ(stream.last_drift_score(), tracker.score(ref)) << "column " << c;
+    if (stream.counters().drift_retrains > refits) {
+      refits = stream.counters().drift_retrains;
+      ref = tracker.reference();
+    } else if (refits > 0) {
+      ++scored_after_refit;
+    }
+  }
+  EXPECT_EQ(refits, 1u);
+  EXPECT_GT(scored_after_refit, 10u);
+
+  // A freshly built stream fed the same columns in one batch lands on the
+  // same counters and signatures.
+  MethodStream fresh(method, opts);
+  EXPECT_EQ(fresh.push_all(data), signatures);
+  EXPECT_EQ(fresh.counters().drift_windows, stream.counters().drift_windows);
+  EXPECT_EQ(fresh.counters().drift_flags, stream.counters().drift_flags);
+  EXPECT_EQ(fresh.counters().drift_retrains, stream.counters().drift_retrains);
+  EXPECT_EQ(fresh.counters().retrains, stream.counters().retrains);
+  EXPECT_EQ(fresh.last_drift_score(), stream.last_drift_score());
 }
 
 TEST(MethodStreamDrift, CountersStayZeroUnderOtherPolicies) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baselines/tuncer.hpp"
 #include "common/rng.hpp"
@@ -57,6 +60,89 @@ TEST(StreamEngine, MatchesPerNodeMethodStreams) {
     ASSERT_EQ(got.size(), expected.size()) << "node " << i;
     for (std::size_t k = 0; k < got.size(); ++k) {
       EXPECT_EQ(got[k], expected[k]) << "node " << i << " signature " << k;
+    }
+  }
+}
+
+// Two-factor stream whose levels, loadings and factor gain switch at
+// `shift_at`: a regime change a kOnDrift stream at threshold 0.8 refits on.
+common::Matrix drifting_matrix(std::size_t n, std::size_t t,
+                               std::size_t shift_at, std::uint64_t seed) {
+  common::Rng rng(seed);
+  common::Matrix s(n, t);
+  for (std::size_t c = 0; c < t; ++c) {
+    const double z1 = rng.gaussian();
+    const double z2 = rng.gaussian();
+    const bool shifted = c >= shift_at;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double x = static_cast<double>(r);
+      const double a = shifted ? std::cos(0.4 * x + 1.3) : std::cos(0.4 * x);
+      const double b = shifted ? std::sin(2.99 * x) : std::sin(0.4 * x);
+      const double gain = shifted ? 1.6 : 1.0;
+      const double level = 0.5 * x + (shifted ? 2.0 : 0.0);
+      s(r, c) = level + gain * (a * z1 + b * z2) + 0.2 * rng.gaussian();
+    }
+  }
+  return s;
+}
+
+TEST(StreamEngine, DriftScoresAgreeAcrossPushPushAllAndIngestBatch) {
+  // The drift tracker summarises fixed chunks of gcd(wl, ws) columns, so
+  // how the columns are batched must not matter: one at a time, push_all
+  // batches that split chunks, and the engine's parallel ingest_batch all
+  // report the same score bits after every batch.
+  const std::size_t n = 6;
+  const std::size_t t = 600;
+  const common::Matrix data = drifting_matrix(n, t, 300, 61);
+  const auto method = fit_cs(data.sub_cols(0, 200));
+  for (const std::size_t ws : {5u, 10u}) {
+    StreamOptions opts = engine_options();  // wl = 20.
+    opts.window_step = ws;
+    opts.history_length = 256;
+    opts.retrain_policy = RetrainPolicy::kOnDrift;
+    opts.drift_threshold = 0.8;
+    opts.drift_patience = 2;
+    for (const std::size_t batch : {1u, 3u, 7u, 50u}) {
+      SCOPED_TRACE("ws=" + std::to_string(ws) +
+                   " batch=" + std::to_string(batch));
+      MethodStream one(method, opts);
+      MethodStream batched(method, opts);
+      StreamEngine engine(opts);
+      engine.add_node("a", method);
+      engine.add_node("b", method);
+      std::vector<std::vector<double>> sig_one;
+      std::vector<std::vector<double>> sig_batched;
+      std::vector<double> column(n);
+      for (std::size_t at = 0; at < t; at += batch) {
+        const common::Matrix cols = data.sub_cols(at, std::min(batch, t - at));
+        for (std::size_t c = 0; c < cols.cols(); ++c) {
+          for (std::size_t r = 0; r < n; ++r) column[r] = cols(r, c);
+          if (auto sig = one.push(column)) sig_one.push_back(std::move(*sig));
+        }
+        for (auto& sig : batched.push_all(cols)) {
+          sig_batched.push_back(std::move(sig));
+        }
+        const std::vector<common::Matrix> both{cols, cols};
+        engine.ingest_batch(both);
+        ASSERT_EQ(batched.last_drift_score(), one.last_drift_score())
+            << "after column " << at + cols.cols();
+        ASSERT_EQ(engine.stream(0).last_drift_score(), one.last_drift_score());
+        ASSERT_EQ(engine.stream(1).last_drift_score(), one.last_drift_score());
+      }
+      EXPECT_GE(one.counters().drift_retrains, 1u);
+      const MethodStream* const others[] = {&batched, &engine.stream(0),
+                                            &engine.stream(1)};
+      for (const MethodStream* s : others) {
+        EXPECT_EQ(s->counters().drift_windows, one.counters().drift_windows);
+        EXPECT_EQ(s->counters().drift_flags, one.counters().drift_flags);
+        EXPECT_EQ(s->counters().drift_retrains,
+                  one.counters().drift_retrains);
+        EXPECT_EQ(s->counters().retrains, one.counters().retrains);
+        EXPECT_EQ(s->counters().signatures, one.counters().signatures);
+      }
+      EXPECT_EQ(sig_batched, sig_one);
+      EXPECT_EQ(engine.drain(0), sig_one);
+      EXPECT_EQ(engine.drain(1), sig_one);
     }
   }
 }

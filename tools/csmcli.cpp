@@ -170,6 +170,7 @@ struct Options {
   std::string scenario;         // --scenario SPEC (fault-injection spec).
   double drift_threshold = 0.0;     // --drift-threshold X (> 0 = kOnDrift).
   std::size_t drift_patience = 1;   // --drift-patience N (kOnDrift streak).
+  bool drift_patience_set = false;
 };
 
 core::codec::ModelFormat parse_format(const std::string& value) {
@@ -295,6 +296,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (arg == "--drift-patience") {
       opts.drift_patience = benchkit::parse_size_t(
           "--drift-patience", next_value("--drift-patience"));
+      opts.drift_patience_set = true;
     } else if (arg == "--real-only") {
       opts.real_only = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -327,6 +329,13 @@ bool parse_args(int argc, char** argv, Options& opts) {
     std::cerr << "--drift-threshold conflicts with --retrain/"
                  "--retrain-threads (kOnDrift replaces the periodic "
                  "retrain schedule)\n";
+    return false;
+  }
+  // Patience counts drift-flagged windows, which only --drift-threshold
+  // produces; alone it would be silently ignored.
+  if (opts.drift_patience_set && opts.drift_threshold <= 0.0) {
+    std::cerr << "--drift-patience requires --drift-threshold (patience "
+                 "counts windows scored over the threshold)\n";
     return false;
   }
   return true;

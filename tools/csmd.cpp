@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   // the result does not depend on the order they were given in.
   std::size_t retrain_threads = 0;
   double drift_threshold = 0.0;
+  bool drift_patience_set = false;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -105,6 +106,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--drift-patience") {
         options.stream.drift_patience = benchkit::parse_size_t(
             "--drift-patience", next_value("--drift-patience"));
+        drift_patience_set = true;
       } else if (arg == "--max-pending") {
         options.stream.max_pending = benchkit::parse_size_t(
             "--max-pending", next_value("--max-pending"));
@@ -130,6 +132,14 @@ int main(int argc, char** argv) {
       std::cerr << "error: --drift-threshold conflicts with --retrain/"
                    "--retrain-threads (kOnDrift replaces the periodic "
                    "retrain schedule)\n";
+      usage(std::cerr);
+      return 1;
+    }
+    // Patience counts drift-flagged windows, which only --drift-threshold
+    // produces; alone it would be silently ignored.
+    if (drift_patience_set && drift_threshold <= 0.0) {
+      std::cerr << "error: --drift-patience requires --drift-threshold "
+                   "(patience counts windows scored over the threshold)\n";
       usage(std::cerr);
       return 1;
     }
