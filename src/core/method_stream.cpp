@@ -54,6 +54,7 @@ MethodStream::MethodStream(std::shared_ptr<const SignatureMethod> method,
         method_->name() + "\"");
   }
   history_ = common::RingMatrix(n_sensors_, options_.history_length);
+  state_ = method_->make_stream_state(options_.window_length);
   next_emit_at_ = options_.window_length;
   if (options_.retrain_policy == RetrainPolicy::kOnDrift) {
     drift_.emplace(n_sensors_, options_.window_length, options_.window_step,
@@ -75,6 +76,7 @@ std::optional<std::vector<double>> MethodStream::push(
   const std::span<double> slot = history_.push_slot();
   std::copy(column.begin(), column.end(), slot.begin());
   ++counters_.samples;
+  if (state_) state_->push(slot);
   if (drift_) drift_->push(slot);
 
   maybe_retrain();
@@ -95,6 +97,7 @@ std::vector<std::vector<double>> MethodStream::push_all(
     const std::size_t stride = columns.cols();
     for (std::size_t r = 0; r < slot.size(); ++r) slot[r] = src[r * stride];
     ++counters_.samples;
+    if (state_) state_->push(slot);
     if (drift_) drift_->push(slot);
 
     maybe_retrain();
@@ -112,22 +115,40 @@ std::optional<std::vector<double>> MethodStream::emit_if_due() {
   // generation (never a half-swapped state). No-op under kSync.
   apply_pending_swap();
 
-  // Hand the newest wl columns to the method as a zero-copy view over the
-  // ring segments, plus a span over the raw column preceding the window
-  // when one exists; the method decides what to do with the seed (CS feeds
-  // its derivative channel, others ignore it).
   // Score (and possibly retrain on) the window BEFORE computing it, so the
   // first signature after a detected regime change already comes from the
   // refitted model.
   if (drift_) maybe_drift_retrain();
   const std::size_t wl = options_.window_length;
-  const common::MatrixView window = history_.latest_view(wl);
   ++counters_.signatures;
-  if (history_.size() > wl) {
+  // The window is seeded with the raw column preceding it when one exists;
+  // the method decides what to do with the seed (CS feeds its derivative
+  // channel, others ignore it).
+  const bool seeded = history_.size() > wl;
+  if (state_) return state_->emit(seeded);
+  // No stream state: hand the newest wl columns to the method as a
+  // zero-copy view over the ring segments, plus a span over the seed.
+  const common::MatrixView window = history_.latest_view(wl);
+  if (seeded) {
     const std::span<const double> seed = history_.newest(wl);
     return method_->compute_streaming(window, &seed);
   }
   return method_->compute_streaming(window, nullptr);
+}
+
+void MethodStream::set_method(std::shared_ptr<const SignatureMethod> method) {
+  std::unique_ptr<StreamState> state =
+      method->make_stream_state(options_.window_length);
+  if (state) {
+    // The newest wl + 1 columns are all a window and its seed can reach.
+    const std::size_t replay =
+        std::min(history_.size(), options_.window_length + 1);
+    for (std::size_t back = replay; back-- > 0;) {
+      state->push(history_.newest(back));
+    }
+  }
+  method_ = std::move(method);
+  state_ = std::move(state);
 }
 
 void MethodStream::maybe_retrain() {
@@ -141,8 +162,8 @@ void MethodStream::maybe_retrain() {
       // recycles scratch buffers, so results stay byte-identical.
       if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
       const common::Timer timer;
-      method_ = std::shared_ptr<const SignatureMethod>(
-          method_->fit(history_.history_view(), *spare_context_));
+      set_method(std::shared_ptr<const SignatureMethod>(
+          method_->fit(history_.history_view(), *spare_context_)));
       ++counters_.retrains;
       counters_.retrain_latency_us.add(timer.seconds() * 1e6);
       break;
@@ -184,8 +205,8 @@ void MethodStream::maybe_drift_retrain() {
   // kSync, which is what lets the tests pin "exactly one retrain".
   if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
   const common::Timer timer;
-  method_ = std::shared_ptr<const SignatureMethod>(
-      method_->fit(history_.history_view(), *spare_context_));
+  set_method(std::shared_ptr<const SignatureMethod>(
+      method_->fit(history_.history_view(), *spare_context_)));
   ++counters_.retrains;
   ++counters_.drift_retrains;
   counters_.retrain_latency_us.add(timer.seconds() * 1e6);
@@ -274,7 +295,7 @@ void MethodStream::apply_pending_swap() {
     reclaim_context(std::move(state->ctx));
     return;
   }
-  method_ = state->result;
+  set_method(state->result);
   ++counters_.retrains;
   counters_.retrain_latency_us.add(state->fit_seconds * 1e6);
   reclaim_context(std::move(state->ctx));

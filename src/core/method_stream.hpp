@@ -4,11 +4,17 @@
 // buffer: one column of sensor readings per push, a feature vector emitted
 // every ws samples once wl samples are buffered, and optional periodic
 // retraining via the method's uniform fit() entry point over the buffered
-// history. The emit path is zero-copy: the newest wl columns are handed to
-// SignatureMethod::compute_streaming as a common::MatrixView over the ring
-// segments (two segments when the window straddles the wrap point) together
-// with a span over the raw column preceding the window — CS seeds its
-// derivative channel with it, stateless methods ignore it.
+// history. A method that keeps per-stream state (CS, through
+// SignatureMethod::make_stream_state) is fed every pushed column and emits
+// from that state: CS normalises each sample once, on push, instead of once
+// per window it lies in. Every other method gets the zero-copy path: the
+// newest wl columns are handed to SignatureMethod::compute_streaming as a
+// common::MatrixView over the ring segments (two segments when the window
+// straddles the wrap point) together with a span over the raw column
+// preceding the window — CS seeds its derivative channel with it, stateless
+// methods ignore it. Both paths emit the same bytes. Whenever the method
+// changes (construction, a kSync or kOnDrift refit, an async swap), the new
+// method's state is rebuilt by replaying the ring's newest wl + 1 columns.
 //
 // Retraining follows the StreamOptions::retrain_policy seam. kSync fits
 // inline over RingMatrix::history_view() (no materialisation), exactly the
@@ -105,12 +111,16 @@ class MethodStream {
   /// ingest thread (where a kSync fit would have thrown).
   void apply_pending_swap();
   std::optional<std::vector<double>> emit_if_due();
+  /// Installs `method` and rebuilds its stream state from the ring.
+  void set_method(std::shared_ptr<const SignatureMethod> method);
   RetrainExecutor& executor();
   /// Hands the context back for reuse once its fit thread is provably done
   /// with the workspace.
   void reclaim_context(std::shared_ptr<TrainContext> ctx);
 
   std::shared_ptr<const SignatureMethod> method_;
+  /// method_'s per-stream emit state; null for methods without one.
+  std::unique_ptr<StreamState> state_;
   StreamOptions options_;
   std::size_t n_sensors_ = 0;
   common::RingMatrix history_;  ///< n_sensors x history_length column ring.

@@ -1,27 +1,38 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/model_codec.hpp"
 #include "core/smoothing.hpp"
 #include "core/training.hpp"
-#include "stats/finite_diff.hpp"
 
 namespace csm::core {
 
 std::vector<Signature> CsPipeline::transform(
     const common::Matrix& s, const data::WindowSpec& spec) const {
   spec.validate();
-  const common::Matrix sorted_full = model_.sort(s);
-  const common::Matrix derivs_full = stats::backward_diff_rows(sorted_full);
-  const std::size_t l = blocks();
+  if (s.rows() != model_.n_sensors()) {
+    throw std::invalid_argument("CsPipeline::transform: sensor count mismatch");
+  }
+  StreamSmoother smoother(model_.permutation(), model_.bounds(), blocks(),
+                          spec.length);
   const std::size_t n_windows = spec.count(s.cols());
   std::vector<Signature> out;
   out.reserve(n_windows);
+  std::vector<double> column(s.rows());
+  std::size_t next = 0;  // First column not pushed yet.
   for (std::size_t w = 0; w < n_windows; ++w) {
     const std::size_t first = spec.start(w);
-    out.push_back(smooth(sorted_full.sub_cols(first, spec.length),
-                         derivs_full.sub_cols(first, spec.length), l));
+    // Push the window and, past column 0, the seed column before it; with
+    // ws > wl + 1 the columns between windows are skipped.
+    for (std::size_t c = std::max(next, first == 0 ? 0 : first - 1);
+         c < first + spec.length; ++c) {
+      for (std::size_t r = 0; r < s.rows(); ++r) column[r] = s(r, c);
+      smoother.push(column);
+    }
+    next = first + spec.length;
+    out.push_back(smoother.emit(first > 0));
   }
   return out;
 }
@@ -174,6 +185,41 @@ std::vector<double> CsSignatureMethod::compute_streaming(
   return smooth_window(window, model.permutation(), model.bounds(), seed_col,
                        options_.resolve_blocks(model.n_sensors()))
       .flatten(options_.real_only);
+}
+
+namespace {
+
+/// CS's per-stream state: a StreamSmoother over the pipeline's model. The
+/// pipeline is held so the permutation the smoother reads outlives it.
+class CsStreamState final : public StreamState {
+ public:
+  CsStreamState(std::shared_ptr<const CsPipeline> pipeline,
+                std::size_t window_length)
+      : pipeline_(std::move(pipeline)),
+        smoother_(pipeline_->model().permutation(),
+                  pipeline_->model().bounds(), pipeline_->blocks(),
+                  window_length) {}
+
+  void push(std::span<const double> column) override {
+    smoother_.push(column);
+  }
+  std::vector<double> emit(bool seeded) override {
+    return smoother_.emit(seeded).flatten(pipeline_->options().real_only);
+  }
+
+ private:
+  std::shared_ptr<const CsPipeline> pipeline_;
+  StreamSmoother smoother_;
+};
+
+}  // namespace
+
+std::unique_ptr<StreamState> CsSignatureMethod::make_stream_state(
+    std::size_t window_length) const {
+  if (!pipeline_) {
+    throw std::logic_error("CsSignatureMethod: stream state before fit()");
+  }
+  return std::make_unique<CsStreamState>(pipeline_, window_length);
 }
 
 }  // namespace csm::core

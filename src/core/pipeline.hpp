@@ -1,11 +1,12 @@
 // End-to-end CS pipeline: model + block count + windowing.
 //
-// For offline dataset generation the pipeline normalises, sorts and
-// differentiates the full sensor matrix once and then aggregates each sliding
-// window from the shared buffers — avoiding both redundant normalisation and
-// the zero-derivative spike that would appear at every window boundary if
-// windows were differentiated in isolation. For online use it also implements
-// the generic SignatureMethod interface (one window in, one signature out).
+// For offline dataset generation the pipeline pushes the sensor matrix's
+// columns through the same StreamSmoother a live stream runs, normalising
+// each sample once and seeding every window after the first with the column
+// before it — no redundant normalisation, no zero-derivative spike at window
+// boundaries, O(n * wl) scratch, and signatures byte-identical to a
+// MethodStream over the same columns. For online use it also implements the
+// generic SignatureMethod interface (one window in, one signature out).
 #pragma once
 
 #include <cstddef>
@@ -47,7 +48,9 @@ class CsPipeline {
     return options_.resolve_blocks(model_.n_sensors());
   }
 
-  /// Computes one signature per sliding window of `s`.
+  /// Computes one signature per sliding window of `s`, each window after
+  /// column 0 seeded with the column before it. Throws std::invalid_argument
+  /// on a sensor count mismatch or an invalid spec.
   std::vector<Signature> transform(const common::Matrix& s,
                                    const data::WindowSpec& spec) const;
 
@@ -112,6 +115,10 @@ class CsSignatureMethod final : public SignatureMethod {
   std::vector<double> compute_streaming(
       const common::MatrixView& window,
       const std::span<const double>* seed_col) const override;
+  /// A StreamSmoother over this pipeline's model, which it keeps alive.
+  /// Throws std::logic_error if untrained.
+  std::unique_ptr<StreamState> make_stream_state(
+      std::size_t window_length) const override;
 
   const CsOptions& options() const noexcept { return options_; }
   /// Null when untrained.

@@ -44,6 +44,26 @@ class Source;
 
 struct TrainContext;  // core/training.hpp: reusable workspace + cancel token.
 
+/// Per-stream emit state of a trained method (see
+/// SignatureMethod::make_stream_state): fed every raw sensor column the
+/// stream pushes, it emits the feature vector of the newest wl of them.
+class StreamState {
+ public:
+  StreamState() = default;
+  virtual ~StreamState() = default;
+  StreamState(const StreamState&) = delete;
+  StreamState& operator=(const StreamState&) = delete;
+  StreamState(StreamState&&) = delete;
+  StreamState& operator=(StreamState&&) = delete;
+
+  /// Takes one raw column of the method's n_sensors() values.
+  virtual void push(std::span<const double> column) = 0;
+
+  /// Feature vector of the newest wl pushed columns; `seeded` passes the
+  /// column pushed before them as the derivative seed.
+  virtual std::vector<double> emit(bool seeded) = 0;
+};
+
 /// Abstract signature extractor.
 class SignatureMethod {
  public:
@@ -152,6 +172,21 @@ class SignatureMethod {
       seed = col0;
     }
     return compute_streaming(common::MatrixView(window), &seed);
+  }
+
+  /// The stream-side seam of compute_streaming: a fresh per-stream state
+  /// for windows of `window_length` columns, whose emit(seeded) returns
+  /// exactly the bytes of compute_streaming(<newest wl columns pushed>,
+  /// seeded ? &<column pushed before them> : nullptr). A method overrides
+  /// it when keeping state across pushes saves work per window (CS
+  /// normalises each sample once instead of once per window). The default,
+  /// null, tells MethodStream to call compute_streaming on the ring's view.
+  /// A decorator that forwards compute_streaming to a wrapped method must
+  /// forward this too, or the stream takes the fallback.
+  virtual std::unique_ptr<StreamState> make_stream_state(
+      std::size_t window_length) const {
+    (void)window_length;
+    return nullptr;
   }
 };
 

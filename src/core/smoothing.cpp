@@ -19,15 +19,110 @@ BlockRange block_range(std::size_t i, std::size_t l, std::size_t n) {
 
 namespace {
 
-// Average of all elements in rows [range.begin, range.end) of m.
-double block_mean(const common::Matrix& m, const BlockRange& range) {
-  double acc = 0.0;
-  for (std::size_t r = range.begin; r < range.end; ++r) {
-    for (double v : m.row(r)) acc += v;
+/// One sensor row's two sums of the one order: its normalised values and
+/// its backward differences, each summed in time order.
+struct RowSums {
+  double re = 0.0;
+  double im = 0.0;
+};
+
+/// The block half of the one order, shared by every path: block i adds the
+/// sums of its sorted rows in ascending order, starting from 0, and divides
+/// by rows * wl. `range(i)` gives block i's rows; `row_sums(rr)` gives
+/// sorted row rr's sums. Consecutive blocks share at most one row (the last
+/// of one is the first of the next), so caching the last row asks
+/// row_sums for every row exactly once.
+template <typename Range, typename Sums>
+Signature fold_blocks(std::size_t l, std::size_t wl, Range&& range,
+                      Sums&& row_sums) {
+  Signature sig(l);
+  const double cols = static_cast<double>(wl);
+  std::size_t next_row = 0;  // Rows below this one have been summed.
+  RowSums last;              // Sums of row next_row - 1.
+  for (std::size_t i = 0; i < l; ++i) {
+    const BlockRange r = range(i);
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t rr = r.begin; rr < r.end; ++rr) {
+      if (rr == next_row) {
+        last = row_sums(rr);
+        ++next_row;
+      }
+      re += last.re;
+      im += last.im;
+    }
+    const double count = static_cast<double>(r.size()) * cols;
+    sig.real()[i] = re / count;
+    sig.imag()[i] = im / count;
   }
-  const double count =
-      static_cast<double>(range.size()) * static_cast<double>(m.cols());
-  return count == 0.0 ? 0.0 : acc / count;
+  return sig;
+}
+
+/// `count` samples of one sensor row, `stride` doubles apart.
+struct Run {
+  const double* p = nullptr;
+  std::size_t count = 0;
+  std::size_t stride = 0;
+};
+
+/// A row's two running sums and the last normalised sample.
+struct Chain {
+  double re = 0.0;
+  double im = 0.0;
+  double prev = 0.0;
+};
+
+/// Continues `s` over `count` samples `stride` doubles apart, normalising
+/// each once.
+inline Chain accumulate(Chain s, const double* p, std::size_t count,
+                        std::size_t stride, const stats::MinMaxBounds& bounds) {
+  for (std::size_t c = 0; c < count; ++c, p += stride) {
+    const double u = bounds.normalize(*p);
+    s.re += u;
+    s.im += u - s.prev;
+    s.prev = u;
+  }
+  return s;
+}
+
+/// The row half of the one order for one sensor row stored as `n_runs`
+/// (1 or 2) runs, the first non-empty: each sample normalised once, the
+/// first peeled out of the loop. Kept out of line because, inlined into
+/// smooth_window's block loop, GCC keeps the two sums on the stack, which
+/// lengthens their dependency chains.
+[[gnu::noinline]] RowSums row_sums(const Run* runs, std::size_t n_runs,
+                                   const stats::MinMaxBounds& bounds,
+                                   const double* seed) {
+  const Run& a = runs[0];
+  const double u0 = bounds.normalize(*a.p);
+  Chain s{u0, seed ? u0 - bounds.normalize(*seed) : 0.0, u0};
+  s = accumulate(s, a.p + a.stride, a.count - 1, a.stride, bounds);
+  if (n_runs > 1) {
+    const Run& b = runs[1];
+    s = accumulate(s, b.p, b.count, b.stride, bounds);
+  }
+  return {s.re, s.im};
+}
+
+/// Advances n rows' sums by the column `u` that follows `prev`.
+void add_column(std::size_t n, const double* __restrict prev,
+                const double* __restrict u, double* __restrict re,
+                double* __restrict im) {
+  for (std::size_t r = 0; r < n; ++r) {
+    re[r] += u[r];
+    im[r] += u[r] - prev[r];
+  }
+}
+
+/// Advances n rows' sums by the columns `u` then `v` that follow `prev`,
+/// in that order.
+void add_two_columns(std::size_t n, const double* __restrict prev,
+                     const double* __restrict u, const double* __restrict v,
+                     double* __restrict re, double* __restrict im) {
+  for (std::size_t r = 0; r < n; ++r) {
+    re[r] = re[r] + u[r] + v[r];
+    im[r] = im[r] + (u[r] - prev[r]) + (v[r] - u[r]);
+  }
 }
 
 }  // namespace
@@ -39,47 +134,23 @@ Signature smooth(const common::Matrix& sorted, const common::Matrix& derivs,
     throw std::invalid_argument("smooth: derivative shape mismatch");
   }
   if (l == 0) throw std::invalid_argument("smooth: zero blocks");
-  Signature sig(l);
-  for (std::size_t i = 0; i < l; ++i) {
-    const BlockRange range = block_range(i, l, sorted.rows());
-    sig.real()[i] = block_mean(sorted, range);
-    sig.imag()[i] = block_mean(derivs, range);
-  }
-  return sig;
+  const std::size_t n = sorted.rows();
+  const auto range = [&](std::size_t i) { return block_range(i, l, n); };
+  return fold_blocks(l, sorted.cols(), range, [&](std::size_t rr) {
+    const std::span<const double> x = sorted.row(rr);
+    const std::span<const double> d = derivs.row(rr);
+    RowSums s{x[0], d[0]};
+    for (std::size_t c = 1; c < x.size(); ++c) {
+      s.re += x[c];
+      s.im += d[c];
+    }
+    return s;
+  });
 }
 
 Signature smooth(const common::Matrix& sorted, std::size_t l) {
   return smooth(sorted, stats::backward_diff_rows(sorted), l);
 }
-
-namespace {
-
-// Normalises row `r` of the view into `norm` (norm.size() == view cols):
-// a contiguous pass for row-major backing, a stride-rows pointer walk per
-// column segment otherwise. Writing the normalised series into a small
-// L1-resident buffer first keeps the divide/clamp loop vectorisable and the
-// subsequent accumulation loops free of per-element branches — element
-// values are bit-identical to materialising normalize_rows().
-inline void normalize_row_into(const common::MatrixView& w, std::size_t r,
-                               const stats::MinMaxBounds& b,
-                               std::span<double> norm) {
-  if (w.contiguous_rows()) {
-    const std::span<const double> row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) norm[c] = b.normalize(row[c]);
-    return;
-  }
-  const std::size_t rows = w.rows();
-  for (std::size_t k = 0; k < w.n_col_segments(); ++k) {
-    const common::MatrixView::ColSegment seg = w.col_segment(k);
-    const double* p = seg.data + r;
-    double* dst = norm.data() + seg.first_col;
-    for (std::size_t c = 0; c < seg.n_cols; ++c, p += rows) {
-      dst[c] = b.normalize(*p);
-    }
-  }
-}
-
-}  // namespace
 
 Signature smooth_window(const common::MatrixView& window,
                         std::span<const std::size_t> permutation,
@@ -99,50 +170,114 @@ Signature smooth_window(const common::MatrixView& window,
   }
   if (l == 0) throw std::invalid_argument("smooth_window: zero blocks");
 
+  // Each sorted row is read in place and normalised once, straight into
+  // its two running sums: along the contiguous row of a row-major view, or
+  // a stride-rows walk through each column segment of a ring view.
   const std::size_t wl = window.cols();
-  // One normalisation pass over the view (sorted row rr is original row
-  // permutation[rr] mapped through its stored bounds), written straight
-  // into sorted row order — this single n x wl scratch replaces the window
-  // copy, the sorted matrix, the sorted seed and the derivative matrix of
-  // the materialising path. Blocks may share boundary rows, so normalising
-  // up front also avoids re-normalising them per block.
-  std::vector<double> norm(n * wl);
-  std::vector<double> seed_norm;
-  if (seed_col) seed_norm.resize(n);
-  for (std::size_t rr = 0; rr < n; ++rr) {
+  const std::size_t n_runs =
+      window.contiguous_rows() ? 1 : window.n_col_segments();
+  const auto range = [&](std::size_t i) { return block_range(i, l, n); };
+  return fold_blocks(l, wl, range, [&](std::size_t rr) {
     const std::size_t orig = permutation[rr];
-    const stats::MinMaxBounds& b = bounds[orig];
-    normalize_row_into(window, orig, b, {norm.data() + rr * wl, wl});
-    if (seed_col) seed_norm[rr] = b.normalize((*seed_col)[orig]);
-  }
-
-  Signature sig(l);
-  for (std::size_t i = 0; i < l; ++i) {
-    const BlockRange range = block_range(i, l, n);
-    double acc_re = 0.0;
-    double acc_im = 0.0;
-    // The derivative terms are backward differences of the normalised
-    // series, seeded with the normalised seed value when one exists
-    // (matching backward_diff_rows_seeded) and 0 for the first column
-    // otherwise (matching backward_diff_rows). Each accumulator sums rows
-    // ascending then columns ascending — the exact order of block_mean()
-    // over materialised sorted/derivative matrices, so the fused kernel is
-    // bit-identical to that path.
-    for (std::size_t rr = range.begin; rr < range.end; ++rr) {
-      const double* row = norm.data() + rr * wl;
-      acc_re += row[0];
-      acc_im += seed_col ? row[0] - seed_norm[rr] : 0.0;
-      for (std::size_t c = 1; c < wl; ++c) {
-        acc_re += row[c];
-        acc_im += row[c] - row[c - 1];
+    Run runs[2];
+    if (window.contiguous_rows()) {
+      runs[0] = {window.row(orig).data(), wl, 1};
+    } else {
+      for (std::size_t k = 0; k < n_runs; ++k) {
+        const common::MatrixView::ColSegment seg = window.col_segment(k);
+        runs[k] = {seg.data + orig, seg.n_cols, n};
       }
     }
-    const double count =
-        static_cast<double>(range.size()) * static_cast<double>(wl);
-    sig.real()[i] = count == 0.0 ? 0.0 : acc_re / count;
-    sig.imag()[i] = count == 0.0 ? 0.0 : acc_im / count;
+    return row_sums(runs, n_runs, bounds[orig],
+                    seed_col ? seed_col->data() + orig : nullptr);
+  });
+}
+
+StreamSmoother::StreamSmoother(std::span<const std::size_t> permutation,
+                               std::span<const stats::MinMaxBounds> bounds,
+                               std::size_t l, std::size_t window_length)
+    : permutation_(permutation), wl_(window_length) {
+  const std::size_t n = permutation.size();
+  if (n == 0 || bounds.size() != n) {
+    throw std::invalid_argument(
+        "StreamSmoother: empty or mismatched permutation/bounds");
   }
-  return sig;
+  if (l == 0) throw std::invalid_argument("StreamSmoother: zero blocks");
+  if (wl_ == 0) {
+    throw std::invalid_argument("StreamSmoother: zero window length");
+  }
+  lo_.reserve(n);
+  hi_.reserve(n);
+  for (const stats::MinMaxBounds& b : bounds) {
+    lo_.push_back(b.lo);
+    hi_.push_back(b.hi);
+  }
+  blocks_.reserve(l);
+  for (std::size_t i = 0; i < l; ++i) blocks_.push_back(block_range(i, l, n));
+  ring_.resize(n * (wl_ + 1));
+  sum_re_.resize(n);
+  sum_im_.resize(n);
+}
+
+void StreamSmoother::push(std::span<const double> column) {
+  const std::size_t n = rows();
+  if (column.size() != n) {
+    throw std::invalid_argument("StreamSmoother::push: wrong column length");
+  }
+  double* slot = ring_.data() + head_ * n;
+  // Contiguous across rows with the bounds as arrays, so this loop
+  // vectorises; each value is exactly MinMaxBounds::normalize's.
+  for (std::size_t r = 0; r < n; ++r) {
+    slot[r] = stats::MinMaxBounds{lo_[r], hi_[r]}.normalize(column[r]);
+  }
+  head_ = head_ == wl_ ? 0 : head_ + 1;
+  if (size_ <= wl_) ++size_;
+}
+
+const double* StreamSmoother::column(std::size_t i) const noexcept {
+  const std::size_t capacity = wl_ + 1;
+  const std::size_t start = size_ == capacity ? head_ : 0;
+  const std::size_t slot = start + i;
+  return ring_.data() + (slot >= capacity ? slot - capacity : slot) * rows();
+}
+
+Signature StreamSmoother::emit(bool seeded) {
+  if (size_ < wl_ + (seeded ? 1 : 0)) {
+    throw std::logic_error("StreamSmoother::emit: window not complete");
+  }
+  const std::size_t n = rows();
+  const std::size_t first = size_ - wl_;
+  double* re = sum_re_.data();
+  double* im = sum_im_.data();
+  // The row half of the one order for all rows at once: one pass per
+  // column, oldest first, each row's sums advancing in time order.
+  const double* prev = column(first);
+  if (seeded) {
+    const double* seed = column(first - 1);
+    for (std::size_t r = 0; r < n; ++r) {
+      re[r] = prev[r];
+      im[r] = prev[r] - seed[r];
+    }
+  } else {
+    for (std::size_t r = 0; r < n; ++r) {
+      re[r] = prev[r];
+      im[r] = 0.0;
+    }
+  }
+  // Two columns per pass halve the trips the sums make through memory.
+  std::size_t c = 1;
+  for (; c + 1 < wl_; c += 2) {
+    const double* v = column(first + c + 1);
+    add_two_columns(n, prev, column(first + c), v, re, im);
+    prev = v;
+  }
+  if (c < wl_) add_column(n, prev, column(first + c), re, im);
+  return fold_blocks(
+      blocks_.size(), wl_, [&](std::size_t i) { return blocks_[i]; },
+      [&](std::size_t rr) {
+        const std::size_t orig = permutation_[rr];
+        return RowSums{re[orig], im[orig]};
+      });
 }
 
 }  // namespace csm::core

@@ -5,15 +5,21 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "baselines/bodik.hpp"
 #include "baselines/pca.hpp"
 #include "baselines/tuncer.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
+#include "core/pipeline.hpp"
+#include "core/stream_engine.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
 #include "stats/drift.hpp"
@@ -591,6 +597,217 @@ TEST(MethodStreamDrift, OptionValidation) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(drift_options().validate());
+}
+
+// --------------------------------------------------------------------------
+// Stream state. CS emits from the per-stream state make_stream_state hands
+// out, which MethodStream rebuilds from the ring wherever the model changes.
+// ForwardingMethod forwards everything but that seam (fitted results
+// included, as a tracing decorator does), so a stream over it takes the
+// compute_streaming fallback. Side by side on every path that swaps the
+// model, both must emit the same bytes and retrain alike.
+// --------------------------------------------------------------------------
+
+class ForwardingMethod final : public SignatureMethod {
+ public:
+  explicit ForwardingMethod(std::shared_ptr<const SignatureMethod> inner)
+      : inner_(std::move(inner)) {}
+
+  using SignatureMethod::compute;
+  using SignatureMethod::compute_streaming;
+  using SignatureMethod::fit;
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t signature_length(std::size_t n) const override {
+    return inner_->signature_length(n);
+  }
+  std::vector<double> compute(const common::MatrixView& w) const override {
+    return inner_->compute(w);
+  }
+  bool trained() const override { return inner_->trained(); }
+  std::size_t n_sensors() const override { return inner_->n_sensors(); }
+  std::unique_ptr<SignatureMethod> fit(
+      const common::MatrixView& train) const override {
+    return std::make_unique<ForwardingMethod>(inner_->fit(train));
+  }
+  std::unique_ptr<SignatureMethod> fit(const common::MatrixView& train,
+                                       TrainContext& ctx) const override {
+    return std::make_unique<ForwardingMethod>(inner_->fit(train, ctx));
+  }
+  std::vector<double> compute_streaming(
+      const common::MatrixView& w,
+      const std::span<const double>* seed) const override {
+    return inner_->compute_streaming(w, seed);
+  }
+
+ private:
+  std::shared_ptr<const SignatureMethod> inner_;
+};
+
+std::shared_ptr<const SignatureMethod> cs_fitted(const common::Matrix& train) {
+  return std::shared_ptr<const SignatureMethod>(
+      CsSignatureMethod(CsOptions{4, false}).fit(train));
+}
+
+// NaN gaps placed clear of column 0 of every refit's training view below
+// (a NaN there makes the CS fit throw, which is not what these tests pin).
+common::Matrix with_nan_gaps(common::Matrix m) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t c = 50; c < 53; ++c) m(2, c) = nan;
+  m(0, 131) = nan;
+  m(4, 175) = nan;
+  return m;
+}
+
+void expect_same_bytes(const std::vector<std::vector<double>>& got,
+                       const std::vector<std::vector<double>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << "signature " << i;
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(double)),
+              0)
+        << "signature " << i;
+  }
+}
+
+// Feeds `data` to `state_stream` through push_all in batches cycling
+// through `sizes` (splitting windows and retrain points), and column by
+// column to `fallback_stream`; returns both outputs.
+std::pair<std::vector<std::vector<double>>, std::vector<std::vector<double>>>
+feed_side_by_side(MethodStream& state_stream, MethodStream& fallback_stream,
+                  const common::Matrix& data,
+                  std::initializer_list<std::size_t> sizes) {
+  std::vector<std::vector<double>> a;
+  std::vector<std::vector<double>> b;
+  std::vector<double> column(data.rows());
+  std::size_t c = 0;
+  for (auto it = sizes.begin(); c < data.cols();) {
+    const std::size_t take = std::min(*it, data.cols() - c);
+    for (auto& sig : state_stream.push_all(data.sub_cols(c, take))) {
+      a.push_back(std::move(sig));
+    }
+    for (std::size_t k = c; k < c + take; ++k) {
+      for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, k);
+      if (auto sig = fallback_stream.push(column)) b.push_back(std::move(*sig));
+    }
+    c += take;
+    if (++it == sizes.end()) it = sizes.begin();
+  }
+  return {std::move(a), std::move(b)};
+}
+
+TEST(MethodStreamState, CsHasOneAndTheDecoratorHidesIt) {
+  const auto cs = cs_fitted(wave_matrix(6, 200, 5));
+  EXPECT_NE(cs->make_stream_state(20), nullptr);
+  EXPECT_EQ(ForwardingMethod(cs).make_stream_state(20), nullptr);
+  EXPECT_EQ(baselines::TuncerMethod().make_stream_state(20), nullptr);
+  EXPECT_THROW(CsSignatureMethod(CsOptions{4, false}).make_stream_state(20),
+               std::logic_error);
+}
+
+TEST(MethodStreamState, SyncRefitsRebindTheState) {
+  // history = wl + 1 (every refit sees exactly the newest window and its
+  // seed; the ring wraps on every push) and a ring larger than the stream.
+  const common::Matrix data = with_nan_gaps(wave_matrix(6, 400, 7));
+  const auto cs = cs_fitted(wave_matrix(6, 200, 8));
+  for (const std::size_t history : {21u, 1024u}) {
+    StreamOptions opts = stream_options();  // wl = 20.
+    opts.window_step = 7;
+    opts.history_length = history;
+    opts.retrain_interval = 33;
+    MethodStream with_state(cs, opts);
+    MethodStream fallback(std::make_shared<const ForwardingMethod>(cs), opts);
+    const auto [a, b] =
+        feed_side_by_side(with_state, fallback, data, {13, 1, 29, 6});
+    expect_same_bytes(a, b);
+    EXPECT_EQ(with_state.retrain_count(), 400u / 33u) << "history " << history;
+    EXPECT_EQ(fallback.retrain_count(), with_state.retrain_count());
+  }
+}
+
+TEST(MethodStreamState, DriftRefitsRebindTheState) {
+  const common::Matrix data = with_nan_gaps(regime_matrix(6, 600, 300, 51));
+  const auto cs = cs_fitted(regime_matrix(6, 300, 600, 52));
+  StreamOptions opts = drift_options();
+  opts.history_length = 1024;  // Every refit trains from column 0.
+  MethodStream with_state(cs, opts);
+  MethodStream fallback(std::make_shared<const ForwardingMethod>(cs), opts);
+  const auto [a, b] =
+      feed_side_by_side(with_state, fallback, data, {11, 40, 3});
+  expect_same_bytes(a, b);
+  EXPECT_GE(with_state.counters().drift_retrains, 1u);
+  EXPECT_EQ(fallback.counters().drift_retrains,
+            with_state.counters().drift_retrains);
+  EXPECT_EQ(fallback.retrain_count(), with_state.retrain_count());
+}
+
+TEST(MethodStreamState, AsyncSwapsRebindTheState) {
+  // Retrains fire every 42 samples, never on an emit sample (20 + 7k), and
+  // both streams' fits are drained before any later emit boundary, so each
+  // swap lands at the same boundary on both sides.
+  const common::Matrix data = with_nan_gaps(wave_matrix(6, 400, 9));
+  const auto cs = cs_fitted(wave_matrix(6, 200, 10));
+  StreamOptions opts = stream_options();
+  opts.window_step = 7;
+  opts.history_length = 64;
+  opts.retrain_interval = 42;
+  opts.retrain_policy = RetrainPolicy::kAsync;
+  RetrainExecutor pool(2);  // Outlives both streams.
+  MethodStream with_state(cs, opts, 0, &pool);
+  MethodStream fallback(std::make_shared<const ForwardingMethod>(cs), opts, 0,
+                        &pool);
+  std::vector<std::vector<double>> a;
+  std::vector<std::vector<double>> b;
+  for (std::size_t c = 0; c < data.cols(); c += 42) {
+    const std::size_t take = std::min<std::size_t>(42, data.cols() - c);
+    auto [got_a, got_b] =
+        feed_side_by_side(with_state, fallback, data.sub_cols(c, take), {42});
+    a.insert(a.end(), got_a.begin(), got_a.end());
+    b.insert(b.end(), got_b.begin(), got_b.end());
+    pool.drain();
+  }
+  expect_same_bytes(a, b);
+  EXPECT_GT(with_state.retrain_count(), 5u);
+  EXPECT_EQ(fallback.retrain_count(), with_state.retrain_count());
+  EXPECT_EQ(fallback.counters().retrain_aborts,
+            with_state.counters().retrain_aborts);
+}
+
+TEST(MethodStreamState, EngineIngestBatchMatchesTheFallback) {
+  std::vector<common::Matrix> data;
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    data.push_back(with_nan_gaps(regime_matrix(6, 600, 300, seed)));
+  }
+  StreamOptions sync = stream_options();
+  sync.window_step = 7;
+  sync.history_length = 21;
+  sync.retrain_interval = 33;
+  StreamOptions drift = drift_options();
+  drift.history_length = 1024;
+  for (const StreamOptions& opts : {sync, drift}) {
+    StreamEngine with_state(opts);
+    StreamEngine fallback(opts);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const auto cs = cs_fitted(regime_matrix(6, 300, 600, 20 + i));
+      with_state.add_node("node", cs);
+      fallback.add_node("node", std::make_shared<const ForwardingMethod>(cs));
+    }
+    for (std::size_t c = 0, k = 0; c < 600; ++k) {
+      const std::size_t take = std::min<std::size_t>(k % 2 ? 17 : 40, 600 - c);
+      std::vector<common::Matrix> batches;
+      for (const common::Matrix& d : data) batches.push_back(d.sub_cols(c, take));
+      with_state.ingest_batch(batches);
+      fallback.ingest_batch(batches);
+      c += take;
+    }
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      expect_same_bytes(with_state.drain(i), fallback.drain(i));
+      EXPECT_GT(with_state.stream(i).retrain_count(), 0u);
+      EXPECT_EQ(fallback.stream(i).retrain_count(),
+                with_state.stream(i).retrain_count());
+    }
+  }
 }
 
 }  // namespace

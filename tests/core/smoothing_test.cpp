@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace csm::core {
 namespace {
@@ -116,6 +117,30 @@ TEST(Smooth, CsAllAveragesOverTimeOnly) {
   const Signature sig = smooth(sorted, 2);
   EXPECT_DOUBLE_EQ(sig.real()[0], 0.5);
   EXPECT_DOUBLE_EQ(sig.real()[1], 0.5);
+}
+
+TEST(StreamSmoother, Validation) {
+  const std::vector<std::size_t> perm{1, 0};
+  const std::vector<stats::MinMaxBounds> bounds{{0.0, 1.0}, {0.0, 2.0}};
+  EXPECT_THROW(StreamSmoother({}, {}, 1, 3), std::invalid_argument);
+  EXPECT_THROW(StreamSmoother(perm, {bounds.data(), 1}, 1, 3),
+               std::invalid_argument);
+  EXPECT_THROW(StreamSmoother(perm, bounds, 0, 3), std::invalid_argument);
+  EXPECT_THROW(StreamSmoother(perm, bounds, 1, 0), std::invalid_argument);
+
+  StreamSmoother smoother(perm, bounds, 1, 3);
+  EXPECT_THROW(smoother.push(std::vector<double>{1.0}), std::invalid_argument);
+  const std::vector<double> column{0.5, 1.0};
+  smoother.push(column);
+  smoother.push(column);
+  EXPECT_THROW(smoother.emit(false), std::logic_error);  // 2 of wl = 3.
+  smoother.push(column);
+  EXPECT_THROW(smoother.emit(true), std::logic_error);  // No seed column.
+  const Signature sig = smoother.emit(false);
+  EXPECT_DOUBLE_EQ(sig.real()[0], 0.5);  // Rows normalise to 0.5 and 0.5.
+  EXPECT_DOUBLE_EQ(sig.imag()[0], 0.0);
+  smoother.push(column);
+  EXPECT_DOUBLE_EQ(smoother.emit(true).imag()[0], 0.0);
 }
 
 }  // namespace

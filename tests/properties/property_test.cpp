@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -21,6 +23,7 @@
 #include "ml/splits.hpp"
 #include "stats/correlation.hpp"
 #include "stats/divergence.hpp"
+#include "stats/finite_diff.hpp"
 #include "stats/interpolate.hpp"
 #include "stats/normalize.hpp"
 
@@ -259,6 +262,200 @@ INSTANTIATE_TEST_SUITE_P(Grid, DisjointSmoothingProperty,
                          ::testing::ValuesIn(disjoint_grid()));
 
 // ---------------------------------------------------------------------------
+// One summation order: the stateless kernel and the stream smoother equal
+// the materialised Eqs. 2-3 reference to the byte — memcmp, so NaN compares
+// too — whatever the block scheme (n % l != 0, l == n, l > n), seeding and
+// layout (row-major windows, ring views straddling the wrap), on windows
+// holding NaN gaps, infinities and a degenerate (hi <= lo) sensor.
+
+using OneOrderParam = std::tuple<std::size_t, std::size_t>;  // (n, l).
+
+class OneOrderProperty : public ::testing::TestWithParam<OneOrderParam> {
+ protected:
+  static constexpr std::size_t kWl = 12;
+
+  // A model over n sensors with a scrambled permutation, bounds from a
+  // clean prefix and, when n > 1, sensor 1 made degenerate.
+  static core::CsModel model_for(std::size_t n, std::uint64_t seed) {
+    common::Rng rng(seed);
+    std::vector<stats::MinMaxBounds> bounds =
+        stats::row_bounds(random_matrix(n, 40, seed + 1));
+    if (n > 1) bounds[1] = {0.5, 0.5};
+    return core::CsModel(rng.permutation(n), std::move(bounds));
+  }
+
+  // Live data with NaN gaps, +-inf samples and a NaN in the degenerate
+  // sensor, spread over several sensors and columns.
+  static common::Matrix live_for(std::size_t n, std::size_t t,
+                                 std::uint64_t seed) {
+    common::Matrix m = random_matrix(n, t, seed + 2);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 15; c < 18; ++c) m(n / 2, c) = nan;  // A gap.
+    m(n - 1, 30) = nan;
+    m(0, 22) = inf;
+    m(n / 3, 41) = -inf;
+    if (n > 1) m(1, 27) = nan;
+    return m;
+  }
+
+  // smooth(sort(window), backward_diff_rows[_seeded](...), l).
+  static core::Signature reference(const core::CsModel& model,
+                                   const common::Matrix& window,
+                                   const std::vector<double>* seed,
+                                   std::size_t l) {
+    const common::Matrix sorted = model.sort(window);
+    if (!seed) return core::smooth(sorted, stats::backward_diff_rows(sorted), l);
+    common::Matrix seed_col(seed->size(), 1);
+    for (std::size_t r = 0; r < seed->size(); ++r) seed_col(r, 0) = (*seed)[r];
+    const common::Matrix sorted_seed = model.sort(seed_col);
+    return core::smooth(
+        sorted, stats::backward_diff_rows_seeded(sorted, sorted_seed.col(0)),
+        l);
+  }
+};
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<OneOrderParam> one_order_grid() {
+  // Per n: an l with n % l != 0 (overlapping boundary rows; none exists for
+  // n = 1), l == n, and l > n.
+  return {{1, 1},  {1, 3},   {6, 4},   {6, 6},   {6, 9},    {52, 20},
+          {52, 52}, {52, 60}, {128, 20}, {128, 128}, {128, 131}};
+}
+
+TEST_P(OneOrderProperty, EveryPathEqualsTheReferenceByteForByte) {
+  const auto [n, l] = GetParam();
+  const std::uint64_t seed = n * 31 + l;
+  const core::CsModel model = model_for(n, seed);
+  const common::Matrix live = live_for(n, 60, seed);
+
+  // Row-major windows, unseeded and seeded with the column before them.
+  for (std::size_t first = 0; first + kWl <= live.cols(); first += 5) {
+    const common::Matrix window = live.sub_cols(first, kWl);
+    EXPECT_TRUE(same_bytes(
+        core::smooth_window(window, model.permutation(),
+                                     model.bounds(), nullptr, l).flatten(),
+        reference(model, window, nullptr, l).flatten()))
+        << "row-major unseeded window at " << first;
+    if (first == 0) continue;
+    const std::vector<double> seed_vals = live.col(first - 1);
+    const std::span<const double> seed_span(seed_vals);
+    EXPECT_TRUE(same_bytes(
+        core::smooth_window(window, model.permutation(),
+                                     model.bounds(), &seed_span, l).flatten(),
+        reference(model, window, &seed_vals, l).flatten()))
+        << "row-major seeded window at " << first;
+  }
+
+  // Ring views of capacity wl + 3, so most windows straddle the wrap, and a
+  // stream smoother fed the same columns.
+  common::RingMatrix ring(n, kWl + 3);
+  core::StreamSmoother smoother(model.permutation(), model.bounds(), l, kWl);
+  std::size_t straddling = 0;
+  for (std::size_t c = 0; c < live.cols(); ++c) {
+    const std::vector<double> column = live.col(c);
+    ring.push(column);
+    smoother.push(column);
+    if (ring.size() < kWl) continue;
+    const common::MatrixView view = ring.latest_view(kWl);
+    if (view.n_col_segments() == 2) ++straddling;
+    const common::Matrix window = view.materialize();
+    const std::vector<double> unseeded =
+        reference(model, window, nullptr, l).flatten();
+    EXPECT_TRUE(same_bytes(
+        core::smooth_window(view, model.permutation(),
+                                     model.bounds(), nullptr, l).flatten(),
+        unseeded))
+        << "ring unseeded window ending at " << c;
+    EXPECT_TRUE(same_bytes(smoother.emit(false).flatten(), unseeded))
+        << "smoother unseeded window ending at " << c;
+    if (ring.size() == kWl) continue;
+    const std::span<const double> seed_span = ring.newest(kWl);
+    const std::vector<double> seed_vals(seed_span.begin(), seed_span.end());
+    const std::vector<double> seeded =
+        reference(model, window, &seed_vals, l).flatten();
+    EXPECT_TRUE(same_bytes(
+        core::smooth_window(view, model.permutation(),
+                                     model.bounds(), &seed_span, l).flatten(),
+        seeded))
+        << "ring seeded window ending at " << c;
+    EXPECT_TRUE(same_bytes(smoother.emit(true).flatten(), seeded))
+        << "smoother seeded window ending at " << c;
+  }
+  EXPECT_GT(straddling, 10u);
+}
+
+// A NaN sample poisons exactly the blocks holding its sensor's sorted row,
+// in both channels; a NaN seed only their imaginary channel; a NaN in a
+// degenerate sensor nothing. No other block turns NaN.
+TEST_P(OneOrderProperty, NanPoisonsExactlyTheBlocksOfItsRow) {
+  const auto [n, l] = GetParam();
+  const std::uint64_t seed = n * 37 + l;
+  const core::CsModel model = model_for(n, seed);
+  const common::Matrix clean = random_matrix(n, kWl, seed + 3);
+  const std::vector<double> clean_seed = random_matrix(n, 1, seed + 4).col(0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  std::vector<std::size_t> sorted_row(n);  // perm^-1.
+  for (std::size_t rr = 0; rr < n; ++rr) {
+    sorted_row[model.permutation()[rr]] = rr;
+  }
+  const auto nan_blocks = [&](const std::span<const double> channel) {
+    std::vector<bool> out;
+    for (double v : channel) out.push_back(std::isnan(v));
+    return out;
+  };
+  const auto blocks_of_row = [&](std::size_t rr) {
+    std::vector<bool> out(l, false);
+    for (std::size_t i = 0; i < l; ++i) {
+      const core::BlockRange r = core::block_range(i, l, n);
+      out[i] = r.begin <= rr && rr < r.end;
+    }
+    return out;
+  };
+  const std::vector<bool> none(l, false);
+  const std::span<const double> clean_span(clean_seed);
+  const core::Signature baseline = core::smooth_window(
+      clean, model.permutation(), model.bounds(), &clean_span, l);
+
+  for (std::size_t s = 0; s < n; ++s) {
+    const bool degenerate = n > 1 && s == 1;
+    const std::vector<bool> expect =
+        degenerate ? none : blocks_of_row(sorted_row[s]);
+    for (const std::size_t c : {std::size_t{0}, kWl / 2, kWl - 1}) {
+      common::Matrix window = clean;
+      window(s, c) = nan;
+      for (const bool seeded : {false, true}) {
+        const core::Signature sig = core::smooth_window(
+            window, model.permutation(), model.bounds(),
+            seeded ? &clean_span : nullptr, l);
+        EXPECT_EQ(nan_blocks(sig.real()), expect)
+            << "sensor " << s << " column " << c << " seeded " << seeded;
+        EXPECT_EQ(nan_blocks(sig.imag()), expect)
+            << "sensor " << s << " column " << c << " seeded " << seeded;
+      }
+    }
+    std::vector<double> nan_seed = clean_seed;
+    nan_seed[s] = nan;
+    const std::span<const double> nan_span(nan_seed);
+    const core::Signature sig = core::smooth_window(
+        clean, model.permutation(), model.bounds(), &nan_span, l);
+    EXPECT_EQ(nan_blocks(sig.real()), none) << "seed NaN at sensor " << s;
+    EXPECT_EQ(nan_blocks(sig.imag()), expect) << "seed NaN at sensor " << s;
+    if (degenerate) {
+      EXPECT_TRUE(same_bytes(sig.flatten(), baseline.flatten()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, OneOrderProperty,
+                         ::testing::ValuesIn(one_order_grid()));
+
+// ---------------------------------------------------------------------------
 // Streaming equivalence: with retraining disabled, a MethodStream driving
 // the CS method must produce the same signatures as the offline pipeline
 // over the same data, for any history length — including ones small enough
@@ -293,6 +490,29 @@ TEST_P(StreamEquivalenceProperty, StreamMatchesOfflinePipeline) {
       EXPECT_NEAR(streamed[i][k], expected[k], 1e-12)
           << "signature " << i << " feature " << k;
     }
+  }
+}
+
+// Stream and offline run one smoother, so beyond the tolerance above they
+// agree to the byte.
+TEST_P(StreamEquivalenceProperty, StreamMatchesOfflinePipelineByteForByte) {
+  const auto [n, history, seed] = GetParam();
+  const common::Matrix s = random_matrix(n, 160, seed);
+  const auto pipeline = std::make_shared<const core::CsPipeline>(
+      core::train(s), core::CsOptions{5, false});
+  core::StreamOptions opts;
+  opts.window_length = 20;
+  opts.window_step = 7;
+  opts.history_length = history;
+  core::MethodStream stream(
+      std::make_shared<const core::CsSignatureMethod>(pipeline), opts);
+  const auto streamed = stream.push_all(s);
+  const auto offline = pipeline->transform(
+      s, data::WindowSpec{opts.window_length, opts.window_step});
+  ASSERT_EQ(streamed.size(), offline.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_TRUE(same_bytes(streamed[i], offline[i].flatten()))
+        << "signature " << i;
   }
 }
 
