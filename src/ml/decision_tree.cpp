@@ -1,9 +1,10 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace csm::ml {
 
@@ -18,10 +19,29 @@ double gini_impurity(std::span<const std::size_t> counts, std::size_t total) {
   return 1.0 - acc;
 }
 
+void require_finite_features(const common::Matrix& x,
+                             std::span<const std::size_t> rows) {
+  const auto check_row = [&](std::size_t r) {
+    const std::span<const double> values = x.row(r);
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      if (!std::isfinite(values[c])) {
+        throw std::invalid_argument(
+            "non-finite feature at row " + std::to_string(r) + ", column " +
+            std::to_string(c));
+      }
+    }
+  };
+  if (rows.empty()) {
+    for (std::size_t r = 0; r < x.rows(); ++r) check_row(r);
+  } else {
+    for (std::size_t r : rows) check_row(r);
+  }
+}
+
 namespace {
 
-// Work item for the iterative tree builder: a node and the index range of
-// its samples inside the shared index buffer.
+// Work item for the iterative tree builder: a node and the range of its
+// entries inside the shared row buffer.
 struct BuildItem {
   std::uint32_t node;
   std::size_t begin;
@@ -36,6 +56,14 @@ struct Split {
   double score = -1.0;  // Impurity decrease (not normalised); -1 = none.
 };
 
+// A node entry keyed by its value of the feature under search. Sorting
+// these pairs reads contiguous keys instead of one strided load of X per
+// comparison.
+struct Keyed {
+  double value;
+  std::size_t row;
+};
+
 }  // namespace
 
 void DecisionTree::fit_classifier(const common::Matrix& x,
@@ -45,22 +73,22 @@ void DecisionTree::fit_classifier(const common::Matrix& x,
   if (n_classes == 0) {
     throw std::invalid_argument("fit_classifier: zero classes");
   }
-  is_classifier_ = true;
-  fit_impl(x, y, {}, n_classes, rng, sample_indices);
+  fit_impl(x, y, {}, n_classes, rng, sample_indices,
+           /*check_features=*/true);
 }
 
 void DecisionTree::fit_regressor(const common::Matrix& x,
                                  std::span<const double> y, common::Rng& rng,
                                  std::span<const std::size_t> sample_indices) {
-  is_classifier_ = false;
-  fit_impl(x, {}, y, 0, rng, sample_indices);
+  fit_impl(x, {}, y, 0, rng, sample_indices, /*check_features=*/true);
 }
 
 void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
                             std::span<const double> yr, std::size_t n_classes,
                             common::Rng& rng,
-                            std::span<const std::size_t> sample_indices) {
-  const bool classify = is_classifier_;
+                            std::span<const std::size_t> sample_indices,
+                            bool check_features) {
+  const bool classify = n_classes > 0;
   if (classify && yc.size() != x.rows()) {
     throw std::invalid_argument("DecisionTree: label count mismatch");
   }
@@ -70,23 +98,42 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
   if (x.rows() == 0) {
     throw std::invalid_argument("DecisionTree: no training samples");
   }
+  for (std::size_t i : sample_indices) {
+    if (i >= x.rows()) {
+      throw std::out_of_range("DecisionTree: sample index out of range");
+    }
+  }
 
-  nodes_.clear();
-  depth_ = 0;
-
-  // Shared, reorderable buffer of sample indices; each node owns a range.
+  // Shared, reorderable buffer of entries; each node owns a range. A
+  // classifier holds each distinct row once and weights it by its draw
+  // count: a Gini score reads only class counts and a threshold only
+  // values, so neither the order nor the multiplicity of equal entries can
+  // change a split. A regressor keeps one entry per draw, in draw order,
+  // because its target sums depend on the order of addition, which for
+  // equal keys std::sort takes from its input order.
   std::vector<std::size_t> idx;
-  if (sample_indices.empty()) {
+  std::vector<std::size_t> draws;  // Classifier: draws of each row of X.
+  if (classify) {
+    draws.assign(x.rows(), sample_indices.empty() ? 1 : 0);
+    for (std::size_t i : sample_indices) ++draws[i];
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      if (draws[r] == 0) continue;
+      if (yc[r] < 0 || static_cast<std::size_t>(yc[r]) >= n_classes) {
+        throw std::out_of_range("DecisionTree: label out of range");
+      }
+      idx.push_back(r);
+    }
+  } else if (sample_indices.empty()) {
     idx.resize(x.rows());
     std::iota(idx.begin(), idx.end(), std::size_t{0});
   } else {
     idx.assign(sample_indices.begin(), sample_indices.end());
-    for (std::size_t i : idx) {
-      if (i >= x.rows()) {
-        throw std::out_of_range("DecisionTree: sample index out of range");
-      }
-    }
   }
+  if (check_features) require_finite_features(x, idx);
+
+  is_classifier_ = classify;
+  nodes_.clear();
+  depth_ = 0;
 
   const std::size_t n_features = x.cols();
   const std::size_t features_per_split =
@@ -98,7 +145,7 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
 
   // Scratch buffers reused across nodes.
   std::vector<std::size_t> counts_total(n_classes), counts_left(n_classes);
-  std::vector<std::size_t> sorted;  // Indices of the node, sorted per feature.
+  std::vector<Keyed> sorted;  // The node's entries, sorted per feature.
 
   nodes_.push_back(Node{});
   std::vector<BuildItem> stack{BuildItem{0, 0, idx.size(), 0}};
@@ -106,9 +153,11 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
   while (!stack.empty()) {
     const BuildItem item = stack.back();
     stack.pop_back();
-    const std::size_t m = item.end - item.begin;
     depth_ = std::max(depth_, item.depth);
-    const std::span<std::size_t> node_idx(idx.data() + item.begin, m);
+    const std::span<const std::size_t> node_idx(idx.data() + item.begin,
+                                                item.end - item.begin);
+    const std::size_t k = node_idx.size();  // Entries.
+    std::size_t m = k;                      // Samples (draws).
 
     // Leaf payload and purity of this node.
     double node_impurity = 0.0;
@@ -116,12 +165,10 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
     double sum = 0.0, sum_sq = 0.0;
     if (classify) {
       std::fill(counts_total.begin(), counts_total.end(), std::size_t{0});
+      m = 0;
       for (std::size_t i : node_idx) {
-        const int label = yc[i];
-        if (label < 0 || static_cast<std::size_t>(label) >= n_classes) {
-          throw std::out_of_range("DecisionTree: label out of range");
-        }
-        ++counts_total[static_cast<std::size_t>(label)];
+        counts_total[static_cast<std::size_t>(yc[i])] += draws[i];
+        m += draws[i];
       }
       node_impurity = gini_impurity(counts_total, m);
       leaf_value = static_cast<double>(
@@ -148,24 +195,25 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
       }
       for (std::size_t fi = 0; fi < features_per_split; ++fi) {
         const std::size_t feature = feature_pool[fi];
-        sorted.assign(node_idx.begin(), node_idx.end());
+        sorted.resize(k);
+        for (std::size_t e = 0; e < k; ++e) {
+          sorted[e] = Keyed{x(node_idx[e], feature), node_idx[e]};
+        }
         std::sort(sorted.begin(), sorted.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    return x(a, feature) < x(b, feature);
+                  [](const Keyed& a, const Keyed& b) {
+                    return a.value < b.value;
                   });
-        if (x(sorted.front(), feature) == x(sorted.back(), feature)) {
+        if (sorted.front().value == sorted.back().value) {
           continue;  // Constant feature in this node.
         }
         if (classify) {
           std::fill(counts_left.begin(), counts_left.end(), std::size_t{0});
           std::size_t n_left = 0;
-          for (std::size_t pos = 1; pos < m; ++pos) {
-            const std::size_t moved = sorted[pos - 1];
-            ++counts_left[static_cast<std::size_t>(yc[moved])];
-            ++n_left;
-            if (x(sorted[pos - 1], feature) == x(sorted[pos], feature)) {
-              continue;
-            }
+          for (std::size_t pos = 1; pos < k; ++pos) {
+            const std::size_t moved = sorted[pos - 1].row;
+            counts_left[static_cast<std::size_t>(yc[moved])] += draws[moved];
+            n_left += draws[moved];
+            if (sorted[pos - 1].value == sorted[pos].value) continue;
             if (n_left < params_.min_samples_leaf ||
                 m - n_left < params_.min_samples_leaf) {
               continue;
@@ -194,19 +242,17 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
             if (score > best.score) {
               best.score = score;
               best.feature = static_cast<std::int32_t>(feature);
-              best.threshold = 0.5 * (x(sorted[pos - 1], feature) +
-                                      x(sorted[pos], feature));
+              best.threshold =
+                  0.5 * (sorted[pos - 1].value + sorted[pos].value);
             }
           }
         } else {
           double sum_left = 0.0;
           std::size_t n_left = 0;
-          for (std::size_t pos = 1; pos < m; ++pos) {
-            sum_left += yr[sorted[pos - 1]];
+          for (std::size_t pos = 1; pos < k; ++pos) {
+            sum_left += yr[sorted[pos - 1].row];
             ++n_left;
-            if (x(sorted[pos - 1], feature) == x(sorted[pos], feature)) {
-              continue;
-            }
+            if (sorted[pos - 1].value == sorted[pos].value) continue;
             if (n_left < params_.min_samples_leaf ||
                 m - n_left < params_.min_samples_leaf) {
               continue;
@@ -226,8 +272,8 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
             if (score > best.score) {
               best.score = score;
               best.feature = static_cast<std::int32_t>(feature);
-              best.threshold = 0.5 * (x(sorted[pos - 1], feature) +
-                                      x(sorted[pos], feature));
+              best.threshold =
+                  0.5 * (sorted[pos - 1].value + sorted[pos].value);
             }
           }
         }
@@ -240,7 +286,7 @@ void DecisionTree::fit_impl(const common::Matrix& x, std::span<const int> yc,
       continue;
     }
 
-    // Partition this node's index range around the threshold.
+    // Partition this node's entry range around the threshold.
     const auto mid_it = std::partition(
         idx.begin() + static_cast<std::ptrdiff_t>(item.begin),
         idx.begin() + static_cast<std::ptrdiff_t>(item.end),

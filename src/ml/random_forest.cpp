@@ -18,6 +18,8 @@ std::vector<std::size_t> bootstrap_indices(std::size_t n, common::Rng& rng) {
   return out;
 }
 
+// Checks X once for all trees, which then fit without their own scan: an
+// exception must not leave the parallel region.
 void check_training_input(const common::Matrix& x, std::size_t y_size) {
   if (x.rows() == 0) {
     throw std::invalid_argument("RandomForest: empty training set");
@@ -25,6 +27,7 @@ void check_training_input(const common::Matrix& x, std::size_t y_size) {
   if (y_size != x.rows()) {
     throw std::invalid_argument("RandomForest: label/target count mismatch");
   }
+  require_finite_features(x);
 }
 
 }  // namespace
@@ -86,12 +89,11 @@ void RandomForestClassifier::fit(const common::Matrix& x,
   trees_.assign(params_.n_estimators, DecisionTree(tree_params));
   common::parallel_for_dynamic(params_.n_estimators, [&](std::size_t t) {
     common::Rng& rng = streams[t];
-    if (params_.bootstrap) {
-      const std::vector<std::size_t> sample = bootstrap_indices(x.rows(), rng);
-      trees_[t].fit_classifier(x, y, n_classes_, rng, sample);
-    } else {
-      trees_[t].fit_classifier(x, y, n_classes_, rng);
-    }
+    const std::vector<std::size_t> sample =
+        params_.bootstrap ? bootstrap_indices(x.rows(), rng)
+                          : std::vector<std::size_t>{};
+    trees_[t].fit_impl(x, y, {}, n_classes_, rng, sample,
+                       /*check_features=*/false);
   });
 }
 
@@ -131,12 +133,10 @@ void RandomForestRegressor::fit(const common::Matrix& x,
   trees_.assign(params_.n_estimators, DecisionTree(tree_params));
   common::parallel_for_dynamic(params_.n_estimators, [&](std::size_t t) {
     common::Rng& rng = streams[t];
-    if (params_.bootstrap) {
-      const std::vector<std::size_t> sample = bootstrap_indices(x.rows(), rng);
-      trees_[t].fit_regressor(x, y, rng, sample);
-    } else {
-      trees_[t].fit_regressor(x, y, rng);
-    }
+    const std::vector<std::size_t> sample =
+        params_.bootstrap ? bootstrap_indices(x.rows(), rng)
+                          : std::vector<std::size_t>{};
+    trees_[t].fit_impl(x, {}, y, 0, rng, sample, /*check_features=*/false);
   });
 }
 

@@ -4,7 +4,9 @@
 // data with per-split random feature sub-sampling (sqrt(n_features) for
 // classification, all features for regression — the scikit-learn defaults
 // the paper relies on). Tree training is independent, so estimators are
-// built in parallel with deterministic per-tree RNG streams.
+// built in parallel with deterministic per-tree RNG streams. A fit rejects a
+// NaN or an infinity in X (std::invalid_argument naming the row and the
+// column) before it builds any tree.
 #pragma once
 
 #include <cstdint>

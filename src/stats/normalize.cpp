@@ -1,6 +1,8 @@
 #include "stats/normalize.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace csm::stats {
@@ -9,9 +11,18 @@ std::vector<MinMaxBounds> row_bounds(const common::MatrixView& s) {
   std::vector<MinMaxBounds> out(s.rows());
   if (s.cols() == 0) return out;
   for (std::size_t r = 0; r < s.rows(); ++r) {
-    double lo = s(r, 0);
+    // Seed from the row's first non-NaN value; the comparisons below skip
+    // every later NaN. A row without one keeps NaN bounds.
+    std::size_t c = 0;
+    while (c < s.cols() && std::isnan(s(r, c))) ++c;
+    if (c == s.cols()) {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      out[r] = MinMaxBounds{nan, nan};
+      continue;
+    }
+    double lo = s(r, c);
     double hi = lo;
-    for (std::size_t c = 1; c < s.cols(); ++c) {
+    for (++c; c < s.cols(); ++c) {
       const double v = s(r, c);
       if (v < lo) lo = v;
       if (v > hi) hi = v;

@@ -33,9 +33,9 @@ struct MinMaxBounds {
   bool operator==(const MinMaxBounds&) const noexcept = default;
 };
 
-/// Computes per-row bounds of `s`. Accepts any window view (a
-/// common::Matrix converts implicitly), so ring-buffer history can be
-/// scanned in place.
+/// Computes per-row bounds of `s`, skipping NaNs; a row with no other
+/// value gets NaN bounds. Accepts any window view (a common::Matrix
+/// converts implicitly), so ring-buffer history can be scanned in place.
 std::vector<MinMaxBounds> row_bounds(const common::MatrixView& s);
 
 /// Returns a copy of `s` with every row mapped through its bounds.

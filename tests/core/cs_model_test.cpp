@@ -121,6 +121,21 @@ TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
                std::invalid_argument);
 }
 
+TEST(CsModel, TrainingSkipsNaNsButRejectsAnAllNaNSensor) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  common::Matrix s{{nan, 2, 3, 4}, {4, 3, 2, 1}, {2, 2, 8, 1}};
+  EXPECT_EQ(train(s).bounds()[0], (stats::MinMaxBounds{2.0, 4.0}));
+  for (std::size_t c = 0; c < s.cols(); ++c) s(1, c) = nan;
+  try {
+    (void)train(s);
+    FAIL() << "an all-NaN sensor trained";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite normalisation bounds"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CsModel, TrainedModelRoundTripsThroughText) {
   common::Matrix s{{1, 2, 3, 4}, {4, 3, 2, 1}, {2, 2, 8, 1}};
   const CsModel model = train(s);

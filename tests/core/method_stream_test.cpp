@@ -649,8 +649,7 @@ std::shared_ptr<const SignatureMethod> cs_fitted(const common::Matrix& train) {
       CsSignatureMethod(CsOptions{4, false}).fit(train));
 }
 
-// NaN gaps placed clear of column 0 of every refit's training view below
-// (a NaN there makes the CS fit throw, which is not what these tests pin).
+// Short NaN gaps in three sensors.
 common::Matrix with_nan_gaps(common::Matrix m) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (std::size_t c = 50; c < 53; ++c) m(2, c) = nan;
@@ -724,6 +723,30 @@ TEST(MethodStreamState, SyncRefitsRebindTheState) {
     EXPECT_EQ(with_state.retrain_count(), 400u / 33u) << "history " << history;
     EXPECT_EQ(fallback.retrain_count(), with_state.retrain_count());
   }
+}
+
+TEST(MethodStreamState, SyncRefitOverALeadingNaNTrains) {
+  // history = wl + 1 and a refit every 33 samples: the refit at sample 33k
+  // fits columns [33k - 21, 33k). Sensor 2 is NaN at the first column of
+  // the first refit's view and sensor 5 at that of the second, so the CS
+  // fit must take each sensor's bounds from its first non-NaN value.
+  common::Matrix data = wave_matrix(6, 200, 12);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  data(2, 33 - 21) = nan;
+  data(5, 66 - 21) = nan;
+  data(5, 66 - 20) = nan;
+  const auto cs = cs_fitted(wave_matrix(6, 200, 13));
+  StreamOptions opts = stream_options();  // wl = 20.
+  opts.window_step = 7;
+  opts.history_length = 21;
+  opts.retrain_interval = 33;
+  MethodStream with_state(cs, opts);
+  MethodStream fallback(std::make_shared<const ForwardingMethod>(cs), opts);
+  const auto [a, b] = feed_side_by_side(with_state, fallback, data, {13, 1});
+  expect_same_bytes(a, b);
+  EXPECT_EQ(a.size(), (200u - 20u) / 7u + 1u);
+  EXPECT_EQ(with_state.retrain_count(), 200u / 33u);
+  EXPECT_EQ(fallback.retrain_count(), with_state.retrain_count());
 }
 
 TEST(MethodStreamState, DriftRefitsRebindTheState) {

@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,7 +94,8 @@ TEST(TextCodec, RoundTripIsLocaleIndependent) {
   // The text form is a transport format: an embedding application that
   // setlocale()s into a comma-decimal locale must still write '.'-radix
   // models and parse models written elsewhere. Skipped when no
-  // comma-decimal locale is installed on the host.
+  // comma-decimal locale is installed on the host or could be compiled into
+  // the build tree.
   struct ScopedNumericLocale {
     std::string saved = std::setlocale(LC_NUMERIC, nullptr);
     ~ScopedNumericLocale() { std::setlocale(LC_NUMERIC, saved.c_str()); }
@@ -100,6 +103,22 @@ TEST(TextCodec, RoundTripIsLocaleIndependent) {
   const char* comma = std::setlocale(LC_NUMERIC, "de_DE.UTF-8");
   if (comma == nullptr) comma = std::setlocale(LC_NUMERIC, "de_DE.utf8");
   if (comma == nullptr) comma = std::setlocale(LC_NUMERIC, "fr_FR.UTF-8");
+#ifdef CSM_TEST_LOCALE_DIR
+  if (comma == nullptr) {
+    // The de_DE.UTF-8 that tests/CMakeLists.txt compiled into the build
+    // tree. glibc reads LOCPATH on every setlocale call.
+    const char* env = std::getenv("LOCPATH");
+    const std::optional<std::string> locpath =
+        env ? std::optional<std::string>(env) : std::nullopt;
+    ::setenv("LOCPATH", CSM_TEST_LOCALE_DIR, 1);
+    comma = std::setlocale(LC_NUMERIC, "de_DE.UTF-8");
+    if (locpath) {
+      ::setenv("LOCPATH", locpath->c_str(), 1);
+    } else {
+      ::unsetenv("LOCPATH");
+    }
+  }
+#endif
   if (comma == nullptr) {
     GTEST_SKIP() << "no comma-decimal locale installed";
   }

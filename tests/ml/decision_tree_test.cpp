@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -167,6 +169,42 @@ TEST(DecisionTree, InputValidation) {
                std::out_of_range);
   EXPECT_THROW(tree.fit_classifier(common::Matrix(), {}, 2, rng),
                std::invalid_argument);
+}
+
+// Runs `fit` and expects std::invalid_argument whose message holds `what`.
+template <typename Fit>
+void expect_rejected(const Fit& fit, const std::string& what) {
+  try {
+    fit();
+    ADD_FAILURE() << "no exception; expected one naming \"" << what << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DecisionTree, RejectsNonFiniteFeaturesNamingRowAndColumn) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    common::Matrix x{{0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}, {3.0, 4.0}};
+    x(2, 1) = bad;
+    const std::vector<int> yc{0, 0, 1, 1};
+    const std::vector<double> yr{0.0, 0.5, 1.0, 1.5};
+    common::Rng rng(18);
+    DecisionTree tree;
+    expect_rejected([&] { tree.fit_classifier(x, yc, 2, rng); },
+                    "row 2, column 1");
+    expect_rejected([&] { tree.fit_regressor(x, yr, rng); },
+                    "row 2, column 1");
+    EXPECT_FALSE(tree.is_fitted());
+    // Only the sampled rows are checked.
+    const std::vector<std::size_t> sample{0, 3, 3, 1};
+    tree.fit_classifier(x, yc, 2, rng, sample);
+    EXPECT_TRUE(tree.is_fitted());
+    tree.fit_regressor(x, yr, rng, sample);
+    EXPECT_TRUE(tree.is_fitted());
+  }
 }
 
 TEST(DecisionTree, ShortFeatureVectorAtPredictThrows) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -139,6 +141,70 @@ TEST(RandomForestRegressor, Validation) {
   EXPECT_THROW(forest.fit(common::Matrix(), {}), std::invalid_argument);
   const std::vector<double> probe{1.0};
   EXPECT_THROW(forest.predict_one(probe), std::logic_error);
+}
+
+// Runs `fit` and expects std::invalid_argument whose message holds `what`.
+template <typename Fit>
+void expect_rejected(const Fit& fit, const std::string& what) {
+  try {
+    fit();
+    ADD_FAILURE() << "no exception; expected one naming \"" << what << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+
+TEST(RandomForestClassifier, RejectsNonFiniteFeaturesBeforeAnyTreeIsBuilt) {
+  common::Matrix clean;
+  std::vector<int> y;
+  make_blobs(clean, y, 20, 2, 30);
+  ForestParams params;
+  params.n_estimators = 5;
+  for (const double bad : kNonFinite) {
+    common::Matrix x = clean;
+    x(17, 2) = bad;
+    RandomForestClassifier fresh(params);
+    expect_rejected([&] { fresh.fit(x, y); }, "row 17, column 2");
+    EXPECT_TRUE(fresh.trees().empty());
+
+    // A rejected refit leaves the forest fitted before it as it was.
+    RandomForestClassifier fitted(params);
+    fitted.fit(clean, y);
+    const std::vector<int> before = fitted.predict(clean);
+    expect_rejected([&] { fitted.fit(x, y); }, "row 17, column 2");
+    EXPECT_EQ(fitted.trees().size(), params.n_estimators);
+    EXPECT_EQ(fitted.n_classes(), 2u);
+    EXPECT_EQ(fitted.predict(clean), before);
+  }
+}
+
+TEST(RandomForestRegressor, RejectsNonFiniteFeaturesBeforeAnyTreeIsBuilt) {
+  common::Matrix clean;
+  std::vector<int> labels;
+  make_blobs(clean, labels, 20, 2, 30);
+  const std::vector<double> y(labels.begin(), labels.end());
+  ForestParams params;
+  params.n_estimators = 5;
+  for (const double bad : kNonFinite) {
+    common::Matrix x = clean;
+    x(17, 2) = bad;
+    RandomForestRegressor fresh(params);
+    expect_rejected([&] { fresh.fit(x, y); }, "row 17, column 2");
+    EXPECT_TRUE(fresh.trees().empty());
+
+    // A rejected refit leaves the forest fitted before it as it was.
+    RandomForestRegressor fitted(params);
+    fitted.fit(clean, y);
+    const std::vector<double> before = fitted.predict(clean);
+    expect_rejected([&] { fitted.fit(x, y); }, "row 17, column 2");
+    EXPECT_EQ(fitted.trees().size(), params.n_estimators);
+    EXPECT_EQ(fitted.predict(clean), before);
+  }
 }
 
 TEST(RandomForestClassifier, MoreTreesMoreStable) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace csm::stats {
 namespace {
 
@@ -39,6 +42,25 @@ TEST(RowBounds, ComputesPerRowExtrema) {
   EXPECT_DOUBLE_EQ(bounds[0].hi, 5.0);
   EXPECT_DOUBLE_EQ(bounds[1].lo, -2.0);
   EXPECT_DOUBLE_EQ(bounds[1].hi, 2.0);
+}
+
+TEST(RowBounds, SkipsALeadingNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  common::Matrix m{{nan, nan, 4, -1, 2}, {nan, 3, nan, 7, nan}};
+  const auto bounds = row_bounds(m);
+  ASSERT_EQ(bounds.size(), 2u);
+  EXPECT_EQ(bounds[0], (MinMaxBounds{-1.0, 4.0}));
+  EXPECT_EQ(bounds[1], (MinMaxBounds{3.0, 7.0}));
+}
+
+TEST(RowBounds, AllNaNRowKeepsNaNBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  common::Matrix m{{1, 2}, {nan, nan}};
+  const auto bounds = row_bounds(m);
+  ASSERT_EQ(bounds.size(), 2u);
+  EXPECT_EQ(bounds[0], (MinMaxBounds{1.0, 2.0}));
+  EXPECT_TRUE(std::isnan(bounds[1].lo));
+  EXPECT_TRUE(std::isnan(bounds[1].hi));
 }
 
 TEST(NormalizeRows, MapsEachRowThroughItsBounds) {
