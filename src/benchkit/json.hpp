@@ -51,7 +51,6 @@ class Json {
   bool is_array() const noexcept { return type_ == Type::kArray; }
   bool is_number() const noexcept { return type_ == Type::kNumber; }
   bool is_string() const noexcept { return type_ == Type::kString; }
-  bool is_bool() const noexcept { return type_ == Type::kBool; }
 
   /// Value accessors; throw std::runtime_error on a type mismatch.
   double number() const;

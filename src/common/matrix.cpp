@@ -20,7 +20,7 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
-  if (data_.size() != rows_ * cols_) {
+  if (data_.size() != element_count(rows_, cols_)) {
     throw std::invalid_argument("Matrix: buffer size does not match shape");
   }
 }
@@ -87,16 +87,6 @@ Matrix Matrix::permute_rows(std::span<const std::size_t> perm) const {
     }
     std::copy(data_.begin() + perm[i] * cols_,
               data_.begin() + (perm[i] + 1) * cols_, out.data() + i * cols_);
-  }
-  return out;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = data_[r * cols_ + c];
-    }
   }
   return out;
 }

@@ -9,8 +9,10 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace csm::common {
@@ -20,13 +22,15 @@ class Matrix {
  public:
   Matrix() = default;
 
-  /// Creates a rows x cols matrix, zero-initialised.
+  /// Creates a rows x cols matrix, zero-initialised. Like every (rows,
+  /// cols) constructor, throws std::length_error when rows * cols
+  /// overflows std::size_t.
   Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+      : rows_(rows), cols_(cols), data_(element_count(rows, cols), 0.0) {}
 
   /// Creates a rows x cols matrix filled with `value`.
   Matrix(std::size_t rows, std::size_t cols, double value)
-      : rows_(rows), cols_(cols), data_(rows * cols, value) {}
+      : rows_(rows), cols_(cols), data_(element_count(rows, cols), value) {}
 
   /// Creates a matrix from nested initialiser lists; all rows must have the
   /// same length. Intended for tests and small fixtures.
@@ -81,9 +85,6 @@ class Matrix {
   /// [0, rows()).
   Matrix permute_rows(std::span<const std::size_t> perm) const;
 
-  /// Returns the transpose.
-  Matrix transposed() const;
-
   /// Appends the rows of `other` below this matrix (column counts must match).
   void append_rows(const Matrix& other);
 
@@ -98,6 +99,15 @@ class Matrix {
   bool operator==(const Matrix& other) const noexcept = default;
 
  private:
+  static std::size_t element_count(std::size_t rows, std::size_t cols) {
+    if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+      throw std::length_error("Matrix: " + std::to_string(rows) + " x " +
+                              std::to_string(cols) +
+                              " elements overflow std::size_t");
+    }
+    return rows * cols;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

@@ -35,6 +35,11 @@ MethodStream::MethodStream(std::shared_ptr<const SignatureMethod> method,
                            RetrainExecutor* executor)
     : method_(std::move(method)), options_(options), executor_(executor) {
   options_.validate();
+  if (options_.retrain_policy == RetrainPolicy::kAsync &&
+      executor_ == nullptr) {
+    throw std::invalid_argument(
+        "MethodStream: kAsync needs a RetrainExecutor to run its shadow fits");
+  }
   if (!method_) {
     throw std::invalid_argument("MethodStream: null method");
   }
@@ -156,23 +161,11 @@ void MethodStream::maybe_retrain() {
   if (counters_.samples % options_.retrain_interval != 0) return;
   if (history_.size() < options_.window_length + 1) return;
   switch (options_.retrain_policy) {
-    case RetrainPolicy::kSync: {
-      // Inline on the ingest thread, as it always was; the whole retained
-      // history flows to fit() as a view — no to_matrix(). The context only
-      // recycles scratch buffers, so results stay byte-identical.
-      if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
-      const common::Timer timer;
-      set_method(std::shared_ptr<const SignatureMethod>(
-          method_->fit(history_.history_view(), *spare_context_)));
-      ++counters_.retrains;
-      counters_.retrain_latency_us.add(timer.seconds() * 1e6);
+    case RetrainPolicy::kSync:
+      refit_inline();
       break;
-    }
     case RetrainPolicy::kAsync:
-      launch_shadow_fit(/*supersede=*/true);
-      break;
-    case RetrainPolicy::kSkipIfBusy:
-      launch_shadow_fit(/*supersede=*/false);
+      launch_shadow_fit();
       break;
     case RetrainPolicy::kOnDrift:
       // Unreachable: validate() forces retrain_interval == 0 under
@@ -201,15 +194,10 @@ void MethodStream::maybe_drift_retrain() {
   if (++drift_streak_ < options_.drift_patience) return;
   drift_streak_ = 0;
   if (history_.size() < options_.window_length + 1) return;
-  // Inline sync fit over the whole buffered history — deterministic, like
-  // kSync, which is what lets the tests pin "exactly one retrain".
-  if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
-  const common::Timer timer;
-  set_method(std::shared_ptr<const SignatureMethod>(
-      method_->fit(history_.history_view(), *spare_context_)));
-  ++counters_.retrains;
+  // Inline, like kSync — deterministic, which is what lets the tests pin
+  // "exactly one retrain".
+  refit_inline();
   ++counters_.drift_retrains;
-  counters_.retrain_latency_us.add(timer.seconds() * 1e6);
   // The stream now tracks the new regime: rebuild the reference from the
   // window that triggered the retrain so a completed shift scores clean.
   // Only the reference changes; the chunk summaries describe the data, not
@@ -217,7 +205,19 @@ void MethodStream::maybe_drift_retrain() {
   drift_ref_ = drift_->reference();
 }
 
-void MethodStream::launch_shadow_fit(bool supersede) {
+void MethodStream::refit_inline() {
+  // The whole retained history flows to fit() as a view — no to_matrix().
+  // The context only recycles scratch buffers, so results stay
+  // byte-identical.
+  if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
+  const common::Timer timer;
+  set_method(std::shared_ptr<const SignatureMethod>(
+      method_->fit(history_.history_view(), *spare_context_)));
+  ++counters_.retrains;
+  counters_.retrain_latency_us.add(timer.seconds() * 1e6);
+}
+
+void MethodStream::launch_shadow_fit() {
   if (shadow_) {
     bool done = false;
     {
@@ -225,13 +225,9 @@ void MethodStream::launch_shadow_fit(bool supersede) {
       done = shadow_->done;
     }
     if (!done) {
-      if (!supersede) {
-        // kSkipIfBusy: leave the in-flight fit alone, skip this retrain.
-        ++counters_.retrain_aborts;
-        return;
-      }
-      // kAsync: supersede. The cancelled job keeps its context (it may be
-      // mid-kernel in the workspace); a fresh one is minted below.
+      // Supersede the in-flight fit. The cancelled job keeps its context
+      // (it may be mid-kernel in the workspace); a fresh one is minted
+      // below.
       shadow_->ctx->cancel.cancel();
       ++counters_.retrain_aborts;
       shadow_.reset();
@@ -258,7 +254,7 @@ void MethodStream::launch_shadow_fit(bool supersede) {
   state->base = method_;
   shadow_ = state;
 
-  executor().submit([state] {
+  executor_->submit([state] {
     const common::Timer timer;
     try {
       auto fitted =
@@ -299,15 +295,6 @@ void MethodStream::apply_pending_swap() {
   ++counters_.retrains;
   counters_.retrain_latency_us.add(state->fit_seconds * 1e6);
   reclaim_context(std::move(state->ctx));
-}
-
-RetrainExecutor& MethodStream::executor() {
-  if (executor_ != nullptr) return *executor_;
-  if (!own_executor_) {
-    own_executor_ =
-        std::make_unique<RetrainExecutor>(options_.retrain_threads);
-  }
-  return *own_executor_;
 }
 
 void MethodStream::reclaim_context(std::shared_ptr<TrainContext> ctx) {

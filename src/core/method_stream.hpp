@@ -16,17 +16,17 @@
 // changes (construction, a kSync or kOnDrift refit, an async swap), the new
 // method's state is rebuilt by replaying the ring's newest wl + 1 columns.
 //
-// Retraining follows the StreamOptions::retrain_policy seam. kSync fits
-// inline over RingMatrix::history_view() (no materialisation), exactly the
-// historical behaviour. The async policies snapshot the history, fit a
-// *shadow* method on a RetrainExecutor worker, and swap the finished method
-// in — one shared_ptr store — at the next emit boundary; emits keep serving
-// the old model mid-fit and the ingest thread never waits on a fit. A fit
-// superseded by a newer retrain is cancelled through its TrainContext token
-// and counted in counters().retrain_aborts. This single loop serves the
-// whole method fleet, CS included: a standalone component streams through
-// one directly, and StreamEngine fans it out across nodes (sharing one
-// executor between them).
+// Retraining follows the StreamOptions::retrain_policy seam. kSync and
+// kOnDrift fit inline over RingMatrix::history_view() (no materialisation),
+// exactly the historical behaviour. kAsync snapshots the history, fits a
+// *shadow* method on the caller's RetrainExecutor, and swaps the finished
+// method in — one shared_ptr store — at the next emit boundary; emits keep
+// serving the old model mid-fit and the ingest thread never waits on a fit.
+// A fit superseded by a newer retrain is cancelled through its TrainContext
+// token and counted in counters().retrain_aborts. This single loop serves
+// the whole method fleet, CS included: a standalone component streams
+// through one directly, and StreamEngine fans it out across nodes (sharing
+// one executor between them).
 #pragma once
 
 #include <cstddef>
@@ -37,9 +37,6 @@
 
 #include "common/matrix.hpp"
 #include "common/ring_matrix.hpp"
-// Complete type needed: MethodStream's defaulted moves destroy the
-// unique_ptr fallback pool in every TU that moves a stream.
-#include "core/retrain_executor.hpp"
 #include "core/signature_method.hpp"
 #include "core/stream_counters.hpp"
 #include "core/streaming.hpp"
@@ -48,17 +45,18 @@
 
 namespace csm::core {
 
+class RetrainExecutor;
+
 /// Push-based feature-vector stream over one monitored component.
 class MethodStream {
  public:
   /// `n_sensors` may be 0 when the method is bound to a sensor count (CS,
   /// PCA); sensor-count-agnostic methods (Tuncer, Bodik, Lan) require it.
-  /// `executor`, when given, runs this stream's async-policy shadow fits
-  /// (StreamEngine passes its shared pool); without one, a stream whose
-  /// policy is async lazily spins up a private pool of
-  /// options.retrain_threads workers. The executor must outlive the stream.
-  /// Throws std::invalid_argument on a null or untrained method, a
-  /// zero/contradictory sensor count, or bad options.
+  /// `executor` runs this stream's kAsync shadow fits (StreamEngine passes
+  /// its shared pool); kAsync requires one, the other policies ignore it.
+  /// The executor must outlive the stream. Throws std::invalid_argument on
+  /// a null or untrained method, a zero/contradictory sensor count, bad
+  /// options, or kAsync without an executor.
   MethodStream(std::shared_ptr<const SignatureMethod> method,
                StreamOptions options, std::size_t n_sensors = 0,
                RetrainExecutor* executor = nullptr);
@@ -105,7 +103,11 @@ class MethodStream {
   /// on first sight, scores later windows, and refits inline once the
   /// patience streak fills.
   void maybe_drift_retrain();
-  void launch_shadow_fit(bool supersede);
+  /// kSync and kOnDrift: fits the live method over the whole buffered
+  /// history on the ingest thread, installs the result and records the
+  /// retrain and its latency.
+  void refit_inline();
+  void launch_shadow_fit();
   /// Applies a finished shadow fit (called at emit boundaries): swaps the
   /// method shared_ptr, bumps the counters, rethrows a fit failure on the
   /// ingest thread (where a kSync fit would have thrown).
@@ -113,7 +115,6 @@ class MethodStream {
   std::optional<std::vector<double>> emit_if_due();
   /// Installs `method` and rebuilds its stream state from the ring.
   void set_method(std::shared_ptr<const SignatureMethod> method);
-  RetrainExecutor& executor();
   /// Hands the context back for reuse once its fit thread is provably done
   /// with the workspace.
   void reclaim_context(std::shared_ptr<TrainContext> ctx);
@@ -137,8 +138,7 @@ class MethodStream {
   /// a superseded fit still owns it).
   std::shared_ptr<TrainContext> spare_context_;
   std::shared_ptr<ShadowFit> shadow_;   ///< In-flight / unswapped async fit.
-  RetrainExecutor* executor_ = nullptr;  ///< Borrowed (engine) pool, if any.
-  std::unique_ptr<RetrainExecutor> own_executor_;  ///< Standalone fallback.
+  RetrainExecutor* executor_ = nullptr;  ///< Borrowed pool; kAsync only.
 
   /// StreamEngine records each ingest call's latency straight into
   /// counters_, so one record per node holds every counter.

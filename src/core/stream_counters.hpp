@@ -48,11 +48,12 @@ inline constexpr bool kIsHistogramField =
 struct StreamCounters {
   std::uint64_t samples = 0;     ///< Columns pushed.
   std::uint64_t signatures = 0;  ///< Feature vectors emitted.
-  /// Retrained models swapped in (under kSync every fired retrain; under
-  /// the async policies, fits that completed and reached an emit boundary).
+  /// Retrained models swapped in (under kSync and kOnDrift every fired
+  /// retrain; under kAsync, fits that completed and reached an emit
+  /// boundary).
   std::uint64_t retrains = 0;
   /// Retrains that fired but never produced a swap: superseded (cancelled)
-  /// fits, skip-if-busy suppressions and discarded stale results.
+  /// fits and discarded stale results.
   std::uint64_t retrain_aborts = 0;
   /// Signatures shed by StreamEngine's max_pending backpressure.
   std::uint64_t dropped = 0;

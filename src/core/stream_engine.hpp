@@ -45,6 +45,7 @@
 
 #include "common/matrix.hpp"
 #include "core/method_stream.hpp"
+#include "core/retrain_executor.hpp"
 #include "core/signature_method.hpp"
 #include "core/stream_counters.hpp"
 #include "core/streaming.hpp"
@@ -89,16 +90,14 @@ class StreamEngine {
   using IngestTap =
       std::function<void(std::size_t node, const common::Matrix& columns)>;
   /// All nodes share the same windowing/retrain configuration; methods are
-  /// per node. Under an async retrain policy the engine owns the bounded
-  /// retrain worker pool (options.retrain_threads workers) its nodes'
-  /// shadow fits run on. Throws (via StreamOptions/MethodStream
-  /// validation) on bad options or bad methods.
+  /// per node. Under kAsync the engine owns the bounded retrain worker
+  /// pool (options.retrain_threads workers) its nodes' shadow fits run on.
+  /// Throws (via StreamOptions/MethodStream validation) on bad options or
+  /// bad methods.
   explicit StreamEngine(StreamOptions options) : options_(options) {
     options_.validate();
-    // kOnDrift fits inline like kSync, so only the async policies get a
-    // worker pool.
-    if (options_.retrain_policy == RetrainPolicy::kAsync ||
-        options_.retrain_policy == RetrainPolicy::kSkipIfBusy) {
+    // kOnDrift fits inline like kSync, so only kAsync gets a worker pool.
+    if (options_.retrain_policy == RetrainPolicy::kAsync) {
       retrain_pool_ =
           std::make_unique<RetrainExecutor>(options_.retrain_threads);
     }
@@ -212,9 +211,10 @@ class StreamEngine {
                      const common::Matrix& columns);
 
   StreamOptions options_;
-  /// Bounded worker pool the nodes' async shadow fits run on (null under
-  /// kSync). Declared before nodes_ so it is destroyed after them: a
-  /// stream's destructor cancels its in-flight fit, then the pool joins.
+  /// Bounded worker pool the nodes' kAsync shadow fits run on (null under
+  /// the inline policies). Declared before nodes_ so it is destroyed after
+  /// them: a stream's destructor cancels its in-flight fit, then the pool
+  /// joins.
   std::unique_ptr<RetrainExecutor> retrain_pool_;
   /// unique_ptr keeps node addresses (and their mutexes) stable while
   /// add_node grows the table under the exclusive lock.

@@ -25,7 +25,7 @@ void StreamOptions::validate() const {
   if (retrain_threads == 0) {
     throw std::invalid_argument(
         "StreamOptions: retrain_threads must be at least 1 (the pool is only "
-        "created for async retrain policies, but its size must be sane)");
+        "created under kAsync, but its size must be sane)");
   }
   if (retrain_policy == RetrainPolicy::kOnDrift) {
     if (!(drift_threshold > 0.0)) {

@@ -25,10 +25,6 @@ enum class RetrainPolicy {
   /// old model mid-fit. A retrain firing while one is still in flight
   /// supersedes it: the stale fit is cancelled and counted as an abort.
   kAsync,
-  /// Like kAsync, but a retrain firing while one is in flight is skipped
-  /// (counted as an abort) instead of cancelling and relaunching — steadier
-  /// under retrain intervals shorter than the fit time.
-  kSkipIfBusy,
   /// Adaptive: no periodic interval at all. Every emitted window is scored
   /// with the stats::drift statistic against a reference built from the
   /// first emitted window (and rebuilt after every retrain); once the score
@@ -64,10 +60,10 @@ struct StreamOptions {
   std::size_t max_pending = 0;
   /// What a firing retrain does to the ingest thread (see RetrainPolicy).
   RetrainPolicy retrain_policy = RetrainPolicy::kSync;
-  /// Worker count of the retrain pool the async policies fit on. Sizes the
+  /// Worker count of the retrain pool kAsync fits on: sizes the
   /// StreamEngine-owned pool shared by all its nodes (csmd
-  /// --retrain-threads); a standalone MethodStream without an engine spins
-  /// up its own pool of this size on first use. Ignored under kSync.
+  /// --retrain-threads). A standalone MethodStream fits on the executor its
+  /// caller passes instead. Ignored under kSync and kOnDrift.
   std::size_t retrain_threads = 1;
   /// kOnDrift only: drift score at or above which an emitted window counts
   /// as drifted (see stats::drift_score for the scale; a stationary stream

@@ -64,8 +64,15 @@ AlignedSensors align(const std::vector<TimeSeries>& series,
   if (end < start) {
     throw std::invalid_argument("align: series time ranges do not overlap");
   }
-  const auto cols =
-      static_cast<std::size_t>((end - start) / interval_ms) + 1;
+  // Unsigned: the span of two int64 timestamps can exceed INT64_MAX, and so
+  // can a grid offset below.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(start);
+  const auto step = static_cast<std::uint64_t>(interval_ms);
+  if (span / step >= std::numeric_limits<std::size_t>::max()) {
+    throw std::length_error("align: too many grid columns");
+  }
+  const auto cols = static_cast<std::size_t>(span / step) + 1;
 
   AlignedSensors out;
   out.matrix = common::Matrix(series.size(), cols);
@@ -78,19 +85,25 @@ AlignedSensors align(const std::vector<TimeSeries>& series,
     const std::vector<double> ys = series[r].values();
     auto row = out.matrix.row(r);
     for (std::size_t c = 0; c < cols; ++c) {
-      const double t = static_cast<double>(
-          start + static_cast<std::int64_t>(c) * interval_ms);
-      row[c] = stats::interp_linear(xs, ys, t);
+      // Grid point c lies in [start, end], so the wrapped sum converts back
+      // to its exact int64 timestamp.
+      const auto t = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(start) + c * step);
+      row[c] = stats::interp_linear(xs, ys, static_cast<double>(t));
     }
   }
   return out;
 }
 
 AlignedSensors align_auto(const std::vector<TimeSeries>& series) {
-  std::vector<std::int64_t> gaps;
+  // Unsigned: neighbouring int64 timestamps can lie more than INT64_MAX
+  // apart. An unsorted pair wraps to a huge gap, but align() rejects an
+  // unsorted series whatever the interval.
+  std::vector<std::uint64_t> gaps;
   for (const TimeSeries& s : series) {
     for (std::size_t i = 1; i < s.samples.size(); ++i) {
-      gaps.push_back(s.samples[i].timestamp - s.samples[i - 1].timestamp);
+      gaps.push_back(static_cast<std::uint64_t>(s.samples[i].timestamp) -
+                     static_cast<std::uint64_t>(s.samples[i - 1].timestamp));
     }
   }
   if (gaps.empty()) {
@@ -98,8 +111,9 @@ AlignedSensors align_auto(const std::vector<TimeSeries>& series) {
   }
   auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
   std::nth_element(gaps.begin(), mid, gaps.end());
-  const std::int64_t interval = std::max<std::int64_t>(1, *mid);
-  return align(series, interval);
+  const std::uint64_t longest = std::numeric_limits<std::int64_t>::max();
+  const std::uint64_t interval = std::clamp<std::uint64_t>(*mid, 1, longest);
+  return align(series, static_cast<std::int64_t>(interval));
 }
 
 }  // namespace csm::data

@@ -35,7 +35,8 @@ struct AlignedSensors {
 /// intersection [max(first), min(last)] of all series' time ranges. Values at
 /// grid points are linearly interpolated. Throws std::invalid_argument if
 /// `series` is empty, any series is empty/unsorted, or the intersection is
-/// empty.
+/// empty, and std::length_error (or std::bad_alloc) if the grid is too large
+/// to hold.
 AlignedSensors align(const std::vector<TimeSeries>& series,
                      std::int64_t interval_ms);
 

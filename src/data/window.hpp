@@ -1,16 +1,13 @@
-// Sliding-window extraction over sensor matrices.
+// Sliding-window parameters over sensor matrices.
 //
 // A signature method consumes sub-matrices S^w of the sensor matrix S with
 // `wl` columns (the aggregation window) taken every `ws` columns (the step) —
 // Section III-A. WindowSpec enumerates the windows that fit in a matrix of t
-// columns; SlidingWindows iterates them as column ranges without copying.
+// columns; callers cut each one out as a column range.
 #pragma once
 
 #include <cstddef>
 #include <stdexcept>
-#include <vector>
-
-#include "common/matrix.hpp"
 
 namespace csm::data {
 
@@ -34,17 +31,5 @@ struct WindowSpec {
     if (step == 0) throw std::invalid_argument("WindowSpec: zero step");
   }
 };
-
-/// One window: a copied sub-matrix plus its position in the source.
-struct Window {
-  common::Matrix data;
-  std::size_t first_col = 0;
-};
-
-/// Materialises all windows of `s` (copies; suitable for offline dataset
-/// generation). For the streaming path use WindowSpec::count/start and
-/// Matrix::sub_cols directly.
-std::vector<Window> extract_windows(const common::Matrix& s,
-                                    const WindowSpec& spec);
 
 }  // namespace csm::data

@@ -1,7 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <cstdio>
-#include <iostream>
 #include <stdexcept>
 
 #include "baselines/registry.hpp"
@@ -199,18 +197,6 @@ common::Matrix stack_blocks(const hpcoda::Segment& segment) {
     out.append_rows(block.sensors);
   }
   return out;
-}
-
-void print_table_row(const std::vector<std::string>& cells,
-                     const std::vector<int>& widths) {
-  std::string line;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int width = i < widths.size() ? widths[i] : 12;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%-*s", width, cells[i].c_str());
-    line += buf;
-  }
-  std::cout << line << '\n';
 }
 
 }  // namespace csm::harness

@@ -99,8 +99,4 @@ double cs_js_divergence(const hpcoda::Segment& segment, std::size_t blocks,
 /// every block to share the same column count.
 common::Matrix stack_blocks(const hpcoda::Segment& segment);
 
-/// Fixed-width table printing helper shared by the bench binaries.
-void print_table_row(const std::vector<std::string>& cells,
-                     const std::vector<int>& widths);
-
 }  // namespace csm::harness

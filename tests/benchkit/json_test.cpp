@@ -106,6 +106,54 @@ TEST(JsonAccessors, ThrowOnMismatchesAndMissingKeys) {
   EXPECT_THROW(arr.at("a"), std::runtime_error);
 }
 
+TEST(JsonAccessors, TypePredicatesFollowTheValue) {
+  const Json doc =
+      Json::parse("{\"n\": null, \"b\": false, \"x\": 1.5, \"s\": \"v\","
+                  " \"a\": [1, 2], \"o\": {\"k\": 0}}");
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.type(), Json::Type::kObject);
+  EXPECT_EQ(doc.at("n").type(), Json::Type::kNull);
+  EXPECT_EQ(doc.at("b").type(), Json::Type::kBool);
+  EXPECT_EQ(doc.at("x").type(), Json::Type::kNumber);
+  EXPECT_EQ(doc.at("s").type(), Json::Type::kString);
+  EXPECT_EQ(doc.at("a").type(), Json::Type::kArray);
+  EXPECT_EQ(doc.at("o").type(), Json::Type::kObject);
+  EXPECT_TRUE(doc.at("x").is_number());
+  EXPECT_FALSE(doc.at("s").is_number());
+  EXPECT_TRUE(doc.at("s").is_string());
+  EXPECT_TRUE(doc.at("a").is_array());
+  EXPECT_FALSE(doc.at("a").is_object());
+  EXPECT_TRUE(doc.at("o").is_object());
+  EXPECT_TRUE(doc.at("n").is_null());
+  // size() counts elements and members, and is 0 for every scalar.
+  EXPECT_EQ(doc.size(), 6u);
+  EXPECT_EQ(doc.at("a").size(), 2u);
+  EXPECT_EQ(doc.at("o").size(), 1u);
+  EXPECT_EQ(doc.at("x").size(), 0u);
+  EXPECT_EQ(doc.at("s").size(), 0u);
+  EXPECT_THROW(doc.at("b").number(), std::runtime_error);
+  EXPECT_THROW(doc.at("x").boolean(), std::runtime_error);
+}
+
+TEST(JsonBuild, NullBecomesAContainerOnFirstPushOrSet) {
+  Json arr;
+  arr.push(1).push("two");
+  ASSERT_TRUE(arr.is_array());
+  ASSERT_EQ(arr.elements().size(), 2u);
+  EXPECT_DOUBLE_EQ(arr.elements()[0].number(), 1.0);
+  EXPECT_EQ(arr.elements()[1].str(), "two");
+
+  Json obj;
+  obj.set("b", 2).set("a", 1);
+  ASSERT_TRUE(obj.is_object());
+  ASSERT_EQ(obj.members().size(), 2u);
+  EXPECT_EQ(obj.members()[0].first, "b");  // Insertion order, not sorted.
+  EXPECT_EQ(obj.members()[1].first, "a");
+  EXPECT_DOUBLE_EQ(obj.members()[1].second.number(), 1.0);
+  ASSERT_NE(obj.find("a"), nullptr);
+  EXPECT_EQ(Json(3).find("a"), nullptr);  // Not an object.
+}
+
 TEST(JsonNumbers, NonFiniteValuesSerialiseAsNull) {
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(0), "null");
   EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(0), "null");

@@ -10,6 +10,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -19,6 +21,7 @@
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "core/retrain_executor.hpp"
 #include "core/stream_engine.hpp"
 #include "core/streaming.hpp"
 #include "core/training.hpp"
@@ -267,8 +270,9 @@ TEST(MethodStreamRetrain, AsyncSwapLandsAtEmitBoundary) {
   // sample-40 launch and that same push's emit, legally swapping already at
   // sample 40 — blocking pins the "old model serves mid-fit" window.
   probe->block = true;
+  RetrainExecutor pool(1);  // Outlives the stream.
   MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
-                      retrain_options(RetrainPolicy::kAsync));
+                      retrain_options(RetrainPolicy::kAsync), 0, &pool);
   std::vector<std::vector<double>> sigs;
   push_columns(stream, 40, &sigs);
   probe->await(&FitProbe::started, 1);
@@ -293,37 +297,12 @@ TEST(MethodStreamRetrain, AsyncSwapLandsAtEmitBoundary) {
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
 }
 
-TEST(MethodStreamRetrain, SkipIfBusyLeavesInFlightFitAlone) {
-  const auto probe = std::make_shared<FitProbe>();
-  probe->block = true;
-  MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
-                      retrain_options(RetrainPolicy::kSkipIfBusy));
-  push_columns(stream, 40);
-  probe->await(&FitProbe::started, 1);
-  // The sample-80 retrain finds the fit still running: skipped, counted.
-  push_columns(stream, 40);
-  EXPECT_EQ(stream.counters().retrain_aborts, 1u);
-  EXPECT_EQ(probe->started, 1);
-  EXPECT_EQ(stream.retrain_count(), 0u);
-
-  probe->release();
-  probe->await(&FitProbe::finished, 1);
-  std::vector<std::vector<double>> sigs;
-  for (int i = 0; i < 30 && stream.retrain_count() == 0; ++i) {
-    push_columns(stream, 1, &sigs);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(stream.retrain_count(), 1u);
-  EXPECT_EQ(stream.counters().retrain_aborts, 1u);
-  ASSERT_FALSE(sigs.empty());
-  EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
-}
-
 TEST(MethodStreamRetrain, AsyncSupersedeCancelsInFlightFit) {
   const auto probe = std::make_shared<FitProbe>();
   probe->block = true;
+  RetrainExecutor pool(1);  // Outlives the stream.
   MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
-                      retrain_options(RetrainPolicy::kAsync));
+                      retrain_options(RetrainPolicy::kAsync), 0, &pool);
   push_columns(stream, 40);
   probe->await(&FitProbe::started, 1);
   // The sample-80 retrain supersedes: the first fit's token fires (it
@@ -350,8 +329,9 @@ TEST(MethodStreamRetrain, AsyncSupersedeCancelsInFlightFit) {
 TEST(MethodStreamRetrain, AsyncFitErrorSurfacesOnIngestThread) {
   const auto probe = std::make_shared<FitProbe>();
   probe->fail = true;
+  RetrainExecutor pool(1);  // Outlives the stream.
   MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
-                      retrain_options(RetrainPolicy::kAsync));
+                      retrain_options(RetrainPolicy::kAsync), 0, &pool);
   // The failed fit's error is rethrown on the ingest thread at the next
   // boundary that inspects the shadow state (emit or retrain launch) —
   // possibly already the emit of the triggering push itself, when the
@@ -372,12 +352,28 @@ TEST(MethodStreamRetrain, AsyncFitErrorSurfacesOnIngestThread) {
   EXPECT_EQ(stream.retrain_count(), 0u);
 }
 
+TEST(MethodStreamRetrain, AsyncNeedsAnExecutor) {
+  const auto probe = std::make_shared<FitProbe>();
+  const auto method = std::make_shared<const GenerationMethod>(4, probe);
+  try {
+    MethodStream stream(method, retrain_options(RetrainPolicy::kAsync));
+    FAIL() << "kAsync without an executor constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kAsync"), std::string::npos)
+        << e.what();
+  }
+  // The inline policies never touch an executor.
+  EXPECT_NO_THROW(MethodStream(method, retrain_options(RetrainPolicy::kSync)));
+  EXPECT_EQ(probe->started, 0);
+}
+
 TEST(MethodStreamRetrain, DestructorCancelsInFlightFit) {
   const auto probe = std::make_shared<FitProbe>();
   probe->block = true;
+  RetrainExecutor pool(1);  // Outlives the stream's scope.
   {
     MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
-                        retrain_options(RetrainPolicy::kAsync));
+                        retrain_options(RetrainPolicy::kAsync), 0, &pool);
     push_columns(stream, 40);
     probe->await(&FitProbe::started, 1);
     // Stream destroyed with the fit still blocked: the destructor fires the
@@ -385,6 +381,52 @@ TEST(MethodStreamRetrain, DestructorCancelsInFlightFit) {
   }
   probe->await(&FitProbe::cancelled, 1);
   EXPECT_EQ(probe->finished, 0);
+}
+
+TEST(MethodStreamRetrain, AsyncFitsQueueOnTheCallersExecutor) {
+  // kAsync runs its shadow fits on the executor it was handed and nowhere
+  // else: with that pool's only worker held busy, the fit launched at
+  // sample 40 cannot start; once released, drain() covers it and the next
+  // emit boundary swaps it in.
+  const auto probe = std::make_shared<FitProbe>();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool busy = false;
+  bool released = false;
+  RetrainExecutor pool(1);  // Outlives the stream.
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    busy = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return busy; });
+  }
+  MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
+                      retrain_options(RetrainPolicy::kAsync), 0, &pool);
+  std::vector<std::vector<double>> sigs;
+  push_columns(stream, 50, &sigs);  // Launches at 40, emits at 40 and 50.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    const std::lock_guard<std::mutex> lock(probe->mu);
+    EXPECT_EQ(probe->started, 0);  // Queued behind the busy worker.
+  }
+  EXPECT_EQ(stream.retrain_count(), 0u);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  pool.drain();
+  EXPECT_EQ(probe->finished, 1);
+  push_columns(stream, 10, &sigs);  // Emit at 60: the swap lands.
+  EXPECT_EQ(stream.retrain_count(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 0u);
+  ASSERT_EQ(sigs.size(), 5u);  // Emits at 20, 30, 40, 50, 60.
+  EXPECT_EQ(sigs[3], std::vector<double>{0.0});
+  EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
 }
 
 // --------------------------------------------------------------------------
@@ -573,6 +615,23 @@ TEST(MethodStreamDrift, CountersStayZeroUnderOtherPolicies) {
   EXPECT_EQ(stream.counters().drift_flags, 0u);
   EXPECT_EQ(stream.counters().drift_retrains, 0u);
   EXPECT_EQ(stream.last_drift_score(), 0.0);
+}
+
+TEST(MethodStreamDrift, DriftRefitSwapsInlineAndRecordsLatency) {
+  // A drift retrain is the same inline refit as kSync's: it runs on the
+  // ingest thread through fit(view, ctx), counts one retrain and records
+  // one retrain-latency sample.
+  const common::Matrix data = regime_matrix(6, 600, 300, 51);
+  const auto probe = std::make_shared<FitProbe>();
+  MethodStream stream(std::make_shared<const GenerationMethod>(6, probe),
+                      drift_options());
+  (void)stream.push_all(data);
+  ASSERT_EQ(stream.counters().drift_retrains, 1u);
+  EXPECT_EQ(stream.retrain_count(), 1u);
+  EXPECT_EQ(probe->started, 1);
+  EXPECT_EQ(probe->finished, 1);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 1u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 0u);
 }
 
 TEST(MethodStreamDrift, OptionValidation) {

@@ -31,27 +31,22 @@ TEST(WindowSpec, ValidateThrows) {
   EXPECT_NO_THROW((WindowSpec{1, 1}).validate());
 }
 
-TEST(ExtractWindows, ProducesCorrectSubMatrices) {
-  common::Matrix s{{0, 1, 2, 3, 4, 5}, {10, 11, 12, 13, 14, 15}};
-  const auto windows = extract_windows(s, WindowSpec{3, 2});
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].first_col, 0u);
-  EXPECT_EQ(windows[0].data(0, 0), 0.0);
-  EXPECT_EQ(windows[0].data(1, 2), 12.0);
-  EXPECT_EQ(windows[1].first_col, 2u);
-  EXPECT_EQ(windows[1].data(0, 0), 2.0);
-  EXPECT_EQ(windows[1].data(1, 2), 14.0);
-}
-
-TEST(ExtractWindows, TailShorterThanWindowDropped) {
-  common::Matrix s(1, 7);
-  const auto windows = extract_windows(s, WindowSpec{3, 3});
-  EXPECT_EQ(windows.size(), 2u);  // Columns 0-2, 3-5; 6 is dropped.
-}
-
-TEST(ExtractWindows, InvalidSpecThrows) {
-  common::Matrix s(1, 10);
-  EXPECT_THROW(extract_windows(s, WindowSpec{0, 1}), std::invalid_argument);
+TEST(WindowSpec, EveryCountedWindowFitsAndTheNextDoesNot) {
+  // Callers cut window w as columns [start(w), start(w) + length): every
+  // counted window must lie inside the matrix, and one more would not, so
+  // a tail shorter than a window is dropped.
+  for (const WindowSpec spec : {WindowSpec{3, 2}, WindowSpec{3, 3},
+                                WindowSpec{5, 1}, WindowSpec{4, 7}}) {
+    for (std::size_t t = 0; t <= 40; ++t) {
+      const std::size_t n = spec.count(t);
+      if (n > 0) {
+        EXPECT_LE(spec.start(n - 1) + spec.length, t);
+      }
+      EXPECT_GT(spec.start(n) + spec.length, t)
+          << "length " << spec.length << ", step " << spec.step << ", t "
+          << t;
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "harness/experiment.hpp"
 #include "harness/heatmap.hpp"
 #include "harness/summary.hpp"
 #include "hpcoda/generator.hpp"
+#include "ml/metrics.hpp"
 
 namespace csm::harness {
 namespace {
@@ -79,6 +85,75 @@ TEST(Methods, RealOnlyVariantNames) {
   ASSERT_EQ(methods.size(), 5u);
   EXPECT_EQ(methods[0].name, "CS-5-R");
   EXPECT_EQ(methods[4].name, "CS-All-R");
+}
+
+TEST(Methods, MethodFromSpecFitsEachBlockItIsGiven) {
+  // The returned name is the configured prototype's; `make` fits a fresh
+  // method on whichever block it is handed.
+  const BlockMethod pca = method_from_spec("pca:components=3");
+  EXPECT_EQ(pca.name, "PCA-3");
+  const hpcoda::Segment seg = hpcoda::make_infrastructure_segment(tiny());
+  ASSERT_GE(seg.blocks.size(), 2u);
+  for (const hpcoda::ComponentBlock& block : seg.blocks) {
+    const std::unique_ptr<core::SignatureMethod> fitted = pca.make(block);
+    ASSERT_NE(fitted, nullptr);
+    EXPECT_TRUE(fitted->trained());
+    EXPECT_EQ(fitted->n_sensors(), block.sensors.rows());
+    EXPECT_EQ(fitted->compute(block.sensors.sub_cols(0, seg.window.length))
+                  .size(),
+              fitted->signature_length(block.sensors.rows()));
+  }
+  EXPECT_EQ(method_from_spec("cs:blocks=20,real-only").name, "CS-20-R");
+}
+
+TEST(Methods, MethodFromSpecRejectsBadSpecsBeforeAnyFit) {
+  EXPECT_THROW(method_from_spec("nope"), std::invalid_argument);
+  EXPECT_THROW(method_from_spec("cs:blocks=x"), std::invalid_argument);
+  EXPECT_THROW(method_from_spec("pca:blocks=3"), std::invalid_argument);
+  EXPECT_THROW(method_from_spec("lan:wr=0"), std::invalid_argument);
+}
+
+TEST(StackBlocks, ConcatenatesBlockRowsInOrder) {
+  const hpcoda::Segment seg = hpcoda::make_infrastructure_segment(tiny());
+  const common::Matrix all = stack_blocks(seg);
+  EXPECT_EQ(all.cols(), seg.length());
+  std::size_t row = 0;
+  for (const hpcoda::ComponentBlock& block : seg.blocks) {
+    for (std::size_t r = 0; r < block.sensors.rows(); ++r, ++row) {
+      ASSERT_LT(row, all.rows());
+      EXPECT_TRUE(std::equal(block.sensors.row(r).begin(),
+                             block.sensors.row(r).end(),
+                             all.row(row).begin()))
+          << block.name << " row " << r;
+    }
+  }
+  EXPECT_EQ(all.rows(), row);
+}
+
+TEST(ModelFactories, MlpFactoriesAreSeeded) {
+  // Two classes split on the first feature. Two classifiers from the same
+  // factories train identically; the regressor factory builds too.
+  common::Rng rng(3);
+  common::Matrix x(40, 3);
+  std::vector<int> y(40);
+  std::vector<double> target(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) x(i, j) = rng.gaussian();
+    y[i] = x(i, 0) > 0.0 ? 1 : 0;
+    target[i] = 2.0 * x(i, 1);
+  }
+  const ml::ModelFactories factories = mlp_factories(11);
+  const std::unique_ptr<ml::Classifier> a = factories.classifier();
+  const std::unique_ptr<ml::Classifier> b = factories.classifier();
+  a->fit(x, y);
+  b->fit(x, y);
+  const std::vector<int> pred = a->predict(x);
+  EXPECT_EQ(pred, b->predict(x));
+  EXPECT_GT(ml::macro_f1(y, pred), 0.8);
+  const std::unique_ptr<ml::Regressor> reg = factories.regressor();
+  ASSERT_NE(reg, nullptr);
+  reg->fit(x, target);
+  EXPECT_EQ(reg->predict(x).size(), 40u);
 }
 
 TEST(BuildDataset, ClassificationShapeAndLabels) {

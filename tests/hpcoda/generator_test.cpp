@@ -1,8 +1,10 @@
 #include "hpcoda/generator.hpp"
+#include "hpcoda/types.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace csm::hpcoda {
 namespace {
@@ -139,6 +141,25 @@ TEST(CrossArchSegment, MatchesPaperSetup) {
     cursor = run.end;
   }
   EXPECT_EQ(cursor, seg.length());
+}
+
+TEST(CrossArchSegment, BlocksAreNamedAfterTheirArchitecture) {
+  const Segment seg = make_cross_arch_segment(small());
+  ASSERT_EQ(seg.n_blocks(), 3u);
+  const Architecture archs[] = {Architecture::kSkylake, Architecture::kKnl,
+                                Architecture::kRome};
+  EXPECT_EQ(architecture_name(archs[0]), "Skylake");
+  EXPECT_EQ(architecture_name(archs[1]), "KnightsLanding");
+  EXPECT_EQ(architecture_name(archs[2]), "Rome");
+  for (std::size_t b = 0; b < 3; ++b) {
+    EXPECT_EQ(seg.blocks[b].name, architecture_name(archs[b]));
+    EXPECT_EQ(seg.blocks[b].sensors.rows(),
+              architecture_sensor_count(archs[b]));
+    EXPECT_EQ(seg.blocks[b].sensor_names.size(),
+              architecture_sensor_count(archs[b]));
+  }
+  EXPECT_THROW(architecture_name(static_cast<Architecture>(99)),
+               std::invalid_argument);
 }
 
 TEST(Generator, DeterministicForSeed) {

@@ -635,9 +635,9 @@ unsigned long long ull(std::uint64_t v) { return v; }
 
 // Fleet totals from one EngineStats record: stream and replay print their
 // local engine's, push and fleet-stats a daemon's scrape. Swaps (models that
-// replaced the live one) are counted apart from aborts (superseded,
-// skipped-busy or discarded shadow fits), so a stall-free async run is
-// distinguishable from one that never kept up.
+// replaced the live one) are counted apart from aborts (superseded or
+// discarded shadow fits), so a stall-free async run is distinguishable from
+// one that never kept up.
 void print_totals(const char* who, const core::EngineStats& s) {
   std::printf("%s totals: %llu samples ingested, %llu signatures emitted, "
               "%llu retrains, %llu dropped across %llu nodes\n",
