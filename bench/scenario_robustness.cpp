@@ -114,14 +114,13 @@ struct CellRun {
 };
 
 CellRun run_cell(const std::shared_ptr<const core::SignatureMethod>& method,
-                 const core::StreamOptions& opts, const common::Matrix& data) {
+                 const core::StreamOptions& opts,
+                 const common::ColumnBatch& data) {
   CellRun out;
   core::MethodStream stream(method, opts);
-  std::vector<double> column(data.rows());
   try {
     for (std::size_t c = 0; c < data.cols(); ++c) {
-      for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, c);
-      if (stream.push(column)) ++out.signatures;
+      if (stream.push(data.col(c))) ++out.signatures;
       if (!out.first_drift_retrain_at && stream.counters().drift_retrains > 0) {
         out.first_drift_retrain_at = c + 1;
       }
@@ -221,7 +220,7 @@ int bench_run(Runner& run) {
         baselines::default_registry()
             .create("cs:blocks=8")
             ->fit(clean.sub_cols(0, 2000));
-    common::Matrix data = clean;
+    common::ColumnBatch data(clean);
     if (!sc.spec.empty()) {
       replay::Scenario scenario = replay::Scenario::parse(sc.spec, seed);
       scenario.apply(0, 0, data);

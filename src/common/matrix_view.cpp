@@ -1,9 +1,27 @@
 #include "common/matrix_view.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace csm::common {
+
+ColumnBatch::ColumnBatch(const MatrixView& m) {
+  resize(m.rows(), m.cols());
+  for (std::size_t c = 0; c < cols_; ++c) m.copy_col(c, col(c));
+}
+
+void ColumnBatch::resize(std::size_t rows, std::size_t cols) {
+  if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+    throw std::length_error("ColumnBatch: " + std::to_string(rows) + " x " +
+                            std::to_string(cols) +
+                            " elements overflow std::size_t");
+  }
+  data_.resize(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
 
 MatrixView MatrixView::row_major(const double* data, std::size_t rows,
                                  std::size_t cols) {

@@ -11,9 +11,14 @@
 //    straddles the ring's wrap point splits into exactly two segments).
 //
 // The view never owns storage and is trivially copyable; it is valid only as
-// long as the viewed Matrix / RingMatrix is alive and unmodified (for a
-// RingMatrix, any push may recycle viewed slots). Callers that need an
-// owning row-major copy use materialize().
+// long as the viewed Matrix / ColumnBatch / RingMatrix is alive and
+// unmodified (for a RingMatrix, any push may recycle viewed slots). Callers
+// that need an owning row-major copy use materialize().
+//
+// ColumnBatch is the owning column-major counterpart: one batch of samples
+// in the layout a CSMF sample-batch frame, a CSMR recording batch and a
+// RingMatrix slot run all share, so a column moves between any two of them
+// with one copy and no transpose.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +28,49 @@
 #include "common/matrix.hpp"
 
 namespace csm::common {
+
+class MatrixView;
+
+/// Owning rows x cols block of doubles stored column by column: column c
+/// is the contiguous span [c * rows, (c + 1) * rows). Converts implicitly
+/// to a one-segment MatrixView.
+class ColumnBatch {
+ public:
+  ColumnBatch() = default;
+
+  /// rows x cols zeros. Throws std::length_error when rows * cols
+  /// overflows std::size_t.
+  ColumnBatch(std::size_t rows, std::size_t cols) { resize(rows, cols); }
+
+  /// Copies `m` column by column (a gather when `m` is row-major).
+  explicit ColumnBatch(const MatrixView& m);
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t cols() const noexcept { return cols_; }
+
+  /// Reshapes to rows x cols, keeping the allocation when it is large
+  /// enough (so a reused batch stops allocating); values are unspecified
+  /// afterwards. Same overflow check as the constructor.
+  void resize(std::size_t rows, std::size_t cols);
+
+  std::span<double> col(std::size_t c) noexcept {
+    return {data_.data() + c * rows_, rows_};
+  }
+  std::span<const double> col(std::size_t c) const noexcept {
+    return {data_.data() + c * rows_, rows_};
+  }
+
+  /// All rows * cols values, column after column.
+  std::span<double> values() noexcept { return data_; }
+  std::span<const double> values() const noexcept { return data_; }
+
+  bool operator==(const ColumnBatch&) const = default;
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> data_;
+};
 
 /// Non-owning const view over rows x cols doubles in one of two layouts.
 class MatrixView {
@@ -34,6 +82,11 @@ class MatrixView {
   /// compute API accepts the matrix unchanged through this conversion.
   MatrixView(const Matrix& m)  // NOLINT(google-explicit-constructor)
       : rows_(m.rows()), cols_(m.cols()), seg0_(m.data()) {}
+
+  /// Views a column batch as one column segment. Implicit for the same
+  /// reason: ingest and recording accept a batch unchanged.
+  MatrixView(const ColumnBatch& b)  // NOLINT(google-explicit-constructor)
+      : MatrixView(column_segments(b.values(), {}, b.rows())) {}
 
   /// Views `rows` x `cols` doubles of row-major storage at `data`.
   static MatrixView row_major(const double* data, std::size_t rows,

@@ -89,18 +89,15 @@ std::optional<std::vector<double>> MethodStream::push(
 }
 
 std::vector<std::vector<double>> MethodStream::push_all(
-    const common::Matrix& columns) {
+    const common::MatrixView& columns) {
   if (columns.rows() != n_sensors_) {
     throw std::invalid_argument("MethodStream::push_all: wrong sensor count");
   }
   std::vector<std::vector<double>> out;
   for (std::size_t c = 0; c < columns.cols(); ++c) {
-    // Gather the (strided) source column straight into the recycled ring
-    // slot; no per-column temporary vector.
+    // Straight into the recycled ring slot; no per-column temporary.
     const std::span<double> slot = history_.push_slot();
-    const double* src = columns.data() + c;
-    const std::size_t stride = columns.cols();
-    for (std::size_t r = 0; r < slot.size(); ++r) slot[r] = src[r * stride];
+    columns.copy_col(c, slot);
     ++counters_.samples;
     if (state_) state_->push(slot);
     if (drift_) drift_->push(slot);

@@ -4,17 +4,21 @@
 // buffer: one column of sensor readings per push, a feature vector emitted
 // every ws samples once wl samples are buffered, and optional periodic
 // retraining via the method's uniform fit() entry point over the buffered
-// history. A method that keeps per-stream state (CS, through
-// SignatureMethod::make_stream_state) is fed every pushed column and emits
-// from that state: CS normalises each sample once, on push, instead of once
-// per window it lies in. Every other method gets the zero-copy path: the
-// newest wl columns are handed to SignatureMethod::compute_streaming as a
-// common::MatrixView over the ring segments (two segments when the window
-// straddles the wrap point) together with a span over the raw column
-// preceding the window — CS seeds its derivative channel with it, stateless
-// methods ignore it. Both paths emit the same bytes. Whenever the method
-// changes (construction, a kSync or kOnDrift refit, an async swap), the new
-// method's state is rebuilt by replaying the ring's newest wl + 1 columns.
+// history. push_all takes a batch as a common::MatrixView and copies each
+// column straight into its ring slot (MatrixView::copy_col): one memcpy per
+// column from a column-major batch (csmd's decode buffer, a replayed CSMR
+// batch), a strided gather from a row-major Matrix. A method that keeps
+// per-stream state (CS, through SignatureMethod::make_stream_state) is fed
+// every pushed column and emits from that state: CS normalises each sample
+// once, on push, instead of once per window it lies in. Every other method
+// gets the zero-copy path: the newest wl columns are handed to
+// SignatureMethod::compute_streaming as a common::MatrixView over the ring
+// segments (two segments when the window straddles the wrap point)
+// together with a span over the raw column preceding the window — CS seeds
+// its derivative channel with it, stateless methods ignore it. Both paths
+// emit the same bytes. Whenever the method changes (construction, a kSync
+// or kOnDrift refit, an async swap), the new method's state is rebuilt by
+// replaying the ring's newest wl + 1 columns.
 //
 // Retraining follows the StreamOptions::retrain_policy seam. kSync and
 // kOnDrift fit inline over RingMatrix::history_view() (no materialisation),
@@ -36,6 +40,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "common/ring_matrix.hpp"
 #include "core/signature_method.hpp"
 #include "core/stream_counters.hpp"
@@ -86,9 +91,11 @@ class MethodStream {
   /// std::nullopt.
   std::optional<std::vector<double>> push(std::span<const double> column);
 
-  /// Feeds a whole matrix column by column; returns all emitted feature
-  /// vectors. Columns are gathered straight into the ring buffer.
-  std::vector<std::vector<double>> push_all(const common::Matrix& columns);
+  /// Feeds a batch column by column; returns all emitted feature vectors.
+  /// Each column is copied straight into its ring slot (copy_col): one
+  /// memcpy from a column-major batch (a decoded CSMF or CSMR batch), a
+  /// strided gather from a row-major Matrix.
+  std::vector<std::vector<double>> push_all(const common::MatrixView& columns);
 
  private:
   /// Everything a background shadow fit touches, co-owned by the job and

@@ -19,7 +19,13 @@
 #endif
 #endif
 
+#include "common/matrix_view.hpp"
+#include "core/crc32_kernels.hpp"
 #include "core/signature_method.hpp"
+
+#if CSM_CRC32_PCLMUL
+#include <immintrin.h>
+#endif
 
 namespace csm::core::codec {
 namespace {
@@ -102,6 +108,44 @@ std::uint64_t load_u64(const std::uint8_t* p) {
   }
 }
 
+void append_f64s(std::vector<std::uint8_t>& out,
+                 std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+    out.insert(out.end(), bytes, bytes + values.size_bytes());
+  } else {
+    for (const double v : values) {
+      append_u64(out, std::bit_cast<std::uint64_t>(v));
+    }
+  }
+}
+
+void append_f64_columns(std::vector<std::uint8_t>& out,
+                        const common::MatrixView& columns) {
+  out.reserve(out.size() + columns.size() * sizeof(double));
+  for (std::size_t k = 0; k < columns.n_col_segments(); ++k) {
+    const common::MatrixView::ColSegment seg = columns.col_segment(k);
+    append_f64s(out, {seg.data, seg.n_cols * columns.rows()});
+  }
+  if (columns.contiguous_cols()) return;
+  std::vector<double> col(columns.rows());
+  for (std::size_t c = 0; c < columns.cols(); ++c) {
+    columns.copy_col(c, col);
+    append_f64s(out, col);
+  }
+}
+
+void load_f64s(const std::uint8_t* p, std::span<double> out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) std::memcpy(out.data(), p, out.size_bytes());
+  } else {
+    for (double& v : out) {
+      v = std::bit_cast<double>(load_u64(p));
+      p += sizeof(double);
+    }
+  }
+}
+
 namespace {
 
 // --- binary field type tags -------------------------------------------------
@@ -180,47 +224,156 @@ std::size_t clamped_reserve(std::uint64_t count) {
 
 }  // namespace
 
+// --- CRC-32 -----------------------------------------------------------------
+
+namespace {
+
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables: table 0 is the classic byte-at-a-time table; table k
+// advances a byte through k further zero bytes, so eight lookups fold eight
+// input bytes at once.
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
+// Advances the raw (un-finalised) CRC register over `n` bytes.
+std::uint32_t crc32_sliced(const std::uint8_t* p, std::size_t n,
+                           std::uint32_t crc) noexcept {
+  const Crc32Tables& t = kCrc32Tables;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint32_t lo = crc ^ load_u32(p + i);
+    const std::uint32_t hi = load_u32(p + i + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < n; ++i) crc = t[0][(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return crc;
+}
+
+#if CSM_CRC32_PCLMUL
+// Folding constants for the reflected IEEE polynomial, as in Intel's "Fast
+// CRC Computation for Generic Polynomials Using PCLMULQDQ" (and Linux's
+// crc32-pclmul): each is x^k mod P(x), bit-reflected and shifted left by 1.
+constexpr long long kFold512Lo = 0x154442bd4;  // x^(4*128+32) mod P
+constexpr long long kFold512Hi = 0x1c6e41596;  // x^(4*128-32) mod P
+constexpr long long kFold128Lo = 0x1751997d0;  // x^(128+32) mod P
+constexpr long long kFold128Hi = 0x0ccaa009e;  // x^(128-32) mod P
+constexpr long long kFold64 = 0x163cd6124;     // x^64 mod P
+constexpr long long kPoly = 0x1db710641;       // P(x), reflected
+constexpr long long kBarrettMu = 0x1f7011641;  // x^64 / P(x), reflected
+
+// x * k: the low lane times k's low half, the high lane times k's high
+// half, both folded onto `next`.
+__attribute__((target("pclmul"))) inline __m128i fold_lane(__m128i x,
+                                                           __m128i k,
+                                                           __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+__attribute__((target("pclmul"))) inline __m128i load_lane(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Advances the raw CRC register over `n` bytes, n >= 64 and a multiple of
+// 16: four lanes fold 64 bytes per step, then fold into one lane, which
+// Barrett reduction turns back into a 32-bit remainder.
+__attribute__((target("pclmul"))) std::uint32_t crc32_folded(
+    const std::uint8_t* p, std::size_t n, std::uint32_t crc) noexcept {
+  const __m128i k512 = _mm_set_epi64x(kFold512Hi, kFold512Lo);
+  const __m128i k128 = _mm_set_epi64x(kFold128Hi, kFold128Lo);
+  const __m128i k64 = _mm_set_epi64x(0, kFold64);
+  const __m128i barrett = _mm_set_epi64x(kBarrettMu, kPoly);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 = _mm_xor_si128(load_lane(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load_lane(p + 16);
+  __m128i x2 = load_lane(p + 32);
+  __m128i x3 = load_lane(p + 48);
+  std::size_t i = 64;
+  for (; i + 64 <= n; i += 64) {
+    x0 = fold_lane(x0, k512, load_lane(p + i));
+    x1 = fold_lane(x1, k512, load_lane(p + i + 16));
+    x2 = fold_lane(x2, k512, load_lane(p + i + 32));
+    x3 = fold_lane(x3, k512, load_lane(p + i + 48));
+  }
+  x0 = fold_lane(x0, k128, x1);
+  x0 = fold_lane(x0, k128, x2);
+  x0 = fold_lane(x0, k128, x3);
+  for (; i < n; i += 16) x0 = fold_lane(x0, k128, load_lane(p + i));
+
+  // 128 -> 64 bits, then 64 -> 32 (which appends the 32 zero bits the
+  // remainder needs), then the Barrett reduction modulo P.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k128, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(q, x0), 4)));
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data,
+                             std::uint32_t prior) noexcept {
+  // A prior of 0 yields the classic ~0 initial state; any other prior is
+  // un-finalised so the next chunk continues the same checksum.
+  return crc32_sliced(data.data(), data.size(), prior ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
+}
+
+#if CSM_CRC32_PCLMUL
+bool has_pclmul() noexcept { return __builtin_cpu_supports("pclmul"); }
+
+std::uint32_t crc32_pclmul(std::span<const std::uint8_t> data,
+                           std::uint32_t prior) noexcept {
+  std::uint32_t crc = prior ^ 0xFFFFFFFFu;
+  const std::size_t folded =
+      data.size() < 64 ? 0 : data.size() & ~std::size_t{15};
+  if (folded != 0) crc = crc32_folded(data.data(), folded, crc);
+  return crc32_sliced(data.data() + folded, data.size() - folded, crc) ^
+         0xFFFFFFFFu;
+}
+#endif
+
+}  // namespace detail
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return crc32(data, 0);
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prior) {
-  // Slicing-by-8: eight derived tables let the hot loop fold 8 input bytes
-  // per iteration instead of one, which matters when every ModelPack record
-  // load CRC-checks its bytes. The wire CRC is unchanged — table 0 is the
-  // classic byte-at-a-time table and handles the tail.
-  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[0][i] = c;
-    }
-    for (std::size_t k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
-      }
-    }
-    return t;
-  }();
-  // prior == 0 yields the classic ~0 initial state; any other prior value
-  // un-finalises so feeding the next chunk continues the same checksum.
-  std::uint32_t crc = prior ^ 0xFFFFFFFFu;
-  std::size_t i = 0;
-  for (; i + 8 <= data.size(); i += 8) {
-    const std::uint32_t lo = crc ^ load_u32(data.data() + i);
-    const std::uint32_t hi = load_u32(data.data() + i + 4);
-    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-  }
-  for (; i < data.size(); ++i) {
-    crc = tables[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+#if CSM_CRC32_PCLMUL
+  static const bool pclmul = detail::has_pclmul();
+  if (pclmul) return detail::crc32_pclmul(data, prior);
+#endif
+  return detail::crc32_slicing8(data, prior);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@
 #include <string_view>
 #include <vector>
 
+namespace csm::common {
+class MatrixView;
+}
+
 namespace csm::core {
 class SignatureMethod;
 }
@@ -59,6 +63,17 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
 std::uint16_t load_u16(const std::uint8_t* p);
 std::uint32_t load_u32(const std::uint8_t* p);
 std::uint64_t load_u64(const std::uint8_t* p);
+/// Bulk f64 forms for sample blocks and signatures: one memcpy on
+/// little-endian hosts, a per-value store or load elsewhere. `p` need not
+/// be aligned for double: the values are copied out, never read in place.
+void append_f64s(std::vector<std::uint8_t>& out,
+                 std::span<const double> values);
+void load_f64s(const std::uint8_t* p, std::span<double> out);
+/// Appends every value of `columns`, column after column: the sample-block
+/// layout of CSMF batches and CSMR recordings. A column-major view costs
+/// one append_f64s per segment, a row-major one a gather per column.
+void append_f64_columns(std::vector<std::uint8_t>& out,
+                        const common::MatrixView& columns);
 
 /// Binary record framing constants.
 inline constexpr std::uint8_t kBinaryMagic[4] = {'C', 'S', 'M', 'B'};

@@ -1,7 +1,6 @@
 #include "core/model_pack.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -20,52 +19,16 @@
 namespace csm::core {
 namespace {
 
+using codec::append_u32;
+using codec::append_u64;
+using codec::load_u32;
+using codec::load_u64;
+
 constexpr std::size_t kIndexEntrySize = 24;
 constexpr std::size_t kHeaderCrcOffset = 40;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("ModelPack: " + what);
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  // Little-endian hosts read the wire format in place; others assemble it.
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
 }
 
 std::vector<std::uint8_t> pack_header(std::uint64_t count,

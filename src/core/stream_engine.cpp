@@ -54,7 +54,7 @@ void StreamEngine::enqueue(Node& n, std::vector<std::vector<double>>&& sigs) {
 }
 
 void StreamEngine::ingest_locked(std::size_t index, Node& n,
-                                 const common::Matrix& columns) {
+                                 const common::MatrixView& columns) {
   // Caller holds n.mutex. The timer covers processing only (push_all +
   // queue append), not lock wait — that is the per-call ingest latency the
   // histogram records.
@@ -152,13 +152,20 @@ std::vector<std::vector<double>> StreamEngine::remove_node(std::size_t node) {
   return remaining;
 }
 
-void StreamEngine::ingest(std::size_t node, const common::Matrix& columns) {
+void StreamEngine::ingest(std::size_t node,
+                          const common::MatrixView& columns) {
   Node& n = node_at(node);
   std::lock_guard node_lock(n.mutex);
   ingest_locked(node, n, columns);
 }
 
 void StreamEngine::ingest_batch(std::span<const common::Matrix> batches) {
+  const std::vector<common::MatrixView> views(batches.begin(), batches.end());
+  ingest_batch(views);
+}
+
+void StreamEngine::ingest_batch(
+    std::span<const common::MatrixView> batches) {
   // The shared table lock pins the batch's node set for the whole call:
   // concurrent add_node/remove_node wait, concurrent ingest/drain proceed.
   std::shared_lock lock(nodes_mutex_);

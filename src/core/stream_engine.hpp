@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "core/method_stream.hpp"
 #include "core/retrain_executor.hpp"
 #include "core/signature_method.hpp"
@@ -85,10 +86,13 @@ class StreamEngine {
   /// node, under that node's mutex, AFTER the batch was pushed — so per-node
   /// call order equals per-node ingest order even when ingest_batch fans
   /// nodes out in parallel (replay::Recorder relies on exactly this). The
-  /// tap must not call back into the engine (the node mutex is held) and
-  /// must tolerate concurrent invocations for different nodes.
-  using IngestTap =
-      std::function<void(std::size_t node, const common::Matrix& columns)>;
+  /// batch arrives as the caller passed it, viewed: a column-segment view
+  /// over csmd's decode buffer or a replayed batch, a row-major one over a
+  /// Matrix, and valid only for the call. The tap must not call back into
+  /// the engine (the node mutex is held) and must tolerate concurrent
+  /// invocations for different nodes.
+  using IngestTap = std::function<void(std::size_t node,
+                                       const common::MatrixView& columns)>;
   /// All nodes share the same windowing/retrain configuration; methods are
   /// per node. Under kAsync the engine owns the bounded retrain worker
   /// pool (options.retrain_threads workers) its nodes' shadow fits run on.
@@ -141,8 +145,10 @@ class StreamEngine {
   std::vector<std::vector<double>> remove_node(std::size_t node);
 
   /// Feeds a batch of columns to one node; emitted feature vectors are
-  /// appended to that node's queue.
-  void ingest(std::size_t node, const common::Matrix& columns);
+  /// appended to that node's queue. A column-major batch (ColumnBatch or a
+  /// column-segment view) reaches the ring with one copy per column; a
+  /// row-major Matrix converts implicitly and is gathered column by column.
+  void ingest(std::size_t node, const common::MatrixView& columns);
 
   /// Feeds one batch per node (batches.size() must equal n_nodes(); batches
   /// may have different column counts, rows must match each node's sensor
@@ -150,6 +156,8 @@ class StreamEngine {
   /// Shapes are validated up front; a mid-flight failure in any node (e.g.
   /// a degenerate retrain) is re-thrown after the batch completes. Nodes
   /// added concurrently with this call are not part of the batch.
+  void ingest_batch(std::span<const common::MatrixView> batches);
+  /// Same, over row-major batches.
   void ingest_batch(std::span<const common::Matrix> batches);
 
   /// Number of feature vectors waiting in a node's queue.
@@ -208,7 +216,7 @@ class StreamEngine {
   /// Runs one node's ingest under its mutex and records its latency;
   /// `index` is the node's table index (the tap reports it).
   void ingest_locked(std::size_t index, Node& n,
-                     const common::Matrix& columns);
+                     const common::MatrixView& columns);
 
   StreamOptions options_;
   /// Bounded worker pool the nodes' kAsync shadow fits run on (null under

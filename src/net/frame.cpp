@@ -52,58 +52,90 @@ const char* frame_type_name(FrameType type) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (!is_known_frame_type(static_cast<std::uint8_t>(frame.type))) {
+namespace detail {
+
+std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type,
+                        std::string_view node) {
+  if (!is_known_frame_type(static_cast<std::uint8_t>(type))) {
     throw std::invalid_argument("encode_frame: unknown frame type " +
-                                std::to_string(static_cast<unsigned>(
-                                    frame.type)));
+                                std::to_string(static_cast<unsigned>(type)));
   }
-  if (frame.node.size() > kMaxNodeIdBytes) {
+  if (node.size() > kMaxNodeIdBytes) {
     throw std::invalid_argument(
-        "encode_frame: node id of " + std::to_string(frame.node.size()) +
+        "encode_frame: node id of " + std::to_string(node.size()) +
         " bytes exceeds the cap of " + std::to_string(kMaxNodeIdBytes));
   }
-  if (frame.payload.size() > kMaxFramePayload) {
-    throw std::invalid_argument(
-        "encode_frame: payload of " + std::to_string(frame.payload.size()) +
-        " bytes exceeds the cap of " + std::to_string(kMaxFramePayload));
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderSize + frame.node.size() + frame.payload.size() +
-              kFrameTrailerSize);
+  const std::size_t start = out.size();
   // Element-wise instead of a range insert: GCC 12 misdiagnoses inserting
   // a constexpr array as a stringop-overflow under -Werror.
   for (std::uint8_t b : kFrameMagic) out.push_back(b);
   out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(frame.type));
-  append_u16(out, static_cast<std::uint16_t>(frame.node.size()));
-  append_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.insert(out.end(), frame.node.begin(), frame.node.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  append_u32(out, crc32(out));
+  out.push_back(static_cast<std::uint8_t>(type));
+  append_u16(out, static_cast<std::uint16_t>(node.size()));
+  append_u32(out, 0);  // Payload length, patched by end_frame.
+  out.insert(out.end(), node.begin(), node.end());
+  return start;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t start) {
+  const std::size_t payload_at =
+      start + kFrameHeaderSize + load_u16(out.data() + start + 6);
+  const std::size_t payload = out.size() - payload_at;
+  if (payload > kMaxFramePayload) {
+    throw std::invalid_argument(
+        "encode_frame: payload of " + std::to_string(payload) +
+        " bytes exceeds the cap of " + std::to_string(kMaxFramePayload));
+  }
+  for (int i = 0; i < 4; ++i) {
+    out[start + 8 + i] = static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+  append_u32(out, crc32({out.data() + start, out.size() - start}));
+}
+
+}  // namespace detail
+
+namespace {
+
+void append_owned(std::vector<std::uint8_t>& out, const Frame& frame) {
+  append_frame(out, frame.type, frame.node, [&](std::vector<std::uint8_t>& o) {
+    o.insert(o.end(), frame.payload.begin(), frame.payload.end());
+  });
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderSize + frame.node.size() + frame.payload.size() +
+              kFrameTrailerSize);
+  append_owned(out, frame);
   return out;
 }
 
-void FrameWriter::write(const Frame& frame) {
-  const std::vector<std::uint8_t> encoded = encode_frame(frame);
-  buf_.insert(buf_.end(), encoded.begin(), encoded.end());
-}
+void FrameWriter::write(const Frame& frame) { append_owned(buf_, frame); }
 
 std::vector<std::uint8_t> FrameWriter::take() noexcept {
   return std::exchange(buf_, {});
 }
 
-void FrameReader::feed(std::span<const std::uint8_t> bytes) {
+std::span<std::uint8_t> FrameReader::read_buffer(std::size_t min_bytes) {
   // Compact the consumed prefix before growing: the buffer then never
-  // holds more than one partial frame plus the new chunk.
-  if (head_ > 0 && head_ == buf_.size()) {
-    buf_.clear();
-    head_ = 0;
-  } else if (head_ > kFrameHeaderSize + kMaxNodeIdBytes) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+  // holds more than one partial frame plus the new read.
+  if (head_ > 0) {
+    if (head_ < end_) {
+      std::memmove(buf_.data(), buf_.data() + head_, end_ - head_);
+    }
+    end_ -= head_;
     head_ = 0;
   }
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  if (buf_.size() - end_ < min_bytes) buf_.resize(end_ + min_bytes);
+  return std::span(buf_).subspan(end_);
+}
+
+void FrameReader::feed(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(read_buffer(bytes.size()).data(), bytes.data(), bytes.size());
+  commit(bytes.size());
 }
 
 void FrameReader::fail(const std::string& field, std::uint64_t rel_offset,
@@ -113,7 +145,7 @@ void FrameReader::fail(const std::string& field, std::uint64_t rel_offset,
                    detail);
 }
 
-std::optional<Frame> FrameReader::next() {
+std::optional<FrameView> FrameReader::next_view() {
   const std::uint8_t* p = buf_.data() + head_;
   const std::uint64_t have = buffered();
 
@@ -173,15 +205,22 @@ std::optional<Frame> FrameReader::next() {
              std::to_string(computed));
   }
 
-  Frame frame;
+  FrameView frame;
   frame.type = static_cast<FrameType>(p[5]);
-  frame.node.assign(reinterpret_cast<const char*>(p + kFrameHeaderSize),
-                    static_cast<std::size_t>(id_len));
-  const std::uint8_t* payload = p + kFrameHeaderSize + id_len;
-  frame.payload.assign(payload, payload + payload_len);
+  frame.node = {reinterpret_cast<const char*>(p + kFrameHeaderSize),
+                static_cast<std::size_t>(id_len)};
+  frame.payload = {p + kFrameHeaderSize + id_len,
+                   static_cast<std::size_t>(payload_len)};
   head_ += static_cast<std::size_t>(total);
   stream_offset_ += total;
   return frame;
+}
+
+std::optional<Frame> FrameReader::next() {
+  const std::optional<FrameView> view = next_view();
+  if (!view) return std::nullopt;
+  return Frame{view->type, std::string(view->node),
+               {view->payload.begin(), view->payload.end()}};
 }
 
 }  // namespace csm::net

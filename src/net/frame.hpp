@@ -14,14 +14,24 @@
 //   12+id    pay_len    payload (see net/message.hpp for the schemas)
 //     ...     4        u32 CRC32 over every preceding byte of the frame
 //
-// FrameWriter renders frames into a byte buffer; FrameReader incrementally
-// reassembles them from arbitrary read boundaries — a transport may deliver
-// half a header, three frames at once, or one byte at a time, and the
-// reader produces the identical frame sequence regardless. Corrupt input
-// (bad magic/version/type, an id or payload length beyond its cap, a CRC
-// mismatch) throws FrameError naming the offending field and the absolute
-// stream offset; after a FrameError the byte stream is desynchronised and
-// the connection must be dropped. All length arithmetic is 64-bit, so an
+// append_frame is the one frame encoder: it appends header and node id to a
+// byte buffer, lets the caller write the payload straight after them, then
+// patches the payload length and appends the CRC — so FleetServer encodes a
+// reply in place in its connection buffer, and encode_frame and
+// FrameWriter::write are thin calls into it. FrameReader incrementally
+// reassembles frames from arbitrary read boundaries — a transport may
+// deliver half a header, three frames at once, or one byte at a time, and
+// the reader produces the identical frame sequence regardless. A transport
+// reads straight into the reader's buffer (read_buffer + commit), and
+// next_view() yields a FrameView whose node id and payload point into that
+// buffer, so the daemon dispatches a frame without copying it; next() is
+// the owning copy of the same frame. Every frame's CRC goes through
+// core::codec::crc32 (a carry-less-multiply kernel where the CPU has one,
+// the same bytes either way). Corrupt input (bad magic/version/type, an id
+// or payload length beyond its cap, a CRC mismatch) throws FrameError
+// naming the offending field and the absolute stream offset; after a
+// FrameError the byte stream is desynchronised and the connection must be
+// dropped. All length arithmetic is 64-bit, so an
 // untrusted 32-bit length cannot wrap a size computation (the PR 7 house
 // rule), and nothing is allocated from a length that has not been checked
 // against its cap first.
@@ -33,6 +43,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace csm::net {
@@ -86,6 +98,14 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
+/// A frame that borrows its bytes from the FrameReader that produced it:
+/// valid until that reader's next feed(), read_buffer() or next*() call.
+struct FrameView {
+  FrameType type = FrameType::kOk;
+  std::string_view node;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Framing/corruption error: the message names the offending field and the
 /// absolute stream offset of the defect.
 class FrameError : public std::runtime_error {
@@ -93,17 +113,43 @@ class FrameError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Encodes one frame (header, id, payload, trailing CRC). Throws
-/// std::invalid_argument when the node id or payload exceeds its cap —
-/// writers validate at the edge so a reader never sees our own oversized
-/// frames.
+namespace detail {
+/// append_frame's two halves: begin_frame validates type and id, appends
+/// the header (payload length still 0) and the id, and returns the frame's
+/// offset in `out`; end_frame patches the payload length and appends the
+/// CRC, throwing std::invalid_argument when the payload exceeds its cap.
+std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type,
+                        std::string_view node);
+void end_frame(std::vector<std::uint8_t>& out, std::size_t start);
+}  // namespace detail
+
+/// Appends one frame (header, id, payload, trailing CRC) to `out`, the
+/// payload being whatever `write_payload(out)` appends. Throws
+/// std::invalid_argument when the type is unknown or the node id or
+/// payload exceeds its cap — writers validate at the edge so a reader
+/// never sees our own oversized frames. On any throw, the payload writer's
+/// included, `out` is cut back to its size before the call.
+template <typename WritePayload>
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::string_view node, WritePayload&& write_payload) {
+  const std::size_t start = detail::begin_frame(out, type, node);
+  try {
+    std::forward<WritePayload>(write_payload)(out);
+    detail::end_frame(out, start);
+  } catch (...) {
+    out.resize(start);
+    throw;
+  }
+}
+
+/// Encodes one frame into a fresh buffer (append_frame).
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Accumulates encoded frames into one contiguous buffer, so a transport
 /// write can flush several messages per syscall.
 class FrameWriter {
  public:
-  /// Appends `frame` to the buffer. Same validation as encode_frame.
+  /// Appends `frame` to the buffer (append_frame).
   void write(const Frame& frame);
 
   const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
@@ -126,16 +172,27 @@ class FrameReader {
   explicit FrameReader(std::size_t max_payload = kMaxFramePayload)
       : max_payload_(max_payload) {}
 
-  /// Appends raw bytes from the transport.
+  /// Appends a copy of raw bytes from the transport.
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete frame, or std::nullopt when more bytes are
-  /// needed. Throws FrameError on corrupt input; the reader (and the
-  /// stream it was fed from) is unusable afterwards.
+  /// The zero-copy feed: a writable span of at least `min_bytes` at the end
+  /// of the reader's buffer for a transport to read into, then commit(n)
+  /// to append its first n bytes. The consumed prefix is compacted away
+  /// first, so the buffer holds at most one partial frame plus the read.
+  std::span<std::uint8_t> read_buffer(std::size_t min_bytes);
+  void commit(std::size_t n) noexcept { end_ += n; }
+
+  /// Extracts the next complete frame as a view into the reader's buffer,
+  /// or std::nullopt when more bytes are needed. Throws FrameError on
+  /// corrupt input; the reader (and the stream it was fed from) is
+  /// unusable afterwards.
+  std::optional<FrameView> next_view();
+
+  /// next_view(), copied out into an owning Frame.
   std::optional<Frame> next();
 
   /// Bytes fed but not yet consumed as complete frames.
-  std::size_t buffered() const noexcept { return buf_.size() - head_; }
+  std::size_t buffered() const noexcept { return end_ - head_; }
 
   /// True when no partial frame is pending — a transport EOF here is a
   /// clean close, anywhere else a truncated frame.
@@ -150,8 +207,11 @@ class FrameReader {
                          const std::string& detail) const;
 
   std::size_t max_payload_;
+  /// Bytes [head_, end_) are fed but unconsumed; [end_, size()) is spare
+  /// room for the next read_buffer().
   std::vector<std::uint8_t> buf_;
   std::size_t head_ = 0;  ///< Consumed prefix of buf_ (compacted lazily).
+  std::size_t end_ = 0;
   std::uint64_t stream_offset_ = 0;
 };
 

@@ -11,6 +11,7 @@ namespace csm::net {
 
 namespace {
 
+using core::codec::append_f64s;
 using core::codec::append_u16;
 using core::codec::append_u32;
 using core::codec::append_u64;
@@ -134,6 +135,15 @@ void PayloadReader::need(const char* field, std::uint64_t n) const {
   }
 }
 
+std::span<const std::uint8_t> PayloadReader::take(const char* field,
+                                                  std::uint64_t n) {
+  need(field, n);
+  const std::span<const std::uint8_t> out =
+      payload_.subspan(cursor_, static_cast<std::size_t>(n));
+  cursor_ += out.size();
+  return out;
+}
+
 std::uint8_t PayloadReader::u8(const char* field) {
   need(field, 1);
   return payload_[cursor_++];
@@ -166,36 +176,32 @@ double PayloadReader::f64(const char* field) {
 
 std::vector<std::uint8_t> PayloadReader::bytes(const char* field,
                                                std::uint64_t count) {
-  need(field, count);
-  std::vector<std::uint8_t> out(payload_.begin() +
-                                    static_cast<std::ptrdiff_t>(cursor_),
-                                payload_.begin() +
-                                    static_cast<std::ptrdiff_t>(cursor_ +
-                                                                count));
-  cursor_ += static_cast<std::size_t>(count);
-  return out;
+  const std::span<const std::uint8_t> raw = take(field, count);
+  return {raw.begin(), raw.end()};
 }
 
 std::string PayloadReader::text(const char* field, std::uint64_t count) {
-  need(field, count);
-  std::string out(reinterpret_cast<const char*>(payload_.data() + cursor_),
-                  static_cast<std::size_t>(count));
-  cursor_ += static_cast<std::size_t>(count);
-  return out;
+  const std::span<const std::uint8_t> raw = take(field, count);
+  return {reinterpret_cast<const char*>(raw.data()), raw.size()};
+}
+
+std::span<const std::uint8_t> PayloadReader::f64_block(const char* field,
+                                                       std::uint64_t count) {
+  if (count > remaining() / sizeof(double)) {
+    fail(field, std::to_string(count) + " doubles need " +
+                    std::to_string(count * sizeof(double)) + " bytes, " +
+                    std::to_string(remaining()) + " remain");
+  }
+  return take(field, count * sizeof(double));
 }
 
 std::vector<double> PayloadReader::f64_array(const char* field,
                                              std::uint64_t count) {
   // The count is bounded by the bytes actually present before the vector
   // is sized — the no-allocation-from-unvalidated-length rule.
-  if (count > remaining() / sizeof(double)) {
-    fail(field, std::to_string(count) + " doubles need " +
-                    std::to_string(count * sizeof(double)) + " bytes, " +
-                    std::to_string(remaining()) + " remain");
-  }
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(f64(field));
+  const std::span<const std::uint8_t> raw = f64_block(field, count);
+  std::vector<double> out(static_cast<std::size_t>(count));
+  core::codec::load_f64s(raw.data(), out);
   return out;
 }
 
@@ -230,7 +236,8 @@ void PayloadReader::finish(const char* what) const {
 // kSampleBatch
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns) {
+std::vector<std::uint8_t> encode_sample_batch(
+    const common::MatrixView& columns) {
   constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   if (columns.rows() > kU32Max || columns.cols() > kU32Max) {
     throw std::invalid_argument(
@@ -240,31 +247,30 @@ std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns) {
   out.reserve(8 + columns.size() * sizeof(double));
   append_u32(out, static_cast<std::uint32_t>(columns.rows()));
   append_u32(out, static_cast<std::uint32_t>(columns.cols()));
-  for (std::size_t c = 0; c < columns.cols(); ++c) {
-    for (std::size_t r = 0; r < columns.rows(); ++r) {
-      append_f64(out, columns(r, c));
-    }
-  }
+  core::codec::append_f64_columns(out, columns);
   return out;
 }
 
-common::Matrix decode_sample_batch(std::span<const std::uint8_t> payload) {
+void decode_sample_batch(std::span<const std::uint8_t> payload,
+                         common::ColumnBatch& out) {
   PayloadReader in(payload);
   const std::uint64_t n_sensors = in.u32("n_sensors");
   const std::uint64_t n_cols = in.u32("n_cols");
-  // 64-bit product of two u32s cannot wrap; f64_array bounds it against the
-  // payload before allocating.
-  const std::vector<double> data =
-      in.f64_array("samples", n_sensors * n_cols);
+  // 64-bit product of two u32s cannot wrap; f64_block bounds it against
+  // the payload before `out` is sized.
+  const std::span<const std::uint8_t> block =
+      in.f64_block("samples", n_sensors * n_cols);
   in.finish("sample-batch");
-  common::Matrix m(static_cast<std::size_t>(n_sensors),
-                   static_cast<std::size_t>(n_cols));
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      m(r, c) = data[c * m.rows() + r];
-    }
-  }
-  return m;
+  out.resize(static_cast<std::size_t>(n_sensors),
+             static_cast<std::size_t>(n_cols));
+  core::codec::load_f64s(block.data(), out.values());
+}
+
+common::ColumnBatch decode_sample_batch(
+    std::span<const std::uint8_t> payload) {
+  common::ColumnBatch out;
+  decode_sample_batch(payload, out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -309,23 +315,33 @@ NodeAdd decode_node_add(std::span<const std::uint8_t> payload) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_drain_response(const DrainResponse& msg) {
+  std::vector<std::uint8_t> out;
+  encode_drain_response(msg, out);
+  return out;
+}
+
+void encode_drain_response(const DrainResponse& msg,
+                           std::vector<std::uint8_t>& out) {
   constexpr std::size_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   if (msg.signatures.size() > kU32Max) {
     throw std::invalid_argument(
         "encode_drain_response: too many signatures for one frame");
   }
-  std::vector<std::uint8_t> out;
-  append_u64(out, msg.dropped);
-  append_u32(out, static_cast<std::uint32_t>(msg.signatures.size()));
+  std::size_t bytes = 12;
   for (const std::vector<double>& sig : msg.signatures) {
     if (sig.size() > kU32Max) {
       throw std::invalid_argument(
           "encode_drain_response: signature too long for one frame");
     }
-    append_u32(out, static_cast<std::uint32_t>(sig.size()));
-    for (double v : sig) append_f64(out, v);
+    bytes += 4 + sig.size() * sizeof(double);
   }
-  return out;
+  out.reserve(out.size() + bytes);
+  append_u64(out, msg.dropped);
+  append_u32(out, static_cast<std::uint32_t>(msg.signatures.size()));
+  for (const std::vector<double>& sig : msg.signatures) {
+    append_u32(out, static_cast<std::uint32_t>(sig.size()));
+    append_f64s(out, sig);
+  }
 }
 
 DrainResponse decode_drain_response(std::span<const std::uint8_t> payload) {
@@ -355,19 +371,24 @@ DrainResponse decode_drain_response(std::span<const std::uint8_t> payload) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg) {
+  std::vector<std::uint8_t> out;
+  encode_stats_response(msg, out);
+  return out;
+}
+
+void encode_stats_response(const StatsResponse& msg,
+                           std::vector<std::uint8_t>& out) {
   constexpr std::size_t kU16Max = std::numeric_limits<std::uint16_t>::max();
   if (msg.server_version.size() > kU16Max) {
     throw std::invalid_argument(
         "encode_stats_response: server version string too long");
   }
-  std::vector<std::uint8_t> out;
   append_u64(out, msg.nodes);
   append_f64(out, msg.ingest_seconds);
   append_u16(out, static_cast<std::uint16_t>(msg.server_version.size()));
   out.insert(out.end(), msg.server_version.begin(),
              msg.server_version.end());
   append_counters(out, msg);
-  return out;
 }
 
 StatsResponse decode_stats_response(std::span<const std::uint8_t> payload) {
@@ -388,13 +409,19 @@ StatsResponse decode_stats_response(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> encode_node_stats_response(
     const NodeStatsResponse& msg) {
+  std::vector<std::uint8_t> out;
+  encode_node_stats_response(msg, out);
+  return out;
+}
+
+void encode_node_stats_response(const NodeStatsResponse& msg,
+                                std::vector<std::uint8_t>& out) {
   constexpr std::size_t kU16Max = std::numeric_limits<std::uint16_t>::max();
   if (msg.nodes.size() > kMaxNodeStatsRows) {
     throw std::invalid_argument(
         "encode_node_stats_response: too many node rows for one frame "
         "(shard the engine)");
   }
-  std::vector<std::uint8_t> out;
   append_u32(out, static_cast<std::uint32_t>(msg.nodes.size()));
   for (const core::NodeStats& row : msg.nodes) {
     if (row.name.size() > kU16Max) {
@@ -405,7 +432,6 @@ std::vector<std::uint8_t> encode_node_stats_response(
     out.insert(out.end(), row.name.begin(), row.name.end());
     append_counters(out, row);
   }
-  return out;
 }
 
 NodeStatsResponse decode_node_stats_response(
@@ -443,9 +469,14 @@ NodeStatsResponse decode_node_stats_response(
 
 std::vector<std::uint8_t> encode_ok(std::optional<std::uint64_t> value) {
   std::vector<std::uint8_t> out;
+  encode_ok(value, out);
+  return out;
+}
+
+void encode_ok(std::optional<std::uint64_t> value,
+               std::vector<std::uint8_t>& out) {
   out.push_back(value.has_value() ? 1 : 0);
   append_u64(out, value.value_or(0));
-  return out;
 }
 
 std::optional<std::uint64_t> decode_ok(
@@ -465,10 +496,14 @@ std::optional<std::uint64_t> decode_ok(
 }
 
 std::vector<std::uint8_t> encode_error_text(std::string_view text) {
-  if (text.size() > kMaxErrorTextBytes) {
-    text = text.substr(0, kMaxErrorTextBytes);
-  }
-  return {text.begin(), text.end()};
+  std::vector<std::uint8_t> out;
+  encode_error_text(text, out);
+  return out;
+}
+
+void encode_error_text(std::string_view text, std::vector<std::uint8_t>& out) {
+  text = text.substr(0, kMaxErrorTextBytes);
+  out.insert(out.end(), text.begin(), text.end());
 }
 
 std::string decode_error_text(std::span<const std::uint8_t> payload) {

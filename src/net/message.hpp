@@ -4,6 +4,16 @@
 // actually present BEFORE any allocation — an untrusted count can name an
 // error, never size a buffer.
 //
+// Sample batches keep one layout end to end: the wire block, the decoded
+// common::ColumnBatch and a RingMatrix slot are all column-major, so a
+// decode is one copy of the f64 block (memcpy on little-endian hosts) into
+// a buffer the caller can reuse, and the engine ingests that buffer as a
+// column-segment MatrixView. The block is never read in place: its offset
+// in a frame depends on the node id's length, so it is not aligned for
+// double. Every reply encoder has an appending form, which is how FleetServer
+// writes a reply straight into its connection buffer (net/frame.hpp's
+// append_frame); the returning forms wrap it.
+//
 // Error taxonomy: a malformed payload throws MessageError (a semantic
 // error — the frame itself was well-formed, so the connection survives and
 // the daemon answers with a kError frame). Framing corruption is
@@ -19,7 +29,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "core/stream_engine.hpp"
 
 namespace csm::net {
@@ -54,6 +64,10 @@ class PayloadReader {
   /// `count` doubles. The count is validated against remaining()/8 before
   /// the vector is sized.
   std::vector<double> f64_array(const char* field, std::uint64_t count);
+  /// The raw little-endian bytes of `count` doubles, same validation as
+  /// f64_array, consumed without decoding.
+  std::span<const std::uint8_t> f64_block(const char* field,
+                                          std::uint64_t count);
   std::vector<std::uint64_t> u64_array(const char* field,
                                        std::uint64_t count);
 
@@ -68,6 +82,8 @@ class PayloadReader {
 
  private:
   void need(const char* field, std::uint64_t n) const;
+  /// The next `n` bytes, checked, consumed.
+  std::span<const std::uint8_t> take(const char* field, std::uint64_t n);
   [[noreturn]] void fail(const char* field, const std::string& detail) const;
 
   std::span<const std::uint8_t> payload_;
@@ -80,8 +96,15 @@ class PayloadReader {
 // ingestion order).
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_sample_batch(const common::Matrix& columns);
-common::Matrix decode_sample_batch(std::span<const std::uint8_t> payload);
+/// Encodes an n_sensors x n_cols batch held in either layout.
+std::vector<std::uint8_t> encode_sample_batch(
+    const common::MatrixView& columns);
+/// Decodes into `out`, reusing its allocation. A truncated block or
+/// trailing bytes throw MessageError before `out` is touched.
+void decode_sample_batch(std::span<const std::uint8_t> payload,
+                         common::ColumnBatch& out);
+/// Same decoder, into a fresh batch.
+common::ColumnBatch decode_sample_batch(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
 // kNodeAdd: u8 source | u32 n_sensors | body. source 0 carries an inline
@@ -118,6 +141,9 @@ struct DrainResponse {
 };
 
 std::vector<std::uint8_t> encode_drain_response(const DrainResponse& msg);
+/// Appends the payload to `out`; each signature is one bulk copy.
+void encode_drain_response(const DrainResponse& msg,
+                           std::vector<std::uint8_t>& out);
 DrainResponse decode_drain_response(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
@@ -139,6 +165,8 @@ struct StatsResponse : core::EngineStats {
 };
 
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg);
+void encode_stats_response(const StatsResponse& msg,
+                           std::vector<std::uint8_t>& out);
 StatsResponse decode_stats_response(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
@@ -159,6 +187,8 @@ inline constexpr std::size_t kMaxNodeStatsRows = 16384;
 
 std::vector<std::uint8_t> encode_node_stats_response(
     const NodeStatsResponse& msg);
+void encode_node_stats_response(const NodeStatsResponse& msg,
+                                std::vector<std::uint8_t>& out);
 NodeStatsResponse decode_node_stats_response(
     std::span<const std::uint8_t> payload);
 
@@ -168,6 +198,8 @@ NodeStatsResponse decode_node_stats_response(
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_ok(std::optional<std::uint64_t> value);
+void encode_ok(std::optional<std::uint64_t> value,
+               std::vector<std::uint8_t>& out);
 std::optional<std::uint64_t> decode_ok(std::span<const std::uint8_t> payload);
 
 // ---------------------------------------------------------------------------
@@ -175,6 +207,7 @@ std::optional<std::uint64_t> decode_ok(std::span<const std::uint8_t> payload);
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_error_text(std::string_view text);
+void encode_error_text(std::string_view text, std::vector<std::uint8_t>& out);
 std::string decode_error_text(std::span<const std::uint8_t> payload);
 
 }  // namespace csm::net

@@ -31,10 +31,10 @@ std::size_t FleetServer::node_index(const std::string& name) const {
   return lookup(name);
 }
 
-std::size_t FleetServer::lookup(const std::string& node) const {
+std::size_t FleetServer::lookup(std::string_view node) const {
   const auto it = nodes_.find(node);
   if (it == nodes_.end()) {
-    throw std::invalid_argument("unknown node \"" + node + "\"");
+    throw std::invalid_argument("unknown node \"" + std::string(node) + "\"");
   }
   return it->second;
 }
@@ -70,23 +70,29 @@ bool FleetServer::poll_once(int timeout_ms) {
 }
 
 bool FleetServer::service(Client& client) {
-  std::uint8_t chunk[16 * 1024];
+  // Reads land straight in the frame reader's buffer.
+  constexpr std::size_t kReadChunk = 64 * 1024;
   bool eof = false;
   while (client.conn->is_open() && !client.closing) {
-    const std::size_t n = client.conn->read_some(chunk);
+    const std::size_t n =
+        client.conn->read_some(client.reader.read_buffer(kReadChunk));
     if (n == 0) {
       eof = !client.conn->is_open();
       break;
     }
-    client.reader.feed({chunk, n});
+    client.reader.commit(n);
     try {
-      while (std::optional<Frame> frame = client.reader.next()) {
-        handle_frame(client, *std::move(frame));
+      while (const std::optional<FrameView> frame =
+                 client.reader.next_view()) {
+        handle_frame(client, *frame);
       }
     } catch (const FrameError& e) {
       // The byte stream is desynchronised: one parting diagnostic, then
       // hang up.
-      reply(client, FrameType::kError, "", encode_error_text(e.what()));
+      append_frame(client.out, FrameType::kError, "",
+                   [&](std::vector<std::uint8_t>& out) {
+                     encode_error_text(e.what(), out);
+                   });
       client.closing = true;
     }
   }
@@ -98,17 +104,6 @@ bool FleetServer::service(Client& client) {
     client.conn->close();
   }
   return client.conn->is_open();
-}
-
-void FleetServer::reply(Client& client, FrameType type,
-                        const std::string& node,
-                        std::vector<std::uint8_t> payload) {
-  Frame frame;
-  frame.type = type;
-  frame.node = node;
-  frame.payload = std::move(payload);
-  const std::vector<std::uint8_t> encoded = encode_frame(frame);
-  client.out.insert(client.out.end(), encoded.begin(), encoded.end());
 }
 
 void FleetServer::flush(Client& client) {
@@ -124,23 +119,25 @@ void FleetServer::flush(Client& client) {
   }
 }
 
-void FleetServer::handle_frame(Client& client, Frame&& frame) {
+void FleetServer::handle_frame(Client& client, const FrameView& frame) {
   ++frames_;
+  // Replies are encoded in place at the end of the connection's buffer.
+  using Bytes = std::vector<std::uint8_t>;
   try {
     switch (frame.type) {
-      case FrameType::kSampleBatch: {
-        const common::Matrix columns = decode_sample_batch(frame.payload);
-        engine_.ingest(lookup(frame.node), columns);
+      case FrameType::kSampleBatch:
+        decode_sample_batch(frame.payload, batch_);
+        engine_.ingest(lookup(frame.node), batch_);
         break;  // One-way: no ack on success.
-      }
       case FrameType::kNodeAdd:
         handle_node_add(client, frame);
         break;
       case FrameType::kNodeRemove: {
         const std::size_t index = lookup(frame.node);
         engine_.remove_node(index);
-        nodes_.erase(frame.node);
-        reply(client, FrameType::kOk, frame.node, encode_ok(index));
+        nodes_.erase(nodes_.find(frame.node));
+        append_frame(client.out, FrameType::kOk, frame.node,
+                     [&](Bytes& out) { encode_ok(index, out); });
         break;
       }
       case FrameType::kDrainRequest: {
@@ -148,20 +145,24 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
         DrainResponse response;
         response.signatures = engine_.drain(index);
         response.dropped = engine_.dropped(index);
-        reply(client, FrameType::kDrainResponse, frame.node,
-              encode_drain_response(response));
+        append_frame(client.out, FrameType::kDrainResponse, frame.node,
+                     [&](Bytes& out) { encode_drain_response(response, out); });
         break;
       }
       case FrameType::kStatsRequest:
-        reply(client, FrameType::kStatsResponse, "",
-              encode_stats_response(
-                  {engine_.stats(), options_.server_version}));
+        append_frame(client.out, FrameType::kStatsResponse, "",
+                     [&](Bytes& out) {
+                       encode_stats_response(
+                           {engine_.stats(), options_.server_version}, out);
+                     });
         break;
       case FrameType::kNodeStatsRequest: {
         NodeStatsResponse response;
         response.nodes = engine_.node_stats();
-        reply(client, FrameType::kNodeStatsResponse, "",
-              encode_node_stats_response(response));
+        append_frame(client.out, FrameType::kNodeStatsResponse, "",
+                     [&](Bytes& out) {
+                       encode_node_stats_response(response, out);
+                     });
         break;
       }
       default:
@@ -171,16 +172,18 @@ void FleetServer::handle_frame(Client& client, Frame&& frame) {
     }
   } catch (const std::exception& e) {
     // Semantic failure in a well-formed frame: answer and keep serving.
-    reply(client, FrameType::kError, frame.node, encode_error_text(e.what()));
+    append_frame(client.out, FrameType::kError, frame.node,
+                 [&](Bytes& out) { encode_error_text(e.what(), out); });
   }
 }
 
-void FleetServer::handle_node_add(Client& client, const Frame& frame) {
+void FleetServer::handle_node_add(Client& client, const FrameView& frame) {
   if (frame.node.empty()) {
     throw std::invalid_argument("node-add: empty node name");
   }
-  if (const auto it = nodes_.find(frame.node); it != nodes_.end()) {
-    throw std::invalid_argument("node-add: node \"" + frame.node +
+  const std::string name(frame.node);
+  if (const auto it = nodes_.find(name); it != nodes_.end()) {
+    throw std::invalid_argument("node-add: node \"" + name +
                                 "\" already exists (index " +
                                 std::to_string(it->second) + ")");
   }
@@ -200,13 +203,14 @@ void FleetServer::handle_node_add(Client& client, const Frame& frame) {
     }
     method = options_.pack->load(msg.pack_id, *options_.registry);
   }
-  const std::size_t index =
-      engine_.add_node(frame.node, std::move(method), msg.n_sensors);
-  nodes_.emplace(frame.node, index);
+  const std::size_t index = engine_.add_node(name, std::move(method),
+                                             msg.n_sensors);
+  nodes_.emplace(name, index);
   if (options_.on_node_add) {
-    options_.on_node_add(index, frame.node, msg.n_sensors);
+    options_.on_node_add(index, name, msg.n_sensors);
   }
-  reply(client, FrameType::kOk, frame.node, encode_ok(index));
+  append_frame(client.out, FrameType::kOk, frame.node,
+               [&](std::vector<std::uint8_t>& out) { encode_ok(index, out); });
 }
 
 }  // namespace csm::net

@@ -9,6 +9,14 @@
 // signature vectors, and stats requests scrape the fleet-wide counters
 // (including the per-node ingest-latency histogram, merged).
 //
+// The sample path copies each sample once after the socket read: the
+// transport reads into the connection's FrameReader buffer, the server
+// dispatches on a FrameView into it (node lookup included, no string
+// built), the batch's f64 block is copied into one reused server-owned
+// common::ColumnBatch, and the engine copies each column from there into
+// its ring slot. Replies are encoded in place at the end of the
+// connection's output buffer (append_frame).
+//
 // Threading: the server itself is single-threaded — one run() loop owns
 // every connection, with per-connection read buffers reassembling frames
 // across arbitrary read boundaries. Clients are concurrent with each other
@@ -35,9 +43,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/matrix_view.hpp"
 #include "core/stream_engine.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
@@ -122,23 +132,34 @@ class FleetServer {
         : conn(std::move(c)), reader(max_payload) {}
   };
 
+  /// Hashes std::string and std::string_view alike, so nodes_ is searched
+  /// by a FrameView's node id without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   void accept_pending();
   /// Reads everything a client has, handles complete frames, flushes.
   bool service(Client& client);
-  void handle_frame(Client& client, Frame&& frame);
-  void handle_node_add(Client& client, const Frame& frame);
-  void reply(Client& client, FrameType type, const std::string& node,
-             std::vector<std::uint8_t> payload);
+  void handle_frame(Client& client, const FrameView& frame);
+  void handle_node_add(Client& client, const FrameView& frame);
   void flush(Client& client);
   /// Engine index for `node`, throwing std::invalid_argument (a semantic,
   /// connection-preserving error) when the name is unknown or removed.
-  std::size_t lookup(const std::string& node) const;
+  std::size_t lookup(std::string_view node) const;
 
   std::unique_ptr<Listener> listener_;
   core::StreamEngine& engine_;
   FleetServerOptions options_;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::unordered_map<std::string, std::size_t> nodes_;
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      nodes_;
+  /// Decode buffer every sample batch is copied into; reused, so a batch
+  /// of a size seen before allocates nothing.
+  common::ColumnBatch batch_;
   std::atomic<bool> stop_{false};
   std::uint64_t frames_ = 0;
 };

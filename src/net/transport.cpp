@@ -28,12 +28,11 @@ void write_frame(Connection& conn, const Frame& frame) {
 
 std::optional<Frame> read_frame(Connection& conn, FrameReader& reader,
                                 int timeout_ms) {
-  std::uint8_t chunk[4096];
   for (;;) {
     if (std::optional<Frame> frame = reader.next()) return frame;
-    const std::size_t n = conn.read_some(chunk);
+    const std::size_t n = conn.read_some(reader.read_buffer(4096));
     if (n > 0) {
-      reader.feed({chunk, n});
+      reader.commit(n);
       continue;
     }
     if (!conn.is_open()) {

@@ -25,7 +25,7 @@ void EngineRecorder::on_node_add(std::size_t engine_index,
 }
 
 void EngineRecorder::tap(std::size_t engine_index,
-                         const common::Matrix& columns) {
+                         const common::MatrixView& columns) {
   std::uint32_t table_index = kUnmapped;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -20,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "replay/recording.hpp"
 
 namespace csm::replay {
@@ -38,7 +38,7 @@ class EngineRecorder {
 
   /// The ingest tap body: records `columns` against the node registered
   /// for `engine_index`. Matches core::StreamEngine::IngestTap.
-  void tap(std::size_t engine_index, const common::Matrix& columns);
+  void tap(std::size_t engine_index, const common::MatrixView& columns);
 
   /// Seals the recording (node table + trailing CRC). The engine's tap
   /// must be cleared (or the engine quiesced) first.

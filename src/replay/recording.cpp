@@ -1,6 +1,5 @@
 #include "replay/recording.hpp"
 
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -101,7 +100,7 @@ std::uint32_t Recorder::add_node(std::string_view id,
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-void Recorder::record(std::uint32_t node, const common::Matrix& columns) {
+void Recorder::record(std::uint32_t node, const common::MatrixView& columns) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (node >= nodes_.size()) {
     fail("batch names unknown node index " + std::to_string(node));
@@ -109,7 +108,7 @@ void Recorder::record(std::uint32_t node, const common::Matrix& columns) {
   record_locked(node, columns, next_timestamp_[node]);
 }
 
-void Recorder::record(std::uint32_t node, const common::Matrix& columns,
+void Recorder::record(std::uint32_t node, const common::MatrixView& columns,
                       std::uint64_t timestamp) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (node >= nodes_.size()) {
@@ -118,7 +117,8 @@ void Recorder::record(std::uint32_t node, const common::Matrix& columns,
   record_locked(node, columns, timestamp);
 }
 
-void Recorder::record_locked(std::uint32_t node, const common::Matrix& columns,
+void Recorder::record_locked(std::uint32_t node,
+                             const common::MatrixView& columns,
                              std::uint64_t timestamp) {
   if (finished_) fail("record() after finish()");
   if (columns.cols() == 0) return;  // Tombstone slots record nothing.
@@ -140,11 +140,7 @@ void Recorder::record_locked(std::uint32_t node, const common::Matrix& columns,
   append_u32(bytes, static_cast<std::uint32_t>(columns.cols()));
   // Column-major: one monitoring time-stamp after another, matching both
   // the ingestion order and the kSampleBatch wire layout.
-  for (std::size_t c = 0; c < columns.cols(); ++c) {
-    for (std::size_t r = 0; r < columns.rows(); ++r) {
-      append_u64(bytes, std::bit_cast<std::uint64_t>(columns(r, c)));
-    }
-  }
+  core::codec::append_f64_columns(bytes, columns);
   write(bytes);
   payload_crc_ = crc32(bytes, payload_crc_);
   payload_size_ += bytes.size();
@@ -440,15 +436,8 @@ std::optional<RecordedBatch> ReplayReader::next() {
   RecordedBatch batch;
   batch.node = node;
   batch.timestamp = timestamp;
-  const std::size_t rows = m.nodes[node].n_sensors;
-  batch.columns = common::Matrix(rows, n_cols);
-  const std::uint8_t* values = body + kBatchBodyPrefix;
-  for (std::size_t c = 0; c < n_cols; ++c) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      batch.columns(r, c) =
-          std::bit_cast<double>(load_u64(values + (c * rows + r) * 8));
-    }
-  }
+  batch.columns.resize(m.nodes[node].n_sensors, n_cols);
+  core::codec::load_f64s(body + kBatchBodyPrefix, batch.columns.values());
   running_crc_ = crc32({m.data + cursor_, 8 + static_cast<std::size_t>(
                                                   body_len)},
                        running_crc_);

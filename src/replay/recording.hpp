@@ -48,7 +48,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 
 namespace csm::replay {
 
@@ -75,11 +75,13 @@ struct RecordedNode {
 };
 
 /// One replayed sample batch: `columns` is n_sensors x n_cols, exactly the
-/// matrix the original ingest call carried.
+/// samples the original ingest call carried, in the file's column-major
+/// layout (decoded by one copy, no transpose), so a scenario mutates it in
+/// place and StreamEngine::ingest takes it as a column segment.
 struct RecordedBatch {
   std::uint32_t node = 0;       ///< Index into the node table.
   std::uint64_t timestamp = 0;  ///< Node-cumulative sample offset (default).
-  common::Matrix columns;
+  common::ColumnBatch columns;
 };
 
 /// Streaming CSMR writer. File-backed (the normal capture path) or
@@ -105,12 +107,13 @@ class Recorder {
   /// Appends one batch for `node` with the node's cumulative sample offset
   /// as the timestamp. Empty batches (0 columns) are dropped — a tombstone
   /// slot in ingest_batch contributes nothing to a recording. Throws
-  /// RecordingError on an unknown node or a sensor-count mismatch.
-  void record(std::uint32_t node, const common::Matrix& columns);
+  /// RecordingError on an unknown node or a sensor-count mismatch. A
+  /// column-major batch is written one bulk copy per segment.
+  void record(std::uint32_t node, const common::MatrixView& columns);
 
   /// Same, with an explicit timestamp (the cumulative offset still
   /// advances, so later default-timestamp batches stay consistent).
-  void record(std::uint32_t node, const common::Matrix& columns,
+  void record(std::uint32_t node, const common::MatrixView& columns,
               std::uint64_t timestamp);
 
   /// Writes the node table and trailing CRC and patches the header. No
@@ -127,7 +130,7 @@ class Recorder {
  private:
   void write(std::span<const std::uint8_t> data);
   /// Caller holds mutex_ and has validated the node index.
-  void record_locked(std::uint32_t node, const common::Matrix& columns,
+  void record_locked(std::uint32_t node, const common::MatrixView& columns,
                      std::uint64_t timestamp);
 
   mutable std::mutex mutex_;

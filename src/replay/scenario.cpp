@@ -1,5 +1,6 @@
 #include "replay/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -208,7 +209,7 @@ void Scenario::reset() {
 }
 
 void Scenario::apply(std::size_t node, std::uint64_t start,
-                     common::Matrix& columns) {
+                     common::ColumnBatch& columns) {
   if (injectors_.empty() || columns.cols() == 0) return;
   if (next_start_.size() <= node) next_start_.resize(node + 1, 0);
   if (start != next_start_[node]) {
@@ -219,21 +220,17 @@ void Scenario::apply(std::size_t node, std::uint64_t start,
   }
   next_start_[node] = start + columns.cols();
 
-  const std::size_t n = columns.rows();
-  std::vector<double> col(n);
-  std::vector<double> scratch(n);
+  std::vector<double> scratch(columns.rows());
   for (std::size_t c = 0; c < columns.cols(); ++c) {
-    for (std::size_t r = 0; r < n; ++r) col[r] = columns(r, c);
     const std::uint64_t t = start + c;
     for (std::size_t k = 0; k < injectors_.size(); ++k) {
-      apply_one(k, node, t, col, scratch);
+      apply_one(k, node, t, columns.col(c), scratch);
     }
-    for (std::size_t r = 0; r < n; ++r) columns(r, c) = col[r];
   }
 }
 
 void Scenario::apply_one(std::size_t k, std::size_t node, std::uint64_t t,
-                         std::vector<double>& col,
+                         std::span<double> col,
                          std::vector<double>& scratch) {
   const Injector& inj = injectors_[k];
   const std::size_t n = col.size();
@@ -271,9 +268,9 @@ void Scenario::apply_one(std::size_t k, std::size_t node, std::uint64_t t,
       State& st = state(k, node);
       if (t > 0 && t % inj.every == 0 && st.has_prev &&
           st.prev.size() == n) {
-        col = st.prev;
+        std::copy(st.prev.begin(), st.prev.end(), col.begin());
       }
-      st.prev = col;
+      st.prev.assign(col.begin(), col.end());
       st.has_prev = true;
       break;
     }
@@ -285,7 +282,7 @@ void Scenario::apply_one(std::size_t k, std::size_t node, std::uint64_t t,
         common::Rng rng(mix(base, 0x64726966 /* 'drif' */));
         st.perm = rng.permutation(n);
       }
-      scratch = col;
+      std::copy(col.begin(), col.end(), scratch.begin());
       for (std::size_t s = 0; s < n; ++s) {
         col[s] = inj.gain *
                  ((1.0 - inj.mix) * scratch[s] + inj.mix * scratch[st.perm[s]]);

@@ -36,11 +36,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 
 namespace csm::replay {
 
@@ -84,11 +85,13 @@ class Scenario {
     return injectors_;
   }
 
-  /// Mutates `columns` (n_sensors x n_cols) in place as the samples
-  /// [start, start + n_cols) of `node`'s stream. Feeding a node
-  /// non-contiguously (start != previous start + previous n_cols) resets
-  /// that node's injector memory, as if its stream restarted.
-  void apply(std::size_t node, std::uint64_t start, common::Matrix& columns);
+  /// Mutates `columns` (n_sensors x n_cols) in place, one contiguous column
+  /// at a time, as the samples [start, start + n_cols) of `node`'s stream.
+  /// Feeding a node non-contiguously (start != previous start + previous
+  /// n_cols) resets that node's injector memory, as if its stream
+  /// restarted.
+  void apply(std::size_t node, std::uint64_t start,
+             common::ColumnBatch& columns);
 
   /// Drops all per-node injector memory (every stream restarts at its next
   /// apply()).
@@ -105,7 +108,7 @@ class Scenario {
   };
 
   void apply_one(std::size_t k, std::size_t node, std::uint64_t t,
-                 std::vector<double>& col, std::vector<double>& scratch);
+                 std::span<double> col, std::vector<double>& scratch);
   State& state(std::size_t k, std::size_t node);
 
   std::uint64_t seed_ = 0;

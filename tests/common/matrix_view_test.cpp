@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -140,6 +142,42 @@ TEST(MatrixView, LeadingEmptySegmentIsNormalised) {
   EXPECT_EQ(v.n_col_segments(), 1u);
   EXPECT_EQ(v.cols(), 4u);
   EXPECT_EQ(v(1, 3), 103.0);
+}
+
+TEST(ColumnBatch, CopiesEitherLayoutColumnByColumn) {
+  const Matrix m = counting_matrix(3, 5);
+  const ColumnBatch from_rows(m);
+  const auto [a, b] = counting_segments(3, 5, 2);
+  const ColumnBatch from_segments(MatrixView::column_segments(a, b, 3));
+  EXPECT_EQ(from_rows, from_segments);
+  ASSERT_EQ(from_rows.rows(), 3u);
+  ASSERT_EQ(from_rows.cols(), 5u);
+  for (std::size_t c = 0; c < 5; ++c) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(from_rows.col(c)[r], m(r, c));
+      EXPECT_EQ(from_rows.values()[c * 3 + r], m(r, c));
+    }
+  }
+  // The implicit view is one column segment over the batch's own storage.
+  const MatrixView v = from_rows;
+  EXPECT_TRUE(v.contiguous_cols());
+  EXPECT_EQ(v.n_col_segments(), 1u);
+  EXPECT_EQ(v.col(4).data(), from_rows.col(4).data());
+  EXPECT_EQ(v.materialize(), m);
+}
+
+TEST(ColumnBatch, ResizeReshapesAndChecksOverflow) {
+  ColumnBatch batch(4, 6);
+  EXPECT_EQ(batch.values().size(), 24u);
+  batch.resize(2, 3);
+  EXPECT_EQ(batch.rows(), 2u);
+  EXPECT_EQ(batch.cols(), 3u);
+  EXPECT_EQ(batch.values().size(), 6u);
+  EXPECT_THROW(batch.resize(std::size_t{1} << 33, std::size_t{1} << 33),
+               std::length_error);
+  // Zero rows view as empty whatever the column count.
+  batch.resize(0, 7);
+  EXPECT_TRUE(MatrixView(batch).empty());
 }
 
 }  // namespace

@@ -11,10 +11,12 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/crc32_kernels.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
 
@@ -63,6 +65,87 @@ TEST(Crc32, MatchesKnownVectors) {
     bitwise ^= 0xFFFFFFFFu;
     EXPECT_EQ(crc32(bytes_of(base.substr(0, len))), bitwise)
         << "length " << len;
+  }
+}
+
+// One CRC kernel under test: its name and the function.
+struct CrcKernel {
+  const char* name;
+  std::uint32_t (*fn)(std::span<const std::uint8_t>, std::uint32_t) noexcept;
+};
+
+// Every kernel this build compiled that this CPU can run.
+std::vector<CrcKernel> crc_kernels() {
+  std::vector<CrcKernel> kernels = {{"slicing8", &detail::crc32_slicing8}};
+#if CSM_CRC32_PCLMUL
+  if (detail::has_pclmul()) {
+    kernels.push_back({"pclmul", &detail::crc32_pclmul});
+  }
+#endif
+  return kernels;
+}
+
+// The bitwise definition: advances the raw (un-finalised) register by one
+// byte.
+std::uint32_t crc_bitwise_step(std::uint32_t crc, std::uint8_t byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+  }
+  return crc;
+}
+
+TEST(Crc32, EveryKernelMatchesTheBitwiseReference) {
+  common::Rng rng(0xc4c32);
+  std::vector<std::uint8_t> buf(4096 + 16);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  for (const CrcKernel& kernel : crc_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    // Every start offset mod 16, every length 0..4096, from a zero prior
+    // and a random one. The reference extends one byte per length, so it
+    // stays linear in the buffer size.
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const std::uint32_t priors[] = {
+          0u, static_cast<std::uint32_t>(rng.next())};
+      for (const std::uint32_t prior : priors) {
+        std::uint32_t raw = prior ^ 0xFFFFFFFFu;
+        std::size_t mismatches = 0;
+        for (std::size_t len = 0; len <= 4096; ++len) {
+          if (len > 0) raw = crc_bitwise_step(raw, buf[offset + len - 1]);
+          const std::uint32_t got =
+              kernel.fn({buf.data() + offset, len}, prior);
+          if (got != (raw ^ 0xFFFFFFFFu) && mismatches++ < 5) {
+            ADD_FAILURE() << "offset " << offset << ", length " << len
+                          << ", prior " << prior;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(Crc32, ChunkedEqualsWholeAtEverySplit) {
+  common::Rng rng(300);
+  std::vector<std::uint8_t> buf(300);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = crc32(all);
+  for (const CrcKernel& kernel : crc_kernels()) {
+    EXPECT_EQ(kernel.fn(all, 0), whole) << kernel.name;
+  }
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split " << split;
+    for (const CrcKernel& kernel : crc_kernels()) {
+      EXPECT_EQ(kernel.fn(all.subspan(split), kernel.fn(all.first(split), 0)),
+                whole)
+          << kernel.name << ", split " << split;
+    }
   }
 }
 

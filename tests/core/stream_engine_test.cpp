@@ -439,9 +439,10 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   const std::size_t b = engine.add_node("b", fit_cs(data1));
 
   std::vector<std::pair<std::size_t, common::Matrix>> seen;
-  engine.set_tap([&seen](std::size_t node, const common::Matrix& columns) {
-    seen.emplace_back(node, columns);
-  });
+  engine.set_tap(
+      [&seen](std::size_t node, const common::MatrixView& columns) {
+        seen.emplace_back(node, columns.materialize());
+      });
 
   // Single-node ingest, then a fleet batch with an empty placeholder: the
   // tap fires once per NON-empty batch, with exactly the ingested bytes.
@@ -473,7 +474,8 @@ TEST(StreamEngine, TapDoesNotPerturbSignatures) {
   tapped.add_node("n", method);
   untapped.add_node("n", method);
   std::size_t calls = 0;
-  tapped.set_tap([&calls](std::size_t, const common::Matrix&) { ++calls; });
+  tapped.set_tap(
+      [&calls](std::size_t, const common::MatrixView&) { ++calls; });
 
   tapped.ingest(0, data);
   untapped.ingest(0, data);

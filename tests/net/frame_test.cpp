@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -230,6 +233,64 @@ TEST(FrameReader, ErrorOffsetsAreAbsoluteAcrossFrames) {
     EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
         << e.what();
   }
+}
+
+TEST(FrameReader, ViewsReadInPlaceMatchOwningFrames) {
+  // Three frames read straight into the reader's buffer, 13 bytes per
+  // read, so a read often ends inside a header: each view carries the
+  // frame's type, id and payload bytes.
+  std::vector<Frame> sent = {sample_frame(), Frame{}, sample_frame()};
+  sent[1].type = FrameType::kDrainRequest;
+  sent[1].node = "n";
+  sent[2].payload.assign(300, 0xab);
+  std::vector<std::uint8_t> wire;
+  for (const Frame& f : sent) {
+    const std::vector<std::uint8_t> bytes = encode_frame(f);
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
+  }
+  FrameReader reader;
+  std::vector<Frame> got;
+  for (std::size_t at = 0; at < wire.size(); at += 13) {
+    const std::size_t n = std::min<std::size_t>(13, wire.size() - at);
+    const std::span<std::uint8_t> room = reader.read_buffer(n);
+    ASSERT_GE(room.size(), n);
+    std::copy_n(wire.begin() + static_cast<std::ptrdiff_t>(at), n,
+                room.begin());
+    reader.commit(n);
+    while (const std::optional<FrameView> view = reader.next_view()) {
+      got.push_back({view->type, std::string(view->node),
+                     {view->payload.begin(), view->payload.end()}});
+    }
+  }
+  EXPECT_EQ(got, sent);
+  EXPECT_TRUE(reader.at_frame_boundary());
+  EXPECT_EQ(reader.stream_offset(), wire.size());
+}
+
+TEST(FrameCodec, AppendFrameRollsBackAFailedPayload) {
+  std::vector<std::uint8_t> out = {7, 7};
+  EXPECT_THROW(append_frame(out, FrameType::kOk, "n",
+                            [](std::vector<std::uint8_t>& o) {
+                              o.push_back(1);
+                              throw std::runtime_error("payload writer");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{7, 7}));
+  EXPECT_THROW(append_frame(out, FrameType::kOk, "n",
+                            [](std::vector<std::uint8_t>& o) {
+                              o.resize(o.size() + kMaxFramePayload + 1);
+                            }),
+               std::invalid_argument);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{7, 7}));
+  // In place after existing bytes, the frame equals encode_frame's.
+  append_frame(out, FrameType::kSampleBatch, "node17",
+               [](std::vector<std::uint8_t>& o) {
+                 const Frame f = sample_frame();
+                 o.insert(o.end(), f.payload.begin(), f.payload.end());
+               });
+  const std::vector<std::uint8_t> alone = encode_frame(sample_frame());
+  ASSERT_EQ(out.size(), 2 + alone.size());
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(), out.begin() + 2));
 }
 
 TEST(FrameWriter, TakeMovesBytesOutAndResets) {

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
+#include "core/model_codec.hpp"
 
 namespace csm::net {
 namespace {
@@ -71,7 +73,8 @@ TEST(SampleBatch, RoundTripsColumnMajor) {
   }
   const std::vector<std::uint8_t> payload = encode_sample_batch(m);
   EXPECT_EQ(payload.size(), 8u + 3u * 4u * sizeof(double));
-  const common::Matrix back = decode_sample_batch(payload);
+  const common::Matrix back =
+      common::MatrixView(decode_sample_batch(payload)).materialize();
   ASSERT_EQ(back.rows(), m.rows());
   ASSERT_EQ(back.cols(), m.cols());
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -79,6 +82,30 @@ TEST(SampleBatch, RoundTripsColumnMajor) {
       EXPECT_EQ(back(r, c), m(r, c)) << r << "," << c;
     }
   }
+}
+
+TEST(SampleBatch, EitherLayoutEncodesTheSameBytes) {
+  common::Matrix m(3, 5);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      m(r, c) = static_cast<double>(r) - 0.5 * static_cast<double>(c);
+    }
+  }
+  const std::vector<std::uint8_t> payload = encode_sample_batch(m);
+  const common::ColumnBatch columns(m);
+  EXPECT_EQ(encode_sample_batch(columns), payload);
+  // The block after the two counts is column-major, sample after sample.
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      EXPECT_EQ(core::codec::load_u64(payload.data() + 8 +
+                                      (c * m.rows() + r) * sizeof(double)),
+                std::bit_cast<std::uint64_t>(m(r, c)));
+    }
+  }
+  // A reused decode buffer takes any shape.
+  common::ColumnBatch reused(7, 9);
+  decode_sample_batch(payload, reused);
+  EXPECT_EQ(reused, columns);
 }
 
 TEST(SampleBatch, RejectsTruncatedData) {

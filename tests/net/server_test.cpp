@@ -9,10 +9,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.hpp"
@@ -225,6 +227,103 @@ TEST_F(FleetServerTest, RemoveNodeRetiresTheName) {
   const Frame ack = roundtrip(node_add_frame("gone", *method));
   ASSERT_EQ(ack.type, FrameType::kOk);
   EXPECT_EQ(decode_ok(ack.payload), std::optional<std::uint64_t>(1));
+}
+
+// The f64 block of a sample batch sits at frame offset 20 + id length, so
+// ids of 1..8 bytes put it at every offset mod 8; feeding the wire whole,
+// byte by byte, 7 and 1000 bytes at a time also moves each frame around
+// inside the server's read buffer (1000-byte reads leave long partial
+// frames for the reader to carry over). Whatever the alignment and split, the drained
+// signatures are bit for bit those of an engine fed the Matrix directly.
+TEST(FleetServerIngest, EveryAlignmentAndSplitDrainsTheReferenceBytes) {
+  const common::Matrix s = node_matrix(5, 60, 61);
+  const auto method = fit_method(s);
+  core::StreamEngine reference(engine_options());
+  reference.add_node("ref", method, s.rows());
+  reference.ingest(0, s);
+  const std::vector<std::vector<double>> expected = reference.drain(0);
+  ASSERT_FALSE(expected.empty());
+
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{1000}}) {
+    SCOPED_TRACE(chunk == 0 ? "whole" : "chunk " + std::to_string(chunk));
+    core::StreamEngine engine(engine_options());
+    LoopbackHub hub;
+    FleetServer server(hub.listen(), engine, server_options());
+    const std::unique_ptr<Connection> conn = hub.connect();
+    FrameReader reader;
+    std::vector<std::string> names;
+    for (std::size_t id_len = 1; id_len <= 8; ++id_len) {
+      names.emplace_back(id_len, static_cast<char>('a' + id_len - 1));
+      ASSERT_EQ(roundtrip(server, *conn, reader,
+                          node_add_frame(names.back(), *method))
+                    .type,
+                FrameType::kOk);
+    }
+    std::vector<std::uint8_t> wire;
+    for (const auto& [start, len] : {std::pair<std::size_t, std::size_t>{0, 13},
+                                    {13, 1}, {14, 29}, {43, 17}}) {
+      for (const std::string& name : names) {
+        const std::vector<std::uint8_t> frame =
+            encode_frame(batch_frame(name, s.sub_cols(start, len)));
+        wire.insert(wire.end(), frame.begin(), frame.end());
+      }
+    }
+    const std::size_t step = chunk == 0 ? wire.size() : chunk;
+    for (std::size_t at = 0; at < wire.size(); at += step) {
+      write_all(*conn, std::span(wire).subspan(
+                           at, std::min(step, wire.size() - at)));
+      server.poll_once(0);
+    }
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      const Frame reply = roundtrip(server, *conn, reader,
+                                    {FrameType::kDrainRequest, name, {}});
+      ASSERT_EQ(reply.type, FrameType::kDrainResponse)
+          << decode_error_text(reply.payload);
+      const DrainResponse drained = decode_drain_response(reply.payload);
+      ASSERT_EQ(drained.signatures.size(), expected.size());
+      for (std::size_t k = 0; k < expected.size(); ++k) {
+        ASSERT_EQ(drained.signatures[k].size(), expected[k].size());
+        EXPECT_EQ(std::memcmp(drained.signatures[k].data(),
+                              expected[k].data(),
+                              expected[k].size() * sizeof(double)),
+                  0)
+            << "signature " << k;
+      }
+    }
+    EXPECT_EQ(server.n_connections(), 1u);
+  }
+}
+
+TEST_F(FleetServerTest, MalformedBatchesAnswerErrorAndKeepTheConnection) {
+  const common::Matrix s = node_matrix(6, 40, 62);
+  const auto method = fit_method(s);
+  ASSERT_EQ(roundtrip(node_add_frame("n0", *method)).type, FrameType::kOk);
+  const std::vector<std::uint8_t> good = encode_sample_batch(s.sub_cols(0, 3));
+
+  std::vector<std::vector<std::uint8_t>> bad;
+  bad.emplace_back(good.begin(), good.end() - 1);  // Truncated block.
+  bad.push_back(good);
+  bad.back().push_back(0);  // Trailing byte.
+  bad.push_back({0, 0, 0, 0, 3, 0, 0, 0});  // n_sensors = 0, 3 columns.
+  bad.push_back(encode_sample_batch(node_matrix(4, 3, 63)));  // 4 != 6.
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    Frame frame;
+    frame.type = FrameType::kSampleBatch;
+    frame.node = "n0";
+    frame.payload = bad[i];
+    EXPECT_EQ(roundtrip(frame).type, FrameType::kError) << "batch " << i;
+    EXPECT_TRUE(conn_->is_open()) << "batch " << i;
+    EXPECT_EQ(server_->n_connections(), 1u) << "batch " << i;
+  }
+  // None of them reached the node; a good batch still does.
+  push(batch_frame("n0", s.sub_cols(0, 3)));
+  Frame scrape;
+  scrape.type = FrameType::kStatsRequest;
+  const Frame stats = roundtrip(scrape);
+  ASSERT_EQ(stats.type, FrameType::kStatsResponse);
+  EXPECT_EQ(decode_stats_response(stats.payload).samples, 3u);
 }
 
 // Standalone (fresh hub/engine/server): the pack must be wired into the

@@ -74,17 +74,17 @@ TEST(Recorder, InMemoryRoundTrip) {
   ASSERT_TRUE(first);
   EXPECT_EQ(first->node, a);
   EXPECT_EQ(first->timestamp, 0u);  // Node-cumulative sample offsets.
-  EXPECT_EQ(first->columns, batch_a0);
+  EXPECT_EQ(first->columns, common::ColumnBatch(batch_a0));
   auto second = reader.next();
   ASSERT_TRUE(second);
   EXPECT_EQ(second->node, b);
   EXPECT_EQ(second->timestamp, 0u);
-  EXPECT_EQ(second->columns, batch_b0);
+  EXPECT_EQ(second->columns, common::ColumnBatch(batch_b0));
   auto third = reader.next();
   ASSERT_TRUE(third);
   EXPECT_EQ(third->node, a);
   EXPECT_EQ(third->timestamp, 4u);  // After alpha's 4-column first batch.
-  EXPECT_EQ(third->columns, batch_a1);
+  EXPECT_EQ(third->columns, common::ColumnBatch(batch_a1));
   EXPECT_FALSE(reader.next());
   EXPECT_FALSE(reader.next());  // Stays exhausted.
 }
@@ -234,9 +234,10 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
   recorder.on_node_add(a, "alpha", 3);
   const std::size_t b = engine.add_node("beta", cs_all.fit(train_b));
   recorder.on_node_add(b, "beta", 2);
-  engine.set_tap([&recorder](std::size_t node, const common::Matrix& cols) {
-    recorder.tap(node, cols);
-  });
+  engine.set_tap(
+      [&recorder](std::size_t node, const common::MatrixView& cols) {
+        recorder.tap(node, cols);
+      });
 
   const common::Matrix batch_a = train_a.sub_cols(0, 12);
   const common::Matrix batch_b = train_b.sub_cols(4, 9);
@@ -252,10 +253,10 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
   EXPECT_EQ(reader.node(1).id, "beta");
   auto first = reader.next();
   ASSERT_TRUE(first);
-  EXPECT_EQ(first->columns, batch_a);
+  EXPECT_EQ(first->columns, common::ColumnBatch(batch_a));
   auto second = reader.next();
   ASSERT_TRUE(second);
-  EXPECT_EQ(second->columns, batch_b);
+  EXPECT_EQ(second->columns, common::ColumnBatch(batch_b));
 }
 
 TEST(EngineRecorder, RejectsUnregisteredAndDoubleRegistration) {

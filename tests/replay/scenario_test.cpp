@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/matrix.hpp"
+#include "common/matrix_view.hpp"
 #include "common/rng.hpp"
 
 namespace csm::replay {
@@ -20,6 +21,15 @@ common::Matrix noise_matrix(std::size_t n, std::size_t t,
     for (std::size_t c = 0; c < t; ++c) m(r, c) = rng.gaussian();
   }
   return m;
+}
+
+// Runs `s` over a row-major matrix through the column-major batch that
+// Scenario::apply mutates in place.
+void apply(Scenario& s, std::size_t node, std::uint64_t start,
+           common::Matrix& m) {
+  common::ColumnBatch batch(m);
+  s.apply(node, start, batch);
+  m = common::MatrixView(batch).materialize();
 }
 
 // Element-wise equality that treats NaN == NaN as equal: the nan injector
@@ -71,7 +81,7 @@ TEST(Scenario, EmptyScenarioIsIdentity) {
   EXPECT_EQ(identity.to_string(), "");
   common::Matrix data = noise_matrix(4, 50, 1);
   const common::Matrix original = data;
-  identity.apply(0, 0, data);
+  apply(identity, 0, 0, data);
   EXPECT_EQ(data, original);
 }
 
@@ -83,14 +93,14 @@ TEST(Scenario, SameSeedSameStreamIsDeterministic) {
   Scenario b = Scenario::parse(spec, 42);
   common::Matrix data_a = noise_matrix(8, 300, 3);
   common::Matrix data_b = data_a;
-  a.apply(0, 0, data_a);
-  b.apply(0, 0, data_b);
+  apply(a, 0, 0, data_a);
+  apply(b, 0, 0, data_b);
   EXPECT_TRUE(same_stream(data_a, data_b));
 
   // A different seed must make different choices somewhere in 300 columns.
   Scenario c = Scenario::parse(spec, 43);
   common::Matrix data_c = noise_matrix(8, 300, 3);
-  c.apply(0, 0, data_c);
+  apply(c, 0, 0, data_c);
   EXPECT_FALSE(same_stream(data_c, data_a));
 }
 
@@ -105,7 +115,7 @@ TEST(Scenario, BatchSizeInvariant) {
 
   Scenario whole = Scenario::parse(spec, 11);
   common::Matrix one_shot = source;
-  whole.apply(0, 0, one_shot);
+  apply(whole, 0, 0, one_shot);
 
   Scenario chunked_scenario = Scenario::parse(spec, 11);
   common::Matrix chunked(6, 240);
@@ -113,7 +123,7 @@ TEST(Scenario, BatchSizeInvariant) {
   std::size_t at = 0;
   for (const std::size_t len : chunks) {
     common::Matrix piece = source.sub_cols(at, len);
-    chunked_scenario.apply(0, at, piece);
+    apply(chunked_scenario, 0, at, piece);
     for (std::size_t r = 0; r < 6; ++r) {
       for (std::size_t c = 0; c < len; ++c) {
         chunked(r, at + c) = piece(r, c);
@@ -129,8 +139,8 @@ TEST(Scenario, NodesAreIndependentStreams) {
   Scenario s = Scenario::parse("dropout:p=0.3,len=10", 5);
   common::Matrix node0 = noise_matrix(4, 100, 21);
   common::Matrix node1 = node0;
-  s.apply(0, 0, node0);
-  s.apply(1, 0, node1);
+  apply(s, 0, 0, node0);
+  apply(s, 1, 0, node1);
   // Same input, same seed, different node: different epoch draws.
   EXPECT_NE(node0, node1);
 }
@@ -139,7 +149,7 @@ TEST(Scenario, DriftStartsAtOnsetOnly) {
   Scenario s = Scenario::parse("drift:at=50,mix=0.5,gain=2", 13);
   const common::Matrix source = noise_matrix(5, 100, 17);
   common::Matrix mutated = source;
-  s.apply(0, 0, mutated);
+  apply(s, 0, 0, mutated);
   for (std::size_t c = 0; c < 50; ++c) {
     for (std::size_t r = 0; r < 5; ++r) {
       EXPECT_EQ(mutated(r, c), source(r, c)) << r << "," << c;
@@ -157,7 +167,7 @@ TEST(Scenario, DriftStartsAtOnsetOnly) {
 TEST(Scenario, NanInjectorWritesNaNs) {
   Scenario s = Scenario::parse("nan:p=1,len=10", 3);
   common::Matrix data = noise_matrix(3, 40, 23);
-  s.apply(0, 0, data);
+  apply(s, 0, 0, data);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 40; ++c) {
       EXPECT_TRUE(std::isnan(data(r, c))) << r << "," << c;
@@ -168,7 +178,7 @@ TEST(Scenario, NanInjectorWritesNaNs) {
 TEST(Scenario, DropoutRailsAtPreviousValue) {
   Scenario s = Scenario::parse("dropout:p=1,len=8", 3);
   common::Matrix data = noise_matrix(2, 32, 29);
-  s.apply(0, 0, data);
+  apply(s, 0, 0, data);
   // With p=1 every epoch holds: within each 8-sample epoch after the
   // first, every sensor repeats one railed value.
   for (std::size_t epoch = 1; epoch < 4; ++epoch) {
@@ -190,14 +200,14 @@ TEST(Scenario, NonContiguousFeedResetsNodeState) {
   const common::Matrix source = noise_matrix(4, 60, 37);
 
   common::Matrix head = source.sub_cols(0, 30);
-  s.apply(0, 0, head);
+  apply(s, 0, 0, head);
   common::Matrix restarted = source.sub_cols(0, 30);
-  s.apply(0, 0, restarted);  // start 0 again: non-contiguous, state reset.
+  apply(s, 0, 0, restarted);  // start 0 again: non-contiguous, state reset.
   EXPECT_EQ(restarted, head);
 
   s.reset();
   common::Matrix after_reset = source.sub_cols(0, 30);
-  s.apply(0, 0, after_reset);
+  apply(s, 0, 0, after_reset);
   EXPECT_EQ(after_reset, head);
 }
 

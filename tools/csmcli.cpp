@@ -800,7 +800,7 @@ int cmd_stream(const Options& opts) {
   }
   if (recorder) {
     engine.set_tap([&recorder](std::size_t node,
-                               const common::Matrix& columns) {
+                               const common::MatrixView& columns) {
       recorder->tap(node, columns);
     });
   }
@@ -827,23 +827,26 @@ int cmd_stream(const Options& opts) {
   std::cout << "method: " << engine.stream(0).method().name() << '\n';
 
   // Replay the shared timeline in batches of --batch columns, the way a
-  // monitoring bus delivers one flush per node per collection round. The
-  // scenario mutates each batch on this (single) thread before the engine
-  // fans the ingest out.
+  // monitoring bus delivers one flush per node per collection round, each
+  // in the column-major layout csmd decodes into. The scenario mutates
+  // each batch on this (single) thread before the engine fans the ingest
+  // out.
   replay::Scenario scenario = make_scenario(opts);
   if (!scenario.empty()) {
     std::cout << "scenario: " << scenario.to_string() << " (seed "
               << opts.seed << ")\n";
   }
   const std::size_t batch = opts.batch == 0 ? seg.length() : opts.batch;
-  std::vector<common::Matrix> batches(seg.n_blocks());
+  std::vector<common::ColumnBatch> batches(seg.n_blocks());
   for (std::size_t start = 0; start < seg.length(); start += batch) {
     const std::size_t len = std::min(batch, seg.length() - start);
     for (std::size_t b = 0; b < seg.n_blocks(); ++b) {
-      batches[b] = seg.blocks[b].sensors.sub_cols(start, len);
+      batches[b] =
+          common::ColumnBatch(seg.blocks[b].sensors.sub_cols(start, len));
       scenario.apply(b, start, batches[b]);
     }
-    engine.ingest_batch(batches);
+    engine.ingest_batch(
+        std::vector<common::MatrixView>(batches.begin(), batches.end()));
   }
   if (recorder) {
     engine.set_tap({});
@@ -875,7 +878,7 @@ int cmd_record(const Options& opts) {
   for (std::size_t start = 0; start < seg.length(); start += batch) {
     const std::size_t len = std::min(batch, seg.length() - start);
     for (std::size_t b = 0; b < seg.n_blocks(); ++b) {
-      common::Matrix columns = seg.blocks[b].sensors.sub_cols(start, len);
+      common::ColumnBatch columns(seg.blocks[b].sensors.sub_cols(start, len));
       scenario.apply(b, start, columns);
       recorder.record(static_cast<std::uint32_t>(b), columns);
     }
@@ -921,22 +924,19 @@ int cmd_replay(const Options& opts) {
     while (const auto batch = reader.next()) {
       total_cols[batch->node] += batch->columns.cols();
     }
-    std::vector<common::Matrix> full(reader.n_nodes());
+    std::vector<common::ColumnBatch> full(reader.n_nodes());
     std::vector<std::size_t> filled(reader.n_nodes(), 0);
     for (std::size_t i = 0; i < reader.n_nodes(); ++i) {
-      full[i] = common::Matrix(reader.node(i).n_sensors,
-                               static_cast<std::size_t>(total_cols[i]));
+      full[i].resize(reader.node(i).n_sensors,
+                     static_cast<std::size_t>(total_cols[i]));
     }
     reader.rewind();
     while (const auto batch = reader.next()) {
-      common::Matrix& dst = full[batch->node];
-      const std::size_t at = filled[batch->node];
-      for (std::size_t c = 0; c < batch->columns.cols(); ++c) {
-        for (std::size_t r = 0; r < batch->columns.rows(); ++r) {
-          dst(r, at + c) = batch->columns(r, c);
-        }
-      }
-      filled[batch->node] += batch->columns.cols();
+      const std::span<const double> values = batch->columns.values();
+      std::copy(values.begin(), values.end(),
+                full[batch->node].values().begin() +
+                    static_cast<std::ptrdiff_t>(filled[batch->node]));
+      filled[batch->node] += values.size();
     }
     const std::string spec = synthesize_spec(opts);
     for (std::size_t i = 0; i < reader.n_nodes(); ++i) {

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
       recorder.emplace(record_path);
       options.engine_hook = [&recorder](core::StreamEngine& engine) {
         engine.set_tap([&recorder](std::size_t node,
-                                   const common::Matrix& columns) {
+                                   const common::MatrixView& columns) {
           recorder->tap(node, columns);
         });
       };
