@@ -3,14 +3,17 @@
 // different sensor counts — something the baseline methods structurally
 // cannot do — and classify applications with no knowledge of the
 // architecture. Also demonstrates shipping a trained CS model between
-// processes through the method codec's text format.
+// processes as a CSMB record (the method codec).
 //
 // Usage: cross_arch_portability [scale]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "baselines/registry.hpp"
+#include "core/model_codec.hpp"
 #include "harness/experiment.hpp"
 #include "hpcoda/generator.hpp"
 
@@ -46,14 +49,15 @@ int main(int argc, char** argv) {
               rf.mean_score);
   std::cout << "(paper reports 0.995 with no degradation vs single-arch)\n";
 
-  // Model portability: serialise the Skylake model and reuse it elsewhere.
+  // Model portability: encode the Skylake model and reuse it elsewhere.
   const auto& registry = baselines::default_registry();
   const auto skylake =
       registry.create("cs:blocks=20")->fit(seg.blocks[0].sensors);
-  const std::string blob = skylake->serialize();
-  const bool round_trip = registry.deserialize(blob)->serialize() == blob;
-  std::cout << "\nSkylake CS model ships as " << blob.size()
-            << " bytes of text; round-trip "
+  const std::vector<std::uint8_t> record = core::codec::encode_binary(*skylake);
+  const bool round_trip =
+      core::codec::encode_binary(*registry.decode(record)) == record;
+  std::cout << "\nSkylake CS model ships as a " << record.size()
+            << "-byte CSMB record; round-trip "
             << (round_trip ? "OK" : "FAILED") << '\n';
   return 0;
 }

@@ -3,13 +3,16 @@
 // 1. Load (or here: synthesise) multi-sensor monitoring data.
 // 2. Train a CS model on historical data (training stage).
 // 3. Compute compact signatures over sliding windows (sorting + smoothing).
-// 4. Inspect, flatten for ML, rescale, and ship the model through the
-//    method codec.
+// 4. Inspect, flatten for ML, rescale, and ship the model as a CSMB record
+//    (the method codec).
+#include <cstdint>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "baselines/registry.hpp"
 #include "common/rng.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
 #include "data/window.hpp"
@@ -65,12 +68,12 @@ int main() {
 
   const core::CsSignatureMethod method(
       std::make_shared<const core::CsPipeline>(pipeline));
-  const std::string blob = method.serialize();
-  const auto shipped = baselines::default_registry().deserialize(blob);
+  const std::vector<std::uint8_t> record = core::codec::encode_binary(method);
+  const auto shipped = baselines::default_registry().decode(record);
   const auto& revived = dynamic_cast<const core::CsSignatureMethod&>(*shipped);
   const bool round_trip = revived.pipeline()->model() == model;
-  std::cout << "Model serialises to " << blob.size()
-            << " bytes and round-trips: "
+  std::cout << "Model encodes to a " << record.size()
+            << "-byte CSMB record and round-trips: "
             << (round_trip ? "OK" : "MISMATCH") << '\n';
   return 0;
 }

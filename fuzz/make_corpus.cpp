@@ -93,19 +93,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  for (const char* harness : {"model-codec", "model-text", "model-pack",
-                              "method-spec", "json", "sensor-csv",
-                              "frame", "recording"}) {
+  for (const char* harness : {"model-codec", "model-pack", "method-spec",
+                              "json", "sensor-csv", "frame", "recording"}) {
     fs::create_directories(root / harness);
   }
 
-  // --- model-codec (binary records) + model-text (tagged text) -------------
+  // --- model-codec (binary records) ---------------------------------------
   for (const auto& [label, method] : trained_methods()) {
     const std::vector<std::uint8_t> record =
         csm::core::codec::encode_binary(*method);
     write_bytes(root / "model-codec" / (label + ".csmb"), record.data(),
                 record.size());
-    write_text(root / "model-text" / (label + ".csmt"), method->serialize());
   }
 
   // --- model-pack: a 3-node mixed-method fleet store -----------------------

@@ -149,7 +149,7 @@ std::unique_ptr<core::SignatureMethod> PcaMethod::fit(
 
 void PcaMethod::save(core::codec::Sink& sink) const {
   if (!trained()) {
-    throw std::logic_error("PcaMethod: serialize() before fit()");
+    throw std::logic_error("PcaMethod: save() before fit()");
   }
   const std::size_t n = model_.n_sensors();
   const std::size_t k = model_.n_components();

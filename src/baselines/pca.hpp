@@ -63,7 +63,7 @@ class PcaModel {
 /// (holding a fitted PcaModel).
 class PcaMethod final : public core::SignatureMethod {
  public:
-  /// Untrained prototype; compute()/serialize() throw until fit().
+  /// Untrained prototype; compute()/save() throw until fit().
   /// Throws std::invalid_argument if components == 0.
   explicit PcaMethod(std::size_t components);
 

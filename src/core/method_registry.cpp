@@ -13,9 +13,6 @@ namespace csm::core {
 
 namespace {
 
-constexpr std::string_view kMagic = "csmethod";
-constexpr std::string_view kVersion = "v2";
-
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -195,30 +192,6 @@ std::unique_ptr<SignatureMethod> MethodRegistry::create(
   return create(MethodSpec::parse(spec_text));
 }
 
-std::unique_ptr<SignatureMethod> MethodRegistry::deserialize(
-    const std::string& text) const {
-  std::istringstream in(text);
-  std::string magic, version, key;
-  in >> magic >> version >> key;
-  if (!in || magic != kMagic || version != kVersion) {
-    throw std::runtime_error(
-        "MethodRegistry::deserialize: bad header (expected \"csmethod v2 "
-        "<key>\")");
-  }
-  if (!contains(key)) {
-    throw std::runtime_error(
-        "MethodRegistry::deserialize: unknown method tag \"" + key + "\"");
-  }
-  // Body = everything after the header line.
-  const std::size_t eol = text.find('\n');
-  const std::string body =
-      eol == std::string::npos ? std::string{} : text.substr(eol + 1);
-  codec::TextSource source(body);
-  std::unique_ptr<SignatureMethod> method = entry(key).read(source);
-  source.finish();
-  return method;
-}
-
 std::unique_ptr<SignatureMethod> MethodRegistry::decode(
     std::span<const std::uint8_t> record) const {
   const codec::RecordView view = codec::parse_record(record);
@@ -226,7 +199,7 @@ std::unique_ptr<SignatureMethod> MethodRegistry::decode(
     throw std::runtime_error("MethodRegistry::decode: unknown method tag \"" +
                              view.key + "\"");
   }
-  codec::BinarySource source(view.body, view.body_offset);
+  codec::Source source(view.body, view.body_offset);
   std::unique_ptr<SignatureMethod> method = entry(view.key).read(source);
   source.finish();
   return method;
@@ -242,31 +215,24 @@ std::unique_ptr<SignatureMethod> MethodRegistry::load(
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string blob = buf.str();
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(blob.data());
-  if (codec::is_binary_record({bytes, blob.size()})) {
-    return decode({bytes, blob.size()});
+  try {
+    return decode({reinterpret_cast<const std::uint8_t*>(blob.data()),
+                   blob.size()});
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("MethodRegistry::load: " + file.string() + ": " +
+                             e.what());
   }
-  return deserialize(blob);
-}
-
-std::string method_header(std::string_view key) {
-  return codec::text_header(key);
 }
 
 void save_method(const SignatureMethod& method,
-                 const std::filesystem::path& file,
-                 codec::ModelFormat format) {
+                 const std::filesystem::path& file) {
+  const std::vector<std::uint8_t> record = codec::encode_binary(method);
   std::ofstream out(file, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("save_method: cannot open " + file.string());
   }
-  if (format == codec::ModelFormat::kBinary) {
-    const std::vector<std::uint8_t> record = codec::encode_binary(method);
-    out.write(reinterpret_cast<const char*>(record.data()),
-              static_cast<std::streamsize>(record.size()));
-  } else {
-    out << method.serialize();
-  }
+  out.write(reinterpret_cast<const char*>(record.data()),
+            static_cast<std::streamsize>(record.size()));
   if (!out) throw std::runtime_error("save_method: write failed");
 }
 

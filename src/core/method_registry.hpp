@@ -9,16 +9,11 @@
 // Names and keys are case-insensitive ([a-z0-9_-] after lowering); values
 // are kept verbatim. A MethodRegistry maps spec names to factories that turn
 // a MethodSpec into an (untrained or stateless) SignatureMethod, and to
-// readers that revive trained methods from either model-codec wire format
-// (see core/model_codec.hpp):
-//
-//   csmethod v2 <key>        | "CSMB" binary record
-//   <field lines>            | (CRC-framed little-endian fields)
-//
-// Both formats carry the same codec::Sink fields, so one Entry::read
-// callback serves text (deserialize/load) and binary (decode/ModelPack).
-// These two are the only model formats; any other header (e.g. a
-// "csmethod v1" file) is rejected as a bad header.
+// readers that revive trained methods from the fields of a CSMB record (see
+// core/model_codec.hpp). A model file, a ModelPack entry and a kNodeAdd
+// frame all carry that one record, so one Entry::read callback serves
+// decode, load and ModelPack alike; anything else (e.g. the tagged text
+// "csmethod" files of earlier releases) is rejected as a bad magic.
 //
 // Adding a future method is one registry registration: the harness line-ups,
 // csmcli (--method / methods), the benches and the streaming layer all
@@ -74,7 +69,7 @@ class MethodRegistry {
   using Factory =
       std::function<std::unique_ptr<SignatureMethod>(const MethodSpec&)>;
   /// Reads the codec::Sink fields written by SignatureMethod::save() back
-  /// from either back-end. The registry calls Source::finish() afterwards.
+  /// from a record body. The registry calls Source::finish() afterwards.
   using Reader =
       std::function<std::unique_ptr<SignatureMethod>(codec::Source& in)>;
 
@@ -103,20 +98,14 @@ class MethodRegistry {
   std::unique_ptr<SignatureMethod> create(const MethodSpec& spec) const;
   std::unique_ptr<SignatureMethod> create(std::string_view spec_text) const;
 
-  /// Revives a trained method from tagged text — the "csmethod v2" form
-  /// written by SignatureMethod::serialize(). Throws std::runtime_error on
-  /// a bad header or unknown tag; the per-method reader validates the
-  /// body.
-  std::unique_ptr<SignatureMethod> deserialize(const std::string& text) const;
-
   /// Revives a trained method from one binary record written by
   /// codec::encode_binary (framing and CRC are validated here; the
   /// per-method reader validates the fields). Throws std::runtime_error.
   std::unique_ptr<SignatureMethod> decode(
       std::span<const std::uint8_t> record) const;
 
-  /// File convenience: sniffs the binary record magic and dispatches to
-  /// decode() or deserialize().
+  /// decode() over a whole model file. Every std::runtime_error it throws
+  /// names the file.
   std::unique_ptr<SignatureMethod> load(
       const std::filesystem::path& file) const;
 
@@ -124,14 +113,10 @@ class MethodRegistry {
   std::vector<Entry> entries_;
 };
 
-/// Current text serialisation header: "csmethod v2 <key>\n".
-std::string method_header(std::string_view key);
-
-/// Writes the method to `file` in the requested model-codec format; throws
+/// Writes the method's CSMB record (codec::encode_binary) to `file`; throws
 /// std::runtime_error on I/O failure.
 void save_method(const SignatureMethod& method,
-                 const std::filesystem::path& file,
-                 codec::ModelFormat format = codec::ModelFormat::kText);
+                 const std::filesystem::path& file);
 
 /// Registers the core CS method ("cs[:blocks=L,real-only]"; blocks=0 means
 /// one block per sensor, i.e. CS-All). Baseline registrations live in

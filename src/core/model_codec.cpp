@@ -1,23 +1,11 @@
 #include "core/model_codec.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-
-#if !(defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L)
-// newlocale/uselocale are POSIX, declared in <locale.h> (not <clocale>);
-// macOS additionally keeps them in <xlocale.h>.
-#include <locale.h>  // NOLINT(modernize-deprecated-headers)
-#if defined(__APPLE__)
-#include <xlocale.h>
-#endif
-#endif
 
 #include "common/matrix_view.hpp"
 #include "core/crc32_kernels.hpp"
@@ -170,56 +158,11 @@ const char* type_name(std::uint8_t type) {
   }
 }
 
-// --- text helpers -----------------------------------------------------------
-
-// The text form is a transport format, so it must not bend with the host
-// locale: an embedding application that called setlocale() into a
-// comma-decimal locale would otherwise write non-portable models and fail
-// to parse portable ones. <charconv> is locale-blind by specification, and
-// std::to_chars with an explicit precision is defined to produce exactly
-// printf "%.17g" in the "C" locale; toolchains without the floating-point
-// overloads (AppleClang's libc++) fall back to the C library pinned to a
-// per-thread "C" locale via uselocale().
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-#define CSM_CODEC_FP_CHARCONV 1
-#else
-#define CSM_CODEC_FP_CHARCONV 0
-#endif
-
-#if !CSM_CODEC_FP_CHARCONV
-locale_t c_numeric_locale() {
-  static const locale_t loc =
-      ::newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(nullptr));
-  return loc;
-}
-#endif
-
+// The listing prints %.17g, which reproduces every double exactly.
 std::string format_f64(double v) {
-  std::array<char, 40> buf{};
-#if CSM_CODEC_FP_CHARCONV
-  const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v,
-                                       std::chars_format::general, 17);
-  if (ec != std::errc()) {
-    throw std::logic_error("ModelCodec: cannot format double");
-  }
-  return std::string(buf.data(), ptr);
-#else
-  const locale_t prev = ::uselocale(c_numeric_locale());
+  std::array<char, 32> buf{};
   const int n = std::snprintf(buf.data(), buf.size(), "%.17g", v);
-  ::uselocale(prev);
   return std::string(buf.data(), static_cast<std::size_t>(n));
-#endif
-}
-
-// A declared element count is untrusted until the elements actually parse:
-// reserving it verbatim lets a ~20-byte hostile body demand a 512 MB
-// allocation (kMaxFieldElements * 8) before the first missing element fails
-// the parse (fuzz regression fuzz/regressions/model-text/count-amplification).
-// Geometric push_back growth costs little for honest large arrays.
-constexpr std::uint64_t kMaxUpFrontReserve = 4096;
-
-std::size_t clamped_reserve(std::uint64_t count) {
-  return static_cast<std::size_t>(std::min(count, kMaxUpFrontReserve));
 }
 
 }  // namespace
@@ -416,7 +359,7 @@ std::vector<std::size_t> Source::sizes(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// Text back-end
+// Text listing
 // ---------------------------------------------------------------------------
 
 void TextSink::u64(std::string_view name, std::uint64_t value) {
@@ -455,104 +398,6 @@ void TextSink::f64_array(std::string_view name,
     body_ += format_f64(v);
   }
   body_ += '\n';
-}
-
-void TextSource::expect_name(std::string_view name) {
-  std::string token;
-  if (!(in_ >> token)) {
-    fail("missing field " + quoted(name));
-  }
-  if (token != name) {
-    fail("expected field " + quoted(name) + ", found " + quoted(token));
-  }
-}
-
-std::uint64_t TextSource::parse_u64(std::string_view name) {
-  std::string token;
-  if (!(in_ >> token)) {
-    fail("truncated field " + quoted(name));
-  }
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    fail("field " + quoted(name) + " is not an unsigned integer (got " +
-         quoted(token) + ")");
-  }
-  return value;
-}
-
-double TextSource::parse_f64(std::string_view name) {
-  std::string token;
-  if (!(in_ >> token)) {
-    fail("truncated field " + quoted(name));
-  }
-  double value = 0.0;
-  bool parsed = false;
-#if CSM_CODEC_FP_CHARCONV
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  parsed = ec == std::errc() && ptr == token.data() + token.size();
-#else
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const locale_t prev = ::uselocale(c_numeric_locale());
-  value = std::strtod(begin, &end);
-  ::uselocale(prev);
-  parsed = end == begin + token.size();
-#endif
-  if (!parsed) {
-    fail("field " + quoted(name) + " is not a number (got " + quoted(token) +
-         ")");
-  }
-  return value;
-}
-
-std::uint64_t TextSource::u64(std::string_view name) {
-  expect_name(name);
-  return parse_u64(name);
-}
-
-double TextSource::f64(std::string_view name) {
-  expect_name(name);
-  return parse_f64(name);
-}
-
-std::vector<std::uint64_t> TextSource::u64_array(std::string_view name) {
-  expect_name(name);
-  const std::uint64_t count = parse_u64(name);
-  if (count > kMaxFieldElements) {
-    fail("field " + quoted(name) + " count " + std::to_string(count) +
-         " exceeds the element cap");
-  }
-  std::vector<std::uint64_t> values;
-  values.reserve(clamped_reserve(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    values.push_back(parse_u64(name));
-  }
-  return values;
-}
-
-std::vector<double> TextSource::f64_array(std::string_view name) {
-  expect_name(name);
-  const std::uint64_t count = parse_u64(name);
-  if (count > kMaxFieldElements) {
-    fail("field " + quoted(name) + " count " + std::to_string(count) +
-         " exceeds the element cap");
-  }
-  std::vector<double> values;
-  values.reserve(clamped_reserve(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    values.push_back(parse_f64(name));
-  }
-  return values;
-}
-
-void TextSource::finish() {
-  std::string token;
-  if (in_ >> token) {
-    fail("trailing data after last field (starts with " + quoted(token) + ")");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -600,7 +445,7 @@ void BinarySink::f64_array(std::string_view name,
   }
 }
 
-std::uint64_t BinarySource::field_header(std::uint8_t type,
+std::uint64_t Source::field_header(std::uint8_t type,
                                          std::string_view name) {
   const std::size_t field_offset = offset();
   if (body_.size() - cursor_ < 2) {
@@ -643,21 +488,21 @@ std::uint64_t BinarySource::field_header(std::uint8_t type,
   return count;
 }
 
-std::uint64_t BinarySource::u64(std::string_view name) {
+std::uint64_t Source::u64(std::string_view name) {
   field_header(kTypeU64, name);
   const std::uint64_t v = load_u64(body_.data() + cursor_);
   cursor_ += 8;
   return v;
 }
 
-double BinarySource::f64(std::string_view name) {
+double Source::f64(std::string_view name) {
   field_header(kTypeF64, name);
   const std::uint64_t bits = load_u64(body_.data() + cursor_);
   cursor_ += 8;
   return std::bit_cast<double>(bits);
 }
 
-std::vector<std::uint64_t> BinarySource::u64_array(std::string_view name) {
+std::vector<std::uint64_t> Source::u64_array(std::string_view name) {
   const std::uint64_t count = field_header(kTypeU64Array, name);
   std::vector<std::uint64_t> values;
   values.reserve(static_cast<std::size_t>(count));
@@ -668,7 +513,7 @@ std::vector<std::uint64_t> BinarySource::u64_array(std::string_view name) {
   return values;
 }
 
-std::vector<double> BinarySource::f64_array(std::string_view name) {
+std::vector<double> Source::f64_array(std::string_view name) {
   const std::uint64_t count = field_header(kTypeF64Array, name);
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(count));
@@ -679,7 +524,7 @@ std::vector<double> BinarySource::f64_array(std::string_view name) {
   return values;
 }
 
-void BinarySource::finish() {
+void Source::finish() {
   if (cursor_ != body_.size()) {
     fail(std::to_string(body_.size() - cursor_) +
          " trailing bytes after last field at offset " +
@@ -690,12 +535,6 @@ void BinarySource::finish() {
 // ---------------------------------------------------------------------------
 // Record framing
 // ---------------------------------------------------------------------------
-
-bool is_binary_record(std::span<const std::uint8_t> bytes) {
-  return bytes.size() >= 4 && bytes[0] == kBinaryMagic[0] &&
-         bytes[1] == kBinaryMagic[1] && bytes[2] == kBinaryMagic[2] &&
-         bytes[3] == kBinaryMagic[3];
-}
 
 std::vector<std::uint8_t> frame_record(std::string_view key,
                                        std::span<const std::uint8_t> body) {
@@ -718,7 +557,8 @@ std::vector<std::uint8_t> frame_record(std::string_view key,
 }
 
 RecordView parse_record(std::span<const std::uint8_t> record) {
-  if (!is_binary_record(record)) {
+  if (record.size() < 4 ||
+      std::memcmp(record.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
     fail("not a binary model record (bad magic)");
   }
   if (record.size() < 6) {
@@ -784,19 +624,12 @@ std::string checked_key(const SignatureMethod& method) {
   }
   if (!method.trained()) {
     throw std::logic_error(method.name() +
-                           ": cannot serialize an untrained method");
+                           ": cannot encode an untrained method");
   }
   return key;
 }
 
 }  // namespace
-
-std::string encode_text(const SignatureMethod& method) {
-  const std::string key = checked_key(method);
-  TextSink sink;
-  method.save(sink);
-  return text_header(key) + sink.body();
-}
 
 std::vector<std::uint8_t> encode_binary(const SignatureMethod& method) {
   const std::string key = checked_key(method);

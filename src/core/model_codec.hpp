@@ -1,27 +1,24 @@
-// Model codec: one write path per method, two wire formats.
+// Model codec: one write path per method, one stored format.
 //
 // SignatureMethod::save(Sink&) describes a trained model as a sequence of
-// named, typed fields; the codec supplies two interchangeable back-ends:
+// named, typed fields. BinarySink lays them out as the body of a CSMB
+// record: "CSMB" magic, a format version byte, the method key, a
+// length-prefixed little-endian field body and a trailing CRC32 over the
+// whole record. Model files, core::ModelPack (which concatenates records
+// so a fleet engine can mmap hundreds of thousands of per-node models and
+// decode them lazily) and the CSMF kNodeAdd frame all carry this record.
+// TextSink renders the same fields as readable lines for inspection
+// (`csmcli info`); nothing parses that listing back.
 //
-//   * text  — the tagged "csmethod v2 <key>" format: one readable line per
-//     field (`name value` for scalars, `name count values...` for arrays),
-//     doubles printed with %.17g so every value round-trips exactly;
-//   * binary — a compact record: "CSMB" magic, a format version byte, the
-//     method key, a length-prefixed little-endian field body and a trailing
-//     CRC32 over the whole record. This is the format core::ModelPack
-//     concatenates so a fleet engine can mmap hundreds of thousands of
-//     per-node models and deserialise them lazily.
-//
-// Sources are strict: fields are read back in writing order, and a name or
-// type mismatch, a truncated payload, an absurd element count, a CRC
-// mismatch or trailing data all throw std::runtime_error naming the
-// offending field (and, for binary records, the byte offset).
+// Source, the one reader, is strict: fields are read back in writing
+// order, and a name or type mismatch, a truncated payload, an absurd
+// element count, a CRC mismatch or trailing data all throw
+// std::runtime_error naming the offending field and its byte offset.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,14 +32,6 @@ class SignatureMethod;
 }
 
 namespace csm::core::codec {
-
-/// On-disk model flavour selector (see MethodRegistry::load / save_method).
-enum class ModelFormat { kText, kBinary };
-
-/// Tagged-text header line shared by the codec and the registry.
-inline std::string text_header(std::string_view key) {
-  return "csmethod v2 " + std::string(key) + "\n";
-}
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
@@ -83,11 +72,11 @@ inline constexpr std::uint8_t kBinaryVersion = 1;
 inline constexpr std::uint64_t kMaxFieldElements = 1ull << 26;
 
 // ---------------------------------------------------------------------------
-// Field-level write surface
+// Field-level surface: the sink methods write to, the reader they read from
 // ---------------------------------------------------------------------------
 
 /// Abstract typed field sink. Methods write their trained state through
-/// this interface exactly once; the back-end decides the wire format.
+/// this interface exactly once; the back-end decides the rendering.
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -107,18 +96,23 @@ class Sink {
   void sizes(std::string_view name, std::span<const std::size_t> values);
 };
 
-/// Abstract typed field source: fields are consumed in the order they were
-/// written. All mismatches throw std::runtime_error naming the field.
+/// Strict typed field reader over a record body (see BinarySink): fields
+/// are consumed in the order they were written. Every mismatch throws
+/// std::runtime_error naming the field and its record offset.
 class Source {
  public:
-  virtual ~Source() = default;
+  /// `base_offset` is the body's offset inside the enclosing record, used
+  /// to report absolute record offsets in error messages.
+  explicit Source(std::span<const std::uint8_t> body,
+                  std::size_t base_offset = 0)
+      : body_(body), base_offset_(base_offset) {}
 
-  virtual std::uint64_t u64(std::string_view name) = 0;
-  virtual double f64(std::string_view name) = 0;
-  virtual std::vector<std::uint64_t> u64_array(std::string_view name) = 0;
-  virtual std::vector<double> f64_array(std::string_view name) = 0;
-  /// Throws std::runtime_error if unread fields or trailing bytes remain.
-  virtual void finish() = 0;
+  std::uint64_t u64(std::string_view name);
+  double f64(std::string_view name);
+  std::vector<std::uint64_t> u64_array(std::string_view name);
+  std::vector<double> f64_array(std::string_view name);
+  /// Throws std::runtime_error if unread bytes remain.
+  void finish();
 
   /// u64 checked to fit std::size_t.
   std::size_t size(std::string_view name);
@@ -126,50 +120,18 @@ class Source {
   bool flag(std::string_view name);
   /// u64_array checked element-wise to fit std::size_t.
   std::vector<std::size_t> sizes(std::string_view name);
-};
-
-// ---------------------------------------------------------------------------
-// Text back-end ("csmethod v2" bodies)
-// ---------------------------------------------------------------------------
-
-class TextSink final : public Sink {
- public:
-  void u64(std::string_view name, std::uint64_t value) override;
-  void f64(std::string_view name, double value) override;
-  void u64_array(std::string_view name,
-                 std::span<const std::uint64_t> values) override;
-  void f64_array(std::string_view name,
-                 std::span<const double> values) override;
-
-  /// The accumulated field lines (the body below the header line).
-  const std::string& body() const noexcept { return body_; }
 
  private:
-  std::string body_;
+  /// Reads and validates one field header; returns the element count.
+  std::uint64_t field_header(std::uint8_t type, std::string_view name);
+  std::size_t offset() const noexcept { return base_offset_ + cursor_; }
+
+  std::span<const std::uint8_t> body_;
+  std::size_t base_offset_ = 0;
+  std::size_t cursor_ = 0;
 };
 
-class TextSource final : public Source {
- public:
-  explicit TextSource(std::string_view body) : in_(std::string(body)) {}
-
-  std::uint64_t u64(std::string_view name) override;
-  double f64(std::string_view name) override;
-  std::vector<std::uint64_t> u64_array(std::string_view name) override;
-  std::vector<double> f64_array(std::string_view name) override;
-  void finish() override;
-
- private:
-  void expect_name(std::string_view name);
-  std::uint64_t parse_u64(std::string_view name);
-  double parse_f64(std::string_view name);
-
-  std::istringstream in_;
-};
-
-// ---------------------------------------------------------------------------
-// Binary back-end (CRC-checked little-endian records)
-// ---------------------------------------------------------------------------
-
+/// Binary back-end: the field body of a CSMB record.
 class BinarySink final : public Sink {
  public:
   void u64(std::string_view name, std::uint64_t value) override;
@@ -189,28 +151,22 @@ class BinarySink final : public Sink {
   std::vector<std::uint8_t> body_;
 };
 
-class BinarySource final : public Source {
+/// Print-only listing: one line per field, `name value` for scalars and
+/// `name count values...` for arrays, doubles printed with %.17g.
+class TextSink final : public Sink {
  public:
-  /// `base_offset` is the body's offset inside the enclosing record, used
-  /// to report absolute record offsets in error messages.
-  explicit BinarySource(std::span<const std::uint8_t> body,
-                        std::size_t base_offset = 0)
-      : body_(body), base_offset_(base_offset) {}
+  void u64(std::string_view name, std::uint64_t value) override;
+  void f64(std::string_view name, double value) override;
+  void u64_array(std::string_view name,
+                 std::span<const std::uint64_t> values) override;
+  void f64_array(std::string_view name,
+                 std::span<const double> values) override;
 
-  std::uint64_t u64(std::string_view name) override;
-  double f64(std::string_view name) override;
-  std::vector<std::uint64_t> u64_array(std::string_view name) override;
-  std::vector<double> f64_array(std::string_view name) override;
-  void finish() override;
+  /// The accumulated field lines.
+  const std::string& body() const noexcept { return body_; }
 
  private:
-  /// Reads and validates one field header; returns the element count.
-  std::uint64_t field_header(std::uint8_t type, std::string_view name);
-  std::size_t offset() const noexcept { return base_offset_ + cursor_; }
-
-  std::span<const std::uint8_t> body_;
-  std::size_t base_offset_ = 0;
-  std::size_t cursor_ = 0;
+  std::string body_;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,12 +177,9 @@ class BinarySource final : public Source {
 struct RecordView {
   std::uint8_t version = 0;
   std::string key;                      ///< Registry key, e.g. "cs".
-  std::span<const std::uint8_t> body;   ///< Field body (BinarySource input).
+  std::span<const std::uint8_t> body;   ///< Field body (Source input).
   std::size_t body_offset = 0;          ///< Body offset inside the record.
 };
-
-/// True when `bytes` starts with the binary record magic.
-bool is_binary_record(std::span<const std::uint8_t> bytes);
 
 /// Frames `body` as one record: magic, version byte, key, length-prefixed
 /// body, trailing CRC32 over everything before it.
@@ -239,16 +192,11 @@ std::vector<std::uint8_t> frame_record(std::string_view key,
 RecordView parse_record(std::span<const std::uint8_t> record);
 
 // ---------------------------------------------------------------------------
-// Whole-method encoders (decoding needs a registry: MethodRegistry::
-// deserialize for text, MethodRegistry::decode for binary records)
+// Whole-method encoder (decoding needs a registry: MethodRegistry::decode)
 // ---------------------------------------------------------------------------
 
-/// Tagged text form: "csmethod v2 <key>" header plus the field lines of
-/// method.save(). Throws std::logic_error when the method is untrained or
-/// has no codec key.
-std::string encode_text(const SignatureMethod& method);
-
-/// Binary record form of the same fields. Same error contract.
+/// The CSMB record of method.save()'s fields. Throws std::logic_error when
+/// the method is untrained or has no codec key.
 std::vector<std::uint8_t> encode_binary(const SignatureMethod& method);
 
 }  // namespace csm::core::codec

@@ -3,9 +3,9 @@
 // A model pack concatenates the codec's "CSMB" binary records (one trained
 // model per fleet node) behind a versioned header and a sorted
 // node-id -> offset index, so a consumer can stand up a 10^5-node
-// StreamEngine without parsing 10^5 text files: the file is mapped once,
+// StreamEngine without opening 10^5 model files: the file is mapped once,
 // lookups binary-search the index, and each record is CRC-checked and
-// deserialised only when its node is actually loaded.
+// decoded only when its node is actually loaded.
 //
 // Layout (all integers little-endian):
 //

@@ -129,7 +129,7 @@ std::unique_ptr<SignatureMethod> CsSignatureMethod::fit(
 
 void CsSignatureMethod::save(codec::Sink& sink) const {
   if (!pipeline_) {
-    throw std::logic_error("CsSignatureMethod: serialize() before fit()");
+    throw std::logic_error("CsSignatureMethod: save() before fit()");
   }
   const CsModel& model = pipeline_->model();
   sink.size("blocks", options_.blocks);

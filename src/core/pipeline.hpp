@@ -81,7 +81,7 @@ std::pair<common::Matrix, common::Matrix> signature_heatmaps(
 /// method, and a trained method holding a reference-counted pipeline.
 class CsSignatureMethod final : public SignatureMethod {
  public:
-  /// Untrained prototype; compute()/serialize() throw until fit().
+  /// Untrained prototype; compute()/save() throw until fit().
   explicit CsSignatureMethod(CsOptions options, std::string display_name = {});
 
   /// Trained method (the usual deployment). Throws std::invalid_argument on

@@ -9,8 +9,4 @@ void SignatureMethod::save(codec::Sink& sink) const {
   throw std::logic_error(name() + ": serialization is not supported");
 }
 
-std::string SignatureMethod::serialize() const {
-  return codec::encode_text(*this);
-}
-
 }  // namespace csm::core

@@ -19,10 +19,11 @@
 // spec string via core::MethodRegistry) either already trained (stateless
 // baselines) or as an untrained prototype (CS, PCA), *fitted* on historical
 // data with fit(), asked to *compute* signatures window by window, and
-// *serialised* to a tagged text blob that MethodRegistry::deserialize turns
-// back into an equivalent trained method. The default implementations below
-// describe a stateless method, so ad-hoc SignatureMethod subclasses (e.g.
-// benchmark one-offs) only have to override the three compute-side members.
+// *encoded* as a CSMB record (codec::encode_binary) that MethodRegistry::
+// decode turns back into an equivalent trained method. The default
+// implementations below describe a stateless method, so ad-hoc
+// SignatureMethod subclasses (e.g. benchmark one-offs) only have to
+// override the three compute-side members.
 #pragma once
 
 #include <cstddef>
@@ -130,17 +131,11 @@ class SignatureMethod {
   virtual std::string codec_key() const { return {}; }
 
   /// Writes the trained state as named, typed fields. This is the single
-  /// write path behind both wire formats: codec::encode_text renders the
-  /// fields as "csmethod v2" lines, codec::encode_binary as a CRC-framed
-  /// little-endian record, and the matching registry reader consumes them in
-  /// the same order from a codec::Source. Default: not supported.
+  /// write path of the model codec: codec::encode_binary frames the fields
+  /// as a CRC-checked CSMB record, and the matching registry reader
+  /// consumes them in the same order from a codec::Source. Default: not
+  /// supported.
   virtual void save(codec::Sink& sink) const;
-
-  /// Deprecated-style string adapter over save() (tagged text form, parse
-  /// back with MethodRegistry::deserialize) so pipeline/harness/examples
-  /// keep compiling unchanged. Throws std::logic_error if the method is
-  /// untrained or not serialisable.
-  std::string serialize() const;
 
   /// Streaming variant of compute(): may additionally use the raw (unsorted)
   /// sensor column that immediately precedes the window (null when the

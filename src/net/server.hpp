@@ -1,13 +1,13 @@
 // FleetServer: a core::StreamEngine behind a connection loop.
 //
 // This is the heart of csmd — the in-band ODA deployment of Fig. 1 turned
-// into a long-running service. Collector clients connect over any
-// net/transport.hpp Listener (unix socket in production, loopback in tests
-// and benches), push CSMF frames at it, and the server drives one shared
-// StreamEngine: sample batches are ingested into the addressed node, nodes
-// are added and removed live, drain requests hand back a node's queued
-// signature vectors, and stats requests scrape the fleet-wide counters
-// (including the per-node ingest-latency histogram, merged).
+// into a long-running service. Collector clients connect over a
+// net/transport.hpp Listener (the unix socket of net/unix_socket.hpp), push
+// CSMF frames at it, and the server drives one shared StreamEngine: sample
+// batches are ingested into the addressed node, nodes are added and removed
+// live, drain requests hand back a node's queued signature vectors, and
+// stats requests scrape the fleet-wide counters (including the per-node
+// ingest-latency histogram, merged).
 //
 // The sample path copies each sample once after the socket read: the
 // transport reads into the connection's FrameReader buffer, the server
@@ -21,7 +21,7 @@
 // every connection, with per-connection read buffers reassembling frames
 // across arbitrary read boundaries. Clients are concurrent with each other
 // only through the transport; the engine additionally tolerates external
-// threads (the loopback soak test drains from one while the server
+// threads (the daemon soak test drains from one while the server
 // ingests). stop() is safe from a signal handler or another thread.
 //
 // Per-node backpressure is the engine's StreamOptions::max_pending policy:

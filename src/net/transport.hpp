@@ -1,11 +1,11 @@
 // Byte transports under the CSMF frame protocol.
 //
 // A Connection moves raw bytes; framing lives entirely in net/frame.hpp, so
-// the server and the clients are transport-agnostic. Two implementations
-// ship today: a unix-domain socket (net/unix_socket.hpp — csmd's production
-// face) and an in-process loopback (net/loopback.hpp — deterministic tests
-// and benches without touching the filesystem). A TCP transport can drop in
-// behind the same two interfaces later.
+// the server and the clients are transport-agnostic. One implementation
+// ships: the unix-domain socket (net/unix_socket.hpp), which csmd serves
+// on and the tests and benches run over. The interfaces stay so a wrapper
+// can decorate the transport (perfbench times reads, writes and waits that
+// way) and a TCP transport can drop in behind them later.
 //
 // Connections are non-blocking at the interface: read_some/write_some
 // return 0 instead of blocking, and wait_readable/wait_writable provide the
@@ -72,11 +72,11 @@ class Connection {
   /// make progress. Returns false on timeout.
   virtual bool wait_writable(int timeout_ms) = 0;
 
-  /// OS handle for poll()-based multiplexing; -1 for in-process
-  /// transports.
+  /// OS handle for poll()-based multiplexing (the socket fd); -1 for a
+  /// transport that has none.
   virtual int native_handle() const noexcept { return -1; }
 
-  /// Short peer label for logs ("unix:fd=7", "loopback#3").
+  /// Short peer label for logs ("unix:fd=7").
   virtual std::string peer_name() const = 0;
 };
 
@@ -101,7 +101,7 @@ class Listener {
 
   virtual void close() noexcept = 0;
 
-  /// Where this listener listens ("unix:/run/csmd.sock", "loopback").
+  /// Where this listener listens ("unix:/run/csmd.sock").
   virtual std::string address() const = 0;
 };
 

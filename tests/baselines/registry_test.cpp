@@ -3,12 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "baselines/pca.hpp"
 #include "common/rng.hpp"
 #include "core/method_stream.hpp"
+#include "core/model_codec.hpp"
 
 namespace csm::baselines {
 namespace {
@@ -52,10 +61,10 @@ TEST(DefaultRegistry, ContainsTheFullLineUp) {
   }
 }
 
-TEST(DefaultRegistry, EverySpecRoundTripsParseFitSerializeDeserialize) {
+TEST(DefaultRegistry, EverySpecRoundTripsThroughTheBinaryCodec) {
   const MethodRegistry& registry = default_registry();
-  const common::Matrix history = wave_matrix(7, 180, 10);
-  const common::Matrix window = wave_matrix(7, 30, 11);
+  const common::Matrix history = wave_matrix(7, 180, 20);
+  const common::Matrix window = wave_matrix(7, 30, 21);
 
   for (const auto& [key, spec_text] : example_specs()) {
     SCOPED_TRACE(spec_text);
@@ -67,25 +76,8 @@ TEST(DefaultRegistry, EverySpecRoundTripsParseFitSerializeDeserialize) {
     const std::vector<double> reference = trained->compute(window);
     EXPECT_EQ(reference.size(), trained->signature_length(window.rows()));
 
-    const auto revived = registry.deserialize(trained->serialize());
-    ASSERT_TRUE(revived->trained());
-    EXPECT_EQ(revived->name(), trained->name());
-    EXPECT_EQ(revived->compute(window), reference);
-  }
-}
-
-TEST(DefaultRegistry, EverySpecRoundTripsThroughTheBinaryCodec) {
-  const MethodRegistry& registry = default_registry();
-  const common::Matrix history = wave_matrix(7, 180, 20);
-  const common::Matrix window = wave_matrix(7, 30, 21);
-
-  for (const auto& [key, spec_text] : example_specs()) {
-    SCOPED_TRACE(spec_text);
-    const auto trained = registry.create(spec_text)->fit(history);
-    const std::vector<double> reference = trained->compute(window);
-
-    const std::vector<std::uint8_t> record = core::codec::encode_binary(*trained);
-    ASSERT_TRUE(core::codec::is_binary_record(record));
+    const std::vector<std::uint8_t> record =
+        core::codec::encode_binary(*trained);
     EXPECT_EQ(core::codec::parse_record(record).key, key);
     const auto revived = registry.decode(record);
     ASSERT_TRUE(revived->trained());
@@ -93,27 +85,38 @@ TEST(DefaultRegistry, EverySpecRoundTripsThroughTheBinaryCodec) {
     EXPECT_EQ(revived->compute(window), reference);
 
     // Re-encoding the revived method must reproduce the record bytes — the
-    // binary form is canonical.
+    // record is canonical.
     EXPECT_EQ(core::codec::encode_binary(*revived), record);
   }
 }
 
-TEST(DefaultRegistry, TextAndBinaryFormsAreInterchangeable) {
+// save_method writes exactly the method's record, and load reads it back,
+// for every registered method (models travel between hosts as files).
+TEST(DefaultRegistry, EverySpecRoundTripsThroughAModelFile) {
   const MethodRegistry& registry = default_registry();
-  const common::Matrix history = wave_matrix(7, 180, 22);
-  const common::Matrix window = wave_matrix(7, 30, 23);
+  const common::Matrix history = wave_matrix(7, 180, 24);
+  const common::Matrix window = wave_matrix(7, 30, 25);
 
   for (const auto& [key, spec_text] : example_specs()) {
     SCOPED_TRACE(spec_text);
     const auto trained = registry.create(spec_text)->fit(history);
-    const std::vector<double> reference = trained->compute(window);
+    const auto file = std::filesystem::path(testing::TempDir()) /
+                      ("csm_registry_test_" + key + ".csmb");
+    core::save_method(*trained, file);
 
-    // text -> method -> binary -> method: signatures and text form survive
-    // the full cross-format cycle bit-exactly.
-    const auto via_text = registry.deserialize(trained->serialize());
-    const auto via_both = registry.decode(core::codec::encode_binary(*via_text));
-    EXPECT_EQ(via_both->compute(window), reference);
-    EXPECT_EQ(via_both->serialize(), trained->serialize());
+    {
+      std::ifstream in(file, std::ios::binary);
+      const std::vector<std::uint8_t> on_disk(
+          (std::istreambuf_iterator<char>(in)),
+          std::istreambuf_iterator<char>());
+      EXPECT_EQ(on_disk, core::codec::encode_binary(*trained));
+    }
+
+    const auto revived = registry.load(file);
+    ASSERT_TRUE(revived->trained());
+    EXPECT_EQ(revived->name(), trained->name());
+    EXPECT_EQ(revived->compute(window), trained->compute(window));
+    std::filesystem::remove(file);
   }
 }
 
@@ -166,54 +169,89 @@ TEST(DefaultRegistry, RejectsUnknownParameters) {
   EXPECT_THROW((void)registry.create("lan:wr=0"), std::invalid_argument);
 }
 
-// Expects `text` to be refused with a std::runtime_error whose message
+// Expects `record` to be refused with a std::runtime_error whose message
 // contains `needle`, so each case pins the check that fires.
-void expect_rejected(const std::string& text, const std::string& needle) {
+void expect_rejected(std::span<const std::uint8_t> record,
+                     const std::string& needle) {
   try {
-    (void)default_registry().deserialize(text);
-    FAIL() << "accepted: " << text;
+    (void)default_registry().decode(record);
+    FAIL() << "accepted a " << record.size() << "-byte record";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message \"" << e.what() << "\" does not contain " << needle;
   }
 }
 
-TEST(DefaultRegistry, StatelessBodiesMustBeEmpty) {
-  expect_rejected("csmethod v2 tuncer\nsurprise", "trailing data");
-  expect_rejected("csmethod v2 lan\nwr 0\n", "wr must be positive");
-  expect_rejected("csmethod v2 lan\nwr 10\ngarbage", "trailing data");
+void expect_rejected(std::string_view key, const core::codec::BinarySink& body,
+                     const std::string& needle) {
+  expect_rejected(core::codec::frame_record(key, body.body()), needle);
 }
 
-TEST(DefaultRegistry, RefusesVersion1TextForEveryMethod) {
-  // "csmethod v1" text was written by earlier releases; only v2 is read,
-  // even for stateless methods whose v1 body was empty.
+TEST(DefaultRegistry, StatelessBodiesMustBeEmpty) {
+  core::codec::BinarySink surprise;
+  surprise.u64("surprise", 1);
+  expect_rejected("tuncer", surprise, "trailing bytes");
+  core::codec::BinarySink zero_wr;
+  zero_wr.size("wr", 0);
+  expect_rejected("lan", zero_wr, "wr must be positive");
+  core::codec::BinarySink extra;
+  extra.size("wr", 10);
+  extra.u64("garbage", 1);
+  expect_rejected("lan", extra, "trailing bytes");
+}
+
+TEST(DefaultRegistry, RefusesTextModelsForEveryMethod) {
+  // "csmethod v1" and "csmethod v2" text was written by earlier releases;
+  // only CSMB records are read now, even for stateless methods whose text
+  // body was empty.
   for (const std::string& key : default_registry().keys()) {
     SCOPED_TRACE(key);
-    expect_rejected("csmethod v1 " + key + "\n", "bad header");
+    for (const char* version : {"v1", "v2"}) {
+      const std::string text =
+          std::string("csmethod ") + version + " " + key + "\n";
+      expect_rejected(std::vector<std::uint8_t>(text.begin(), text.end()),
+                      "bad magic");
+    }
   }
 }
 
-TEST(PcaSerialization, RejectsMalformedBodies) {
-  // Truncated body.
-  expect_rejected("csmethod v2 pca\nsensors 3\ncomponents 2\nmeans 3 0 1\n",
-                  "truncated");
-  // k > n, with every array sized consistently for it.
-  expect_rejected(
-      "csmethod v2 pca\nsensors 1\ncomponents 2\nmeans 1 0\ninv-std 1 1\n"
-      "explained 2 1 1\nbasis 2 1 1\n",
-      "inconsistent part shapes");
-  // NaN coefficients.
-  expect_rejected(
-      "csmethod v2 pca\nsensors 1\ncomponents 1\nmeans 1 nan\n"
-      "inv-std 1 1\nexplained 1 1\nbasis 1 1\n",
-      "non-finite means");
+// The PCA fields with the given shapes and values, in save() order.
+core::codec::BinarySink pca_fields(std::size_t sensors, std::size_t components,
+                                   const std::vector<double>& means,
+                                   const std::vector<double>& inv_std,
+                                   const std::vector<double>& explained,
+                                   const std::vector<double>& basis) {
+  core::codec::BinarySink sink;
+  sink.size("sensors", sensors);
+  sink.size("components", components);
+  sink.f64_array("means", means);
+  sink.f64_array("inv-std", inv_std);
+  sink.f64_array("explained", explained);
+  sink.f64_array("basis", basis);
+  return sink;
 }
 
-TEST(PcaSerialization, ModelRoundTripsThroughText) {
+TEST(PcaSerialization, RejectsMalformedBodies) {
+  // Truncated body: the fields stop after the means.
+  core::codec::BinarySink truncated;
+  truncated.size("sensors", 3);
+  truncated.size("components", 2);
+  truncated.f64_array("means", std::vector<double>{0, 1, 2});
+  expect_rejected("pca", truncated, "truncated");
+  // k > n, with every array sized consistently for it.
+  expect_rejected("pca", pca_fields(1, 2, {0}, {1}, {1, 1}, {1, 1}),
+                  "inconsistent part shapes");
+  // NaN coefficients.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected("pca", pca_fields(1, 1, {nan}, {1}, {1}, {1}),
+                  "non-finite means");
+}
+
+TEST(PcaSerialization, ModelRoundTripsThroughRecord) {
   const common::Matrix history = wave_matrix(5, 120, 14);
   const PcaModel model = PcaModel::fit(history, 3);
-  const auto revived =
-      default_registry().deserialize(PcaMethod(model).serialize());
+  const auto revived = default_registry().decode(
+      core::codec::encode_binary(PcaMethod(model)));
   const PcaModel& back = dynamic_cast<const PcaMethod&>(*revived).model();
   EXPECT_EQ(back.n_sensors(), model.n_sensors());
   EXPECT_EQ(back.n_components(), model.n_components());

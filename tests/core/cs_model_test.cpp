@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/method_registry.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
 
@@ -18,35 +23,57 @@ CsModel simple_model() {
                  {{0.0, 1.0}, {10.0, 20.0}, {-1.0, 1.0}});
 }
 
-// A CsModel is persisted as part of the CS method's "csmethod v2" text;
-// these helpers wrap it in a CS-All method and unwrap it again.
-std::string to_text(const CsModel& model) {
-  return CsSignatureMethod(
-             std::make_shared<const CsPipeline>(model, CsOptions{0, false}))
-      .serialize();
+// A CsModel is persisted as part of the CS method's CSMB record; these
+// helpers wrap it in a CS-All method and unwrap it again.
+std::vector<std::uint8_t> to_record(const CsModel& model) {
+  return codec::encode_binary(CsSignatureMethod(
+      std::make_shared<const CsPipeline>(model, CsOptions{0, false})));
 }
 
-std::unique_ptr<SignatureMethod> revive(const std::string& text) {
+std::unique_ptr<SignatureMethod> revive(std::span<const std::uint8_t> record) {
   MethodRegistry registry;
   register_cs_method(registry);
-  return registry.deserialize(text);
+  return registry.decode(record);
 }
 
-CsModel from_text(const std::string& text) {
-  const auto method = revive(text);
+CsModel from_record(std::span<const std::uint8_t> record) {
+  const auto method = revive(record);
   return dynamic_cast<const CsSignatureMethod&>(*method).pipeline()->model();
 }
 
-// Expects `text` to be refused with a std::runtime_error whose message
+std::vector<std::uint8_t> bytes_of(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+// The fields of a CS-All model with the given permutation and bounds.
+codec::BinarySink cs_fields(const std::vector<std::uint64_t>& perm,
+                            const std::vector<double>& lo,
+                            const std::vector<double>& hi) {
+  codec::BinarySink sink;
+  sink.size("blocks", 0);
+  sink.flag("real-only", false);
+  sink.u64_array("perm", perm);
+  sink.f64_array("lo", lo);
+  sink.f64_array("hi", hi);
+  return sink;
+}
+
+// Expects `record` to be refused with a std::runtime_error whose message
 // contains `needle`, so each case pins the check that fires.
-void expect_rejected(const std::string& text, const std::string& needle) {
+void expect_rejected(std::span<const std::uint8_t> record,
+                     const std::string& needle) {
   try {
-    (void)revive(text);
-    FAIL() << "accepted: " << text;
+    (void)revive(record);
+    FAIL() << "accepted a " << record.size() << "-byte record";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message \"" << e.what() << "\" does not contain " << needle;
   }
+}
+
+void expect_body_rejected(const codec::BinarySink& fields,
+                          const std::string& needle) {
+  expect_rejected(codec::frame_record("cs", fields.body()), needle);
 }
 
 TEST(CsModel, ConstructorValidatesPermutation) {
@@ -81,37 +108,55 @@ TEST(CsModel, SortClampsOutOfTrainingRange) {
   EXPECT_DOUBLE_EQ(sorted(0, 2), 1.0);
 }
 
-TEST(CsModel, SerializeRoundTrip) {
+TEST(CsModel, RecordRoundTrip) {
   const CsModel model = simple_model();
-  EXPECT_EQ(from_text(to_text(model)), model);
+  EXPECT_EQ(from_record(to_record(model)), model);
 }
 
-TEST(CsModel, DeserializeRejectsGarbage) {
-  expect_rejected("not a model", "bad header");
-  // The bare "csmodel v1" body of earlier releases is no model format.
-  expect_rejected("csmodel v1\n1\n0 0 1\n", "bad header");
-  // Truncated body.
-  expect_rejected("csmethod v2 cs\nblocks 0\nreal-only 0\nperm 3 0 1\n",
+TEST(CsModel, DecodeRejectsGarbage) {
+  expect_rejected(bytes_of("not a model"), "bad magic");
+  // The bare "csmodel v1" body and the "csmethod v2" text of earlier
+  // releases are no model format.
+  expect_rejected(bytes_of("csmodel v1\n1\n0 0 1\n"), "bad magic");
+  expect_rejected(bytes_of("csmethod v2 cs\nblocks 0\nreal-only 0\n"),
+                  "bad magic");
+  // Truncated record, and a whole record around a truncated body.
+  const std::vector<std::uint8_t> record = to_record(simple_model());
+  expect_rejected(std::span(record).first(record.size() - 9), "truncated");
+  const codec::BinarySink fields = cs_fields({0, 1}, {0, 0}, {1, 1});
+  expect_rejected(codec::frame_record(
+                      "cs", std::span(fields.body()).first(
+                                fields.body().size() - 3)),
                   "truncated");
 }
 
-TEST(CsModel, DeserializeRejectsStructurallyInvalidBodies) {
-  const std::string head = "csmethod v2 cs\nblocks 0\nreal-only 0\n";
+TEST(CsModel, DecodeRejectsStructurallyInvalidBodies) {
   // Non-permutation p: duplicate index.
-  expect_rejected(head + "perm 2 0 0\nlo 2 0 0\nhi 2 1 1\n",
-                  "not a valid permutation");
+  expect_body_rejected(cs_fields({0, 0}, {0, 0}, {1, 1}),
+                       "not a valid permutation");
   // Non-permutation p: out-of-range index.
-  expect_rejected(head + "perm 2 0 5\nlo 2 0 0\nhi 2 1 1\n",
-                  "not a valid permutation");
+  expect_body_rejected(cs_fields({0, 5}, {0, 0}, {1, 1}),
+                       "not a valid permutation");
   // NaN bounds must throw, never propagate into sort().
-  expect_rejected(head + "perm 1 0\nlo 1 nan\nhi 1 1\n",
-                  "non-finite normalisation bounds");
-  expect_rejected(head + "perm 1 0\nlo 1 0\nhi 1 inf\n",
-                  "non-finite normalisation bounds");
-  // Trailing garbage after a complete body.
-  expect_rejected(head + "perm 1 0\nlo 1 0\nhi 1 1\nextra", "trailing data");
-  // Absurd sensor count must not allocate first.
-  expect_rejected(head + "perm 999999999999\n", "exceeds the element cap");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_body_rejected(cs_fields({0}, {nan}, {1}),
+                       "non-finite normalisation bounds");
+  expect_body_rejected(cs_fields({0}, {0}, {inf}),
+                       "non-finite normalisation bounds");
+  // Trailing field after a complete body.
+  codec::BinarySink extra = cs_fields({0}, {0}, {1});
+  extra.u64("extra", 1);
+  expect_body_rejected(extra, "trailing bytes");
+  // Absurd sensor count must not allocate first: a hand-built u64[] "perm"
+  // header declaring 2^32 - 1 elements.
+  codec::BinarySink head;
+  head.size("blocks", 0);
+  head.flag("real-only", false);
+  std::vector<std::uint8_t> body = head.body();
+  body.insert(body.end(), {3, 4, 'p', 'e', 'r', 'm'});
+  body.insert(body.end(), 4, 0xFF);
+  expect_rejected(codec::frame_record("cs", body), "exceeds the element cap");
 }
 
 TEST(CsModel, ConstructorRejectsNonFiniteBounds) {
@@ -136,10 +181,10 @@ TEST(CsModel, TrainingSkipsNaNsButRejectsAnAllNaNSensor) {
   }
 }
 
-TEST(CsModel, TrainedModelRoundTripsThroughText) {
+TEST(CsModel, TrainedModelRoundTripsThroughRecord) {
   common::Matrix s{{1, 2, 3, 4}, {4, 3, 2, 1}, {2, 2, 8, 1}};
   const CsModel model = train(s);
-  const CsModel back = from_text(to_text(model));
+  const CsModel back = from_record(to_record(model));
   EXPECT_EQ(back.permutation(), model.permutation());
   // The sort outputs must match exactly.
   EXPECT_EQ(back.sort(s), model.sort(s));

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 
 namespace csm::core {
@@ -113,7 +119,7 @@ TEST(MethodRegistry, CsPrototypeLifecycle) {
   EXPECT_EQ(prototype->signature_length(12), 6u);  // Real-only: l, not 2l.
   const common::Matrix window = wave_matrix(8, 30);
   EXPECT_THROW((void)prototype->compute(window), std::logic_error);
-  EXPECT_THROW((void)prototype->serialize(), std::logic_error);
+  EXPECT_THROW((void)codec::encode_binary(*prototype), std::logic_error);
 
   const auto trained = prototype->fit(wave_matrix(8, 200));
   EXPECT_TRUE(trained->trained());
@@ -121,65 +127,108 @@ TEST(MethodRegistry, CsPrototypeLifecycle) {
   EXPECT_EQ(trained->compute(window).size(), 6u);
 }
 
-TEST(MethodRegistry, CsSerializeRoundTripsExactly) {
+TEST(MethodRegistry, CsRecordRoundTripsExactly) {
   const MethodRegistry registry = cs_registry();
   const common::Matrix history = wave_matrix(7, 150);
   const auto trained = registry.create("cs:blocks=3")->fit(history);
-  const auto revived = registry.deserialize(trained->serialize());
+  const std::vector<std::uint8_t> record = codec::encode_binary(*trained);
+  const auto revived = registry.decode(record);
   EXPECT_EQ(revived->name(), trained->name());
+  EXPECT_EQ(codec::encode_binary(*revived), record);
   const common::Matrix window = wave_matrix(7, 25);
   EXPECT_EQ(revived->compute(window), trained->compute(window));
 }
 
-// Expects `text` to be refused with a std::runtime_error whose message
+std::vector<std::uint8_t> bytes_of(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+// Expects `record` to be refused with a std::runtime_error whose message
 // contains `needle`, so each case pins the check that fires.
-void expect_rejected(const MethodRegistry& registry, const std::string& text,
+void expect_rejected(const MethodRegistry& registry,
+                     std::span<const std::uint8_t> record,
                      const std::string& needle) {
   try {
-    (void)registry.deserialize(text);
-    FAIL() << "accepted: " << text;
+    (void)registry.decode(record);
+    FAIL() << "accepted a " << record.size() << "-byte record";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message \"" << e.what() << "\" does not contain " << needle;
   }
 }
 
-TEST(MethodRegistry, DeserializeRejectsMalformedText) {
+TEST(MethodRegistry, DecodeRejectsMalformedRecords) {
   const MethodRegistry registry = cs_registry();
-  expect_rejected(registry, "garbage", "bad header");
-  expect_rejected(registry, "csmethod v2 cs\n", "missing field");
-  expect_rejected(registry, "csmethod v2 unknown\nbody", "unknown method tag");
-  // Only v2 text is a model format.
-  expect_rejected(registry,
-                  "csmethod v1 cs\nblocks 3\nreal-only 0\ncsmodel v1\n1\n"
-                  "0 0 1\n",
-                  "bad header");
-  // Well-formed header, malformed CS body. The CsModel checks behind the
+  expect_rejected(registry, bytes_of("garbage"), "bad magic");
+  // Text models of earlier releases are no model format.
+  expect_rejected(registry, bytes_of("csmethod v2 cs\nblocks 3\n"),
+                  "bad magic");
+  expect_rejected(registry, codec::frame_record("cs", {}),
+                  "truncated field header for \"blocks\"");
+  expect_rejected(registry, codec::frame_record("unknown", {}),
+                  "unknown method tag");
+  // Well-formed record, malformed CS body. The CsModel checks behind the
   // codec (permutation, finite bounds, trailing data, element cap) are
-  // pinned by CsModel.DeserializeRejectsStructurallyInvalidBodies.
-  expect_rejected(registry, "csmethod v2 cs\nblocks x\n",
-                  "not an unsigned integer");
+  // pinned by CsModel.DecodeRejectsStructurallyInvalidBodies.
+  codec::BinarySink wrong_type;
+  wrong_type.f64("blocks", 3.0);
+  expect_rejected(registry, codec::frame_record("cs", wrong_type.body()),
+                  "has type f64, expected u64");
 }
 
-TEST(MethodRegistry, FileRoundTripsInBothFormats) {
+TEST(MethodRegistry, FileRoundTripsThroughSaveAndLoad) {
   const MethodRegistry registry = cs_registry();
   const auto trained = registry.create("cs:blocks=3")->fit(wave_matrix(5, 90));
   const common::Matrix window = wave_matrix(5, 25);
-  for (const codec::ModelFormat format :
-       {codec::ModelFormat::kText, codec::ModelFormat::kBinary}) {
-    const auto file = std::filesystem::path(testing::TempDir()) /
-                      "csm_method_registry_test.model";
-    save_method(*trained, file, format);
-    const auto back = registry.load(file);
-    EXPECT_EQ(back->serialize(), trained->serialize());
-    EXPECT_EQ(back->compute(window), trained->compute(window));
+  const auto file = std::filesystem::path(testing::TempDir()) /
+                    "csm_method_registry_test.csmb";
+  save_method(*trained, file);
+  const auto back = registry.load(file);
+  EXPECT_EQ(codec::encode_binary(*back), codec::encode_binary(*trained));
+  EXPECT_EQ(back->compute(window), trained->compute(window));
+  std::filesystem::remove(file);
+}
+
+// A file that does not decode is named in the error, whatever the defect:
+// `csmcli pack` over a directory of models reports which one is bad.
+TEST(MethodRegistry, LoadNamesTheFileInEveryError) {
+  const MethodRegistry registry = cs_registry();
+  const std::vector<std::uint8_t> record = codec::encode_binary(
+      *registry.create("cs:blocks=2")->fit(wave_matrix(4, 60)));
+  const auto dir = std::filesystem::path(testing::TempDir());
+  struct Case {
+    std::string name;
+    std::vector<std::uint8_t> bytes;
+    std::string needle;
+  };
+  const Case cases[] = {
+      {"truncated.csmb", {record.begin(), record.begin() + 3}, "bad magic"},
+      {"cut.csmb", {record.begin(), record.end() - 5}, "truncated"},
+      {"text.csm",
+       bytes_of("csmethod v2 cs\nblocks 2\nreal-only 0\nperm 1 0\n"),
+       "bad magic"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto file = dir / ("csm_method_registry_test_" + c.name);
+    std::ofstream(file, std::ios::binary)
+        .write(reinterpret_cast<const char*>(c.bytes.data()),
+               static_cast<std::streamsize>(c.bytes.size()));
+    try {
+      (void)registry.load(file);
+      FAIL() << "loaded " << file;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.string()), std::string::npos) << what;
+      EXPECT_NE(what.find(c.needle), std::string::npos) << what;
+    }
     std::filesystem::remove(file);
   }
 }
 
 TEST(MethodRegistry, LoadMissingFileThrows) {
   const MethodRegistry registry = cs_registry();
-  EXPECT_THROW((void)registry.load("/nonexistent/method.csm"),
+  EXPECT_THROW((void)registry.load("/nonexistent/method.csmb"),
                std::runtime_error);
 }
 

@@ -13,6 +13,7 @@
 
 #include "baselines/registry.hpp"
 #include "common/rng.hpp"
+#include "core/model_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
 #include "data/alignment.hpp"
@@ -98,14 +99,14 @@ TEST(EndToEnd, CsSignaturesAreSmallerThanBaselines) {
 }
 
 TEST(EndToEnd, ModelShippedAcrossProcessesViaSerialization) {
-  // Out-of-band training / in-band inference: the method codec's text
-  // round-trip must preserve signatures bit-exactly.
+  // Out-of-band training / in-band inference: the CSMB record round-trip
+  // must preserve signatures bit-exactly.
   const hpcoda::Segment seg = hpcoda::make_power_segment(tiny());
   const auto& sensors = seg.blocks.front().sensors;
   const auto trained =
       core::CsSignatureMethod(core::CsOptions{12, false}).fit(sensors);
-  const auto shipped =
-      baselines::default_registry().deserialize(trained->serialize());
+  const auto shipped = baselines::default_registry().decode(
+      core::codec::encode_binary(*trained));
   const common::Matrix window = sensors.sub_cols(100, 10);
   EXPECT_EQ(trained->compute(window), shipped->compute(window));
 }

@@ -1,10 +1,12 @@
 // Daemon lifecycle under concurrency: a real FleetServer thread serving
-// loopback clients that push, drain and add nodes at the same time. The
+// unix-socket clients that push, drain and add nodes at the same time. The
 // whole exchange is bit-for-bit deterministic — every drained signature
 // sequence must equal a single-threaded reference engine fed the same
 // columns — and the test runs under ThreadSanitizer in the tsan preset,
 // making it the data-race probe for the transport + server + engine stack.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -22,13 +24,19 @@
 #include "common/rng.hpp"
 #include "core/model_codec.hpp"
 #include "core/stream_engine.hpp"
-#include "net/loopback.hpp"
 #include "net/message.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "net/unix_socket.hpp"
 
 namespace csm::net {
 namespace {
+
+// Unique short path per daemon: sockaddr_un caps the path around 100
+// bytes, so build trees are out and /tmp is in.
+std::string socket_path(const char* tag) {
+  return "/tmp/csm_soak_" + std::to_string(::getpid()) + "_" + tag + ".sock";
+}
 
 common::Matrix node_matrix(std::size_t n, std::size_t t,
                            std::uint64_t seed) {
@@ -99,12 +107,12 @@ TEST(FleetServerSoak, ConcurrentPushDrainAndLiveAddMatchReference) {
   for (std::size_t i = 0; i < 3; ++i) methods[i] = fit_method(data[i]);
 
   core::StreamEngine engine(engine_options());
-  LoopbackHub hub;
+  const std::string path = socket_path("race");
   FleetServerOptions options;
   options.server_version = "soak";
   options.registry = &baselines::default_registry();
   options.poll_timeout_ms = 10;
-  FleetServer server(hub.listen(), engine, std::move(options));
+  FleetServer server(listen_unix(path), engine, std::move(options));
   std::thread server_thread([&] { server.run(); });
 
   // Shared drain ledger: the drainer thread and the final sweep both
@@ -119,7 +127,7 @@ TEST(FleetServerSoak, ConcurrentPushDrainAndLiveAddMatchReference) {
   // chunk sizes. Pusher 0 additionally registers the third node halfway
   // through — a live fleet-grow while everyone else keeps pushing.
   const auto pusher = [&](std::size_t i) {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     const Frame ack = call(*conn, reader, node_add_frame(names[i],
                                                         *methods[i]));
@@ -162,7 +170,7 @@ TEST(FleetServerSoak, ConcurrentPushDrainAndLiveAddMatchReference) {
   // The draining client races the pushers, so signatures leave the daemon
   // while columns are still arriving.
   std::thread drainer([&] {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     while (!drainer_stop.load()) {
       for (std::size_t i = 0; i < 3; ++i) {
@@ -188,7 +196,7 @@ TEST(FleetServerSoak, ConcurrentPushDrainAndLiveAddMatchReference) {
   // Final sweep for anything queued after the drainer stopped; the
   // pushers' stats sync guarantees every column is already ingested.
   {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     for (std::size_t i = 0; i < 3; ++i) {
       DrainResponse rest = drain_node(*conn, reader, names[i]);
@@ -230,17 +238,17 @@ TEST(FleetServerSoak, DisconnectAndReconnectMidStreamLosesNothing) {
   const auto method = fit_method(s);
 
   core::StreamEngine engine(engine_options());
-  LoopbackHub hub;
+  const std::string path = socket_path("reconnect");
   FleetServerOptions options;
   options.server_version = "soak";
   options.registry = &baselines::default_registry();
   options.poll_timeout_ms = 10;
-  FleetServer server(hub.listen(), engine, std::move(options));
+  FleetServer server(listen_unix(path), engine, std::move(options));
   std::thread server_thread([&] { server.run(); });
 
   std::vector<std::vector<double>> drained;
   {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     ASSERT_EQ(call(*conn, reader, node_add_frame("n0", *method)).type,
               FrameType::kOk);
@@ -253,7 +261,7 @@ TEST(FleetServerSoak, DisconnectAndReconnectMidStreamLosesNothing) {
   }
   {
     // A brand-new connection picks the same node back up mid-stream.
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     write_frame(*conn, batch_frame("n0", s.sub_cols(kCols / 2,
                                                     kCols - kCols / 2)));
@@ -313,12 +321,12 @@ TEST(FleetServerSoak, SyncRetrainsRaceScrapesBitIdenticalToReference) {
 
   core::StreamEngine engine(
       retrain_engine_options(core::RetrainPolicy::kSync));
-  LoopbackHub hub;
+  const std::string path = socket_path("sync");
   FleetServerOptions options;
   options.server_version = "soak";
   options.registry = &baselines::default_registry();
   options.poll_timeout_ms = 10;
-  FleetServer server(hub.listen(), engine, std::move(options));
+  FleetServer server(listen_unix(path), engine, std::move(options));
   std::thread server_thread([&] { server.run(); });
 
   std::mutex ledger_mutex;
@@ -327,7 +335,7 @@ TEST(FleetServerSoak, SyncRetrainsRaceScrapesBitIdenticalToReference) {
   std::atomic<bool> stop{false};
 
   const auto pusher = [&](std::size_t i) {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     ASSERT_EQ(call(*conn, reader, node_add_frame(names[i], *methods[i])).type,
               FrameType::kOk);
@@ -347,7 +355,7 @@ TEST(FleetServerSoak, SyncRetrainsRaceScrapesBitIdenticalToReference) {
   };
 
   std::thread drainer([&] {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     while (!stop.load()) {
       for (std::size_t i = 0; i < 2; ++i) {
@@ -364,7 +372,7 @@ TEST(FleetServerSoak, SyncRetrainsRaceScrapesBitIdenticalToReference) {
   // Scraper: hammers the per-node stats frame while retrains and ingest
   // are running, checking only well-formedness mid-race.
   std::thread scraper([&] {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     while (!stop.load()) {
       const NodeStatsResponse rows = scrape_node_stats(*conn, reader);
@@ -385,7 +393,7 @@ TEST(FleetServerSoak, SyncRetrainsRaceScrapesBitIdenticalToReference) {
   scraper.join();
 
   {
-    auto conn = hub.connect();
+    auto conn = connect_unix(path);
     FrameReader reader;
     for (std::size_t i = 0; i < 2; ++i) {
       DrainResponse rest = drain_node(*conn, reader, names[i]);
@@ -429,15 +437,15 @@ TEST(FleetServerSoak, AsyncRetrainDaemonKeepsCadenceAndCounts) {
 
   core::StreamEngine engine(
       retrain_engine_options(core::RetrainPolicy::kAsync));
-  LoopbackHub hub;
+  const std::string path = socket_path("async");
   FleetServerOptions options;
   options.server_version = "soak";
   options.registry = &baselines::default_registry();
   options.poll_timeout_ms = 10;
-  FleetServer server(hub.listen(), engine, std::move(options));
+  FleetServer server(listen_unix(path), engine, std::move(options));
   std::thread server_thread([&] { server.run(); });
 
-  auto conn = hub.connect();
+  auto conn = connect_unix(path);
   FrameReader reader;
   ASSERT_EQ(call(*conn, reader, node_add_frame("n0", *method)).type,
             FrameType::kOk);

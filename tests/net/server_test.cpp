@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "core/model_pack.hpp"
 #include "core/stream_engine.hpp"
 #include "core/training.hpp"
-#include "net/loopback.hpp"
 #include "net/message.hpp"
 #include "net/unix_socket.hpp"
 
@@ -65,12 +65,31 @@ FleetServerOptions server_options() {
   return options;
 }
 
+// Unique short path per server: sockaddr_un caps the path around 100
+// bytes, so build trees are out and /tmp is in.
+std::string socket_path(const char* tag) {
+  return "/tmp/csm_srv_" + std::to_string(::getpid()) + "_" + tag + ".sock";
+}
+
+/// Writes all of `bytes` on `conn` from the thread that also pumps
+/// `server`. A single-threaded test must never block on a full socket
+/// buffer (macOS unix buffers hold about 8 KiB), so whenever the socket
+/// takes less than the rest, one poll_once(0) lets the server read.
+void write_pumping(FleetServer& server, Connection& conn,
+                   std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    ASSERT_TRUE(conn.is_open()) << bytes.size() << " bytes unsent";
+    bytes = bytes.subspan(conn.write_some(bytes));
+    if (!bytes.empty()) server.poll_once(0);
+  }
+}
+
 /// Sends `request` on `conn` and pumps `server` on the calling thread until
 /// one response frame is back. Unlike transport.hpp's call(), a kError
 /// answer is returned, not thrown, so tests can inspect it.
 Frame roundtrip(FleetServer& server, Connection& conn, FrameReader& reader,
                 const Frame& request) {
-  write_frame(conn, request);
+  write_pumping(server, conn, encode_frame(request));
   for (int i = 0; i < 1000; ++i) {
     server.poll_once(10);
     std::array<std::uint8_t, 4096> buf{};
@@ -105,32 +124,36 @@ Frame batch_frame(const std::string& name, const common::Matrix& cols) {
   return frame;
 }
 
-// One server + one client on the same thread: the client writes a frame,
-// then the fixture pumps poll_once until the response arrives. Loopback
-// writes never block, so this cannot deadlock.
+// One server + one client over a unix socket, on the same thread: the
+// client writes a frame, then the fixture pumps poll_once until the
+// response arrives. Writes go through write_pumping(), so this cannot
+// deadlock.
 class FleetServerTest : public ::testing::Test {
  protected:
-  FleetServerTest() {
-    server_ = std::make_unique<FleetServer>(hub_.listen(), engine_,
-                                            server_options());
-    conn_ = hub_.connect();
-  }
-
   Frame roundtrip(const Frame& request) {
-    return net::roundtrip(*server_, *conn_, reader_, request);
+    return net::roundtrip(server_, *conn_, reader_, request);
   }
 
   /// Fire-and-forget (sample batches): write, then pump once so the
   /// server ingests it.
   void push(const Frame& frame) {
-    write_frame(*conn_, frame);
-    server_->poll_once(10);
+    write_pumping(server_, *conn_, encode_frame(frame));
+    server_.poll_once(10);
   }
 
-  LoopbackHub hub_;
+  /// Registers `count` nodes ("n0", "n1", ...) sharing one inline model.
+  void add_nodes(std::size_t count) {
+    Frame add = node_add_frame("", *fit_method(node_matrix(4, 60, 21)));
+    for (std::size_t i = 0; i < count; ++i) {
+      add.node = "n" + std::to_string(i);
+      ASSERT_EQ(roundtrip(add).type, FrameType::kOk);
+    }
+  }
+
+  const std::string path_ = socket_path("fixture");
   core::StreamEngine engine_{engine_options()};
-  std::unique_ptr<FleetServer> server_;
-  std::unique_ptr<Connection> conn_;
+  FleetServer server_{listen_unix(path_), engine_, server_options()};
+  std::unique_ptr<Connection> conn_ = connect_unix(path_);
   FrameReader reader_;
 };
 
@@ -141,7 +164,7 @@ TEST_F(FleetServerTest, NodeAddIngestDrainMatchesReference) {
   const Frame ack = roundtrip(node_add_frame("n0", *method));
   ASSERT_EQ(ack.type, FrameType::kOk) << decode_error_text(ack.payload);
   EXPECT_EQ(decode_ok(ack.payload), std::optional<std::uint64_t>(0));
-  EXPECT_EQ(server_->node_index("n0"), 0u);
+  EXPECT_EQ(server_.node_index("n0"), 0u);
 
   // Push in two batches with an awkward split; the engine's windowing
   // must not care.
@@ -177,7 +200,7 @@ TEST_F(FleetServerTest, SemanticErrorsAnswerWithoutClosing) {
   EXPECT_NE(decode_error_text(err.payload).find("ghost"),
             std::string::npos);
   EXPECT_TRUE(conn_->is_open());
-  EXPECT_EQ(server_->n_connections(), 1u);
+  EXPECT_EQ(server_.n_connections(), 1u);
 
   // Empty node name on add.
   Frame add;
@@ -248,9 +271,9 @@ TEST(FleetServerIngest, EveryAlignmentAndSplitDrainsTheReferenceBytes) {
                                   std::size_t{7}, std::size_t{1000}}) {
     SCOPED_TRACE(chunk == 0 ? "whole" : "chunk " + std::to_string(chunk));
     core::StreamEngine engine(engine_options());
-    LoopbackHub hub;
-    FleetServer server(hub.listen(), engine, server_options());
-    const std::unique_ptr<Connection> conn = hub.connect();
+    const std::string path = socket_path("align");
+    FleetServer server(listen_unix(path), engine, server_options());
+    const std::unique_ptr<Connection> conn = connect_unix(path);
     FrameReader reader;
     std::vector<std::string> names;
     for (std::size_t id_len = 1; id_len <= 8; ++id_len) {
@@ -271,8 +294,9 @@ TEST(FleetServerIngest, EveryAlignmentAndSplitDrainsTheReferenceBytes) {
     }
     const std::size_t step = chunk == 0 ? wire.size() : chunk;
     for (std::size_t at = 0; at < wire.size(); at += step) {
-      write_all(*conn, std::span(wire).subspan(
-                           at, std::min(step, wire.size() - at)));
+      write_pumping(
+          server, *conn,
+          std::span(wire).subspan(at, std::min(step, wire.size() - at)));
       server.poll_once(0);
     }
     for (const std::string& name : names) {
@@ -315,7 +339,7 @@ TEST_F(FleetServerTest, MalformedBatchesAnswerErrorAndKeepTheConnection) {
     frame.payload = bad[i];
     EXPECT_EQ(roundtrip(frame).type, FrameType::kError) << "batch " << i;
     EXPECT_TRUE(conn_->is_open()) << "batch " << i;
-    EXPECT_EQ(server_->n_connections(), 1u) << "batch " << i;
+    EXPECT_EQ(server_.n_connections(), 1u) << "batch " << i;
   }
   // None of them reached the node; a good batch still does.
   push(batch_frame("n0", s.sub_cols(0, 3)));
@@ -326,8 +350,8 @@ TEST_F(FleetServerTest, MalformedBatchesAnswerErrorAndKeepTheConnection) {
   EXPECT_EQ(decode_stats_response(stats.payload).samples, 3u);
 }
 
-// Standalone (fresh hub/engine/server): the pack must be wired into the
-// server options before the first connection.
+// Standalone (fresh engine/server): the pack must be wired into the server
+// options before the first connection.
 TEST(FleetServerPack, NodeAddFromModelPack) {
   const common::Matrix s = node_matrix(5, 80, 9);
   const auto method = fit_method(s);
@@ -343,9 +367,9 @@ TEST(FleetServerPack, NodeAddFromModelPack) {
   FleetServerOptions options = server_options();
   options.pack = &pack;
   core::StreamEngine engine(engine_options());
-  LoopbackHub hub;
-  FleetServer server(hub.listen(), engine, std::move(options));
-  auto conn = hub.connect();
+  const std::string path = socket_path("pack");
+  FleetServer server(listen_unix(path), engine, std::move(options));
+  auto conn = connect_unix(path);
   FrameReader reader;
 
   NodeAdd add;
@@ -408,9 +432,9 @@ TEST(FleetServerDrift, NodeStatsScrapeCarriesDriftCounters) {
   opts.drift_threshold = 0.8;
   opts.drift_patience = 2;
   core::StreamEngine engine(opts);
-  LoopbackHub hub;
-  FleetServer server(hub.listen(), engine, server_options());
-  const std::unique_ptr<Connection> conn = hub.connect();
+  const std::string path = socket_path("drift");
+  FleetServer server(listen_unix(path), engine, server_options());
+  const std::unique_ptr<Connection> conn = connect_unix(path);
   FrameReader reader;
   // A level and gain jump halfway through: a regime change to flag.
   common::Matrix s = node_matrix(5, 200, 12);
@@ -421,7 +445,7 @@ TEST(FleetServerDrift, NodeStatsScrapeCarriesDriftCounters) {
                       node_add_frame("n0", *fit_method(s.sub_cols(0, 100))))
                 .type,
             FrameType::kOk);
-  write_frame(*conn, batch_frame("n0", s));
+  write_pumping(server, *conn, encode_frame(batch_frame("n0", s)));
 
   Frame scrape;
   scrape.type = FrameType::kNodeStatsRequest;
@@ -448,13 +472,13 @@ TEST(FleetServerDrift, NodeStatsScrapeCarriesDriftCounters) {
 TEST_F(FleetServerTest, CorruptFrameGetsErrorThenDisconnect) {
   std::vector<std::uint8_t> garbage = encode_frame(Frame{});
   garbage[0] = 'Z';  // Bad magic: the stream is unframeable.
-  write_all(*conn_, garbage);
+  write_pumping(server_, *conn_, garbage);
 
   // The parting kError frame arrives, then the server hangs up.
   FrameReader reader;
   const std::optional<Frame> err = [&]() -> std::optional<Frame> {
     for (int i = 0; i < 1000; ++i) {
-      server_->poll_once(10);
+      server_.poll_once(10);
       std::array<std::uint8_t, 4096> buf{};
       while (const std::size_t n = conn_->read_some(buf)) {
         reader.feed({buf.data(), n});
@@ -469,25 +493,25 @@ TEST_F(FleetServerTest, CorruptFrameGetsErrorThenDisconnect) {
   EXPECT_NE(decode_error_text(err->payload).find("magic"),
             std::string::npos);
 
-  for (int i = 0; i < 1000 && server_->n_connections() > 0; ++i) {
-    server_->poll_once(10);
+  for (int i = 0; i < 1000 && server_.n_connections() > 0; ++i) {
+    server_.poll_once(10);
   }
-  EXPECT_EQ(server_->n_connections(), 0u);
+  EXPECT_EQ(server_.n_connections(), 0u);
 }
 
 TEST_F(FleetServerTest, ClientDisconnectMidFrameIsDropped) {
   const std::vector<std::uint8_t> wire =
       encode_frame(batch_frame("n0", node_matrix(4, 30, 3)));
-  write_all(*conn_, {wire.data(), wire.size() / 2});
-  server_->poll_once(10);
-  EXPECT_EQ(server_->n_connections(), 1u);
+  write_pumping(server_, *conn_, {wire.data(), wire.size() / 2});
+  server_.poll_once(10);
+  EXPECT_EQ(server_.n_connections(), 1u);
 
   conn_->close();  // Truncated frame + EOF: not a clean close.
-  for (int i = 0; i < 1000 && server_->n_connections() > 0; ++i) {
-    server_->poll_once(10);
+  for (int i = 0; i < 1000 && server_.n_connections() > 0; ++i) {
+    server_.poll_once(10);
   }
-  EXPECT_EQ(server_->n_connections(), 0u);
-  EXPECT_EQ(server_->frames_handled(), 0u);
+  EXPECT_EQ(server_.n_connections(), 0u);
+  EXPECT_EQ(server_.frames_handled(), 0u);
 }
 
 TEST_F(FleetServerTest, SampleBatchesAreNotAcked) {
@@ -503,28 +527,10 @@ TEST_F(FleetServerTest, SampleBatchesAreNotAcked) {
   EXPECT_EQ(roundtrip(scrape).type, FrameType::kStatsResponse);
 }
 
-// FleetServer over its production transport. Loopback writes never block,
-// so only a real socket shows what the server does with a reply larger
-// than the send buffer or with a client that half-closes. The test thread
-// pumps the server and reads the client in turn.
-class FleetServerUnixTest : public ::testing::Test {
- protected:
-  /// Registers `count` nodes ("n0", "n1", ...) sharing one inline model.
-  void add_nodes(std::size_t count) {
-    Frame add = node_add_frame("", *fit_method(node_matrix(4, 60, 21)));
-    for (std::size_t i = 0; i < count; ++i) {
-      add.node = "n" + std::to_string(i);
-      ASSERT_EQ(roundtrip(server_, *conn_, reader_, add).type, FrameType::kOk);
-    }
-  }
-
-  const std::string path_ =
-      "/tmp/csm_srv_" + std::to_string(::getpid()) + ".sock";
-  core::StreamEngine engine_{engine_options()};
-  FleetServer server_{listen_unix(path_), engine_, server_options()};
-  std::unique_ptr<Connection> conn_ = connect_unix(path_);
-  FrameReader reader_;
-};
+// Reply flushing, which only a real socket shows: a reply larger than the
+// send buffer, a client that does not read and one that half-closes. The
+// test thread pumps the server and reads the client in turn.
+using FleetServerUnixTest = FleetServerTest;
 
 // A node-stats row is ~2.2 KiB, so 512 nodes make a reply of over 1 MiB:
 // several refills of any unix socket send buffer.

@@ -11,12 +11,15 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/message.hpp"
 #include "net/transport.hpp"
 
 namespace csm::net {
@@ -48,6 +51,21 @@ std::size_t write_until_short(Connection& conn) {
     n = conn.write_some(chunk);
   } while (n == chunk.size());
   return chunk.size() - n;
+}
+
+// A listener with one accepted connection and its client end.
+struct Pair {
+  std::unique_ptr<Listener> listener;
+  std::unique_ptr<Connection> client;
+  std::unique_ptr<Connection> server;
+};
+
+Pair connected_pair(const char* tag) {
+  Pair p;
+  p.listener = listen_unix(socket_path(tag));
+  p.client = connect_unix(socket_path(tag));
+  if (p.listener->wait({}, 5000)) p.server = p.listener->accept();
+  return p;
 }
 
 TEST(UnixSocket, ConnectAcceptAndExchangeFrames) {
@@ -235,6 +253,199 @@ TEST(UnixSocket, LargeFrameSurvivesChunkedDelivery) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, frame);
   listener->close();
+}
+
+TEST(UnixSocket, ConnectBecomesAcceptable) {
+  const std::string path = socket_path("accept");
+  auto listener = listen_unix(path);
+  EXPECT_EQ(listener->accept(), nullptr);  // Nothing pending: no block.
+
+  auto client = connect_unix(path);
+  ASSERT_TRUE(listener->wait({}, 5000));
+  auto server = listener->accept();
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(listener->accept(), nullptr);
+  EXPECT_TRUE(client->is_open());
+  EXPECT_TRUE(server->is_open());
+  EXPECT_GE(client->native_handle(), 0);
+  EXPECT_GE(server->native_handle(), 0);
+  listener->close();
+}
+
+TEST(UnixSocket, BytesCrossInBothDirections) {
+  Pair p = connected_pair("bytes");
+  ASSERT_NE(p.server, nullptr);
+
+  const std::vector<std::uint8_t> ping = {1, 2, 3};
+  EXPECT_EQ(p.client->write_some(ping), ping.size());
+  std::array<std::uint8_t, 16> buf{};
+  ASSERT_TRUE(p.server->wait_readable(5000));
+  EXPECT_EQ(p.server->read_some(buf), ping.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(buf.begin(), buf.begin() + 3), ping);
+
+  const std::vector<std::uint8_t> pong = {9, 8};
+  EXPECT_EQ(p.server->write_some(pong), pong.size());
+  ASSERT_TRUE(p.client->wait_readable(5000));
+  EXPECT_EQ(p.client->read_some(buf), pong.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(buf.begin(), buf.begin() + 2), pong);
+}
+
+TEST(UnixSocket, ReadReturnsZeroWhenNothingPending) {
+  Pair p = connected_pair("idle");
+  ASSERT_NE(p.server, nullptr);
+  std::array<std::uint8_t, 8> buf{};
+  EXPECT_EQ(p.server->read_some(buf), 0u);
+  EXPECT_TRUE(p.server->is_open());  // Would-block, not EOF.
+  EXPECT_FALSE(p.server->wait_readable(0));
+}
+
+// The daemon's side of PeerCloseReadsAsEofAfterDrain: a reply written just
+// before the server closes still reaches the client, and EOF comes after it.
+TEST(UnixSocket, PeerCloseIsEofAfterDrainingBufferedBytes) {
+  Pair p = connected_pair("tail");
+  ASSERT_NE(p.server, nullptr);
+  const std::vector<std::uint8_t> tail = {7, 7};
+  write_all(*p.server, tail);
+  p.server->close();
+
+  std::array<std::uint8_t, 8> buf{};
+  ASSERT_TRUE(p.client->wait_readable(5000));
+  EXPECT_EQ(p.client->read_some(buf), tail.size());
+  EXPECT_TRUE(p.client->is_open());  // The bytes came first.
+  EXPECT_EQ(p.client->read_some(buf), 0u);
+  EXPECT_FALSE(p.client->is_open());
+}
+
+TEST(UnixSocket, WriteToClosedPeerClosesWithoutThrowing) {
+  Pair p = connected_pair("closed");
+  ASSERT_NE(p.server, nullptr);
+  p.server->close();
+  const std::vector<std::uint8_t> bytes = {1};
+  // The first write may still land in the socket; one after the peer's
+  // close is refused, and that closes the connection instead of throwing.
+  for (int i = 0; i < 100 && p.client->is_open(); ++i) {
+    EXPECT_NO_THROW((void)p.client->write_some(bytes));
+  }
+  EXPECT_FALSE(p.client->is_open());
+}
+
+// close() unlinks the path, so a client that comes later is refused.
+TEST(UnixSocket, ConnectAfterListenerCloseThrows) {
+  const std::string path = socket_path("gone");
+  auto listener = listen_unix(path);
+  listener->close();
+  EXPECT_THROW(connect_unix(path), TransportError);
+}
+
+TEST(UnixSocket, ListenerWaitWakesOnReadableConnection) {
+  Pair p = connected_pair("readable");
+  ASSERT_NE(p.server, nullptr);
+  Connection* conns[] = {p.server.get()};
+  EXPECT_FALSE(p.listener->wait(conns, 0));  // Nothing pending -> timeout.
+
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    write_all(*p.client, std::vector<std::uint8_t>{5});
+  });
+  EXPECT_TRUE(p.listener->wait(conns, 5000));
+  writer.join();
+  std::array<std::uint8_t, 8> buf{};
+  EXPECT_EQ(p.server->read_some(buf), 1u);
+  EXPECT_EQ(buf[0], 5u);
+}
+
+TEST(UnixSocket, ListenerWaitWakesOnNewConnection) {
+  const std::string path = socket_path("wake");
+  auto listener = listen_unix(path);
+  std::unique_ptr<Connection> client;
+  std::thread connector([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    client = connect_unix(path);
+  });
+  EXPECT_TRUE(listener->wait({}, 5000));
+  connector.join();
+  EXPECT_NE(listener->accept(), nullptr);
+}
+
+// The blocking helpers (the client-side edge) across two threads, like a
+// real client and daemon.
+TEST(UnixSocket, FramesCrossViaBlockingHelpers) {
+  Pair p = connected_pair("call");
+  ASSERT_NE(p.server, nullptr);
+  Frame request;
+  request.type = FrameType::kDrainRequest;
+  request.node = "n0";
+
+  std::thread responder([&] {
+    FrameReader reader;
+    const std::optional<Frame> got = read_frame(*p.server, reader, 5000);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, request);
+    Frame response;
+    response.type = FrameType::kOk;
+    response.payload = encode_frame(request);  // Arbitrary payload bytes.
+    write_frame(*p.server, response);
+  });
+  FrameReader reader;
+  const Frame response = call(*p.client, reader, request, 5000);
+  responder.join();
+  EXPECT_EQ(response.type, FrameType::kOk);
+  EXPECT_EQ(response.payload, encode_frame(request));
+
+  // A clean EOF at a frame boundary reads as "no more frames".
+  p.server->close();
+  EXPECT_EQ(read_frame(*p.client, reader, 5000), std::nullopt);
+}
+
+TEST(UnixSocket, EofMidFrameThrowsTransportError) {
+  Pair p = connected_pair("midframe");
+  ASSERT_NE(p.server, nullptr);
+  const std::vector<std::uint8_t> wire = encode_frame(Frame{});
+  write_all(*p.server, {wire.data(), wire.size() / 2});
+  p.server->close();
+  FrameReader reader;
+  EXPECT_THROW((void)read_frame(*p.client, reader, 5000), TransportError);
+}
+
+// call()'s two failure paths: the daemon answers kError, or hangs up.
+TEST(UnixSocket, CallThrowsTheDaemonsErrorText) {
+  Pair p = connected_pair("kerror");
+  ASSERT_NE(p.server, nullptr);
+  std::thread responder([&] {
+    FrameReader reader;
+    ASSERT_TRUE(read_frame(*p.server, reader, 5000).has_value());
+    write_frame(*p.server, {FrameType::kError, "n0",
+                            encode_error_text("unknown node \"n0\"")});
+  });
+  FrameReader reader;
+  try {
+    (void)call(*p.client, reader, {FrameType::kDrainRequest, "n0", {}}, 5000);
+    ADD_FAILURE() << "call returned on a kError reply";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown node \"n0\""),
+              std::string::npos)
+        << e.what();
+  }
+  responder.join();
+}
+
+TEST(UnixSocket, CallThrowsWhenTheDaemonHangsUp) {
+  Pair p = connected_pair("hangup");
+  ASSERT_NE(p.server, nullptr);
+  std::thread responder([&] {
+    FrameReader reader;
+    ASSERT_TRUE(read_frame(*p.server, reader, 5000).has_value());
+    p.server->close();
+  });
+  FrameReader reader;
+  try {
+    (void)call(*p.client, reader, {FrameType::kStatsRequest, "", {}}, 5000);
+    ADD_FAILURE() << "call returned after a hang-up";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("hung up"), std::string::npos)
+        << e.what();
+  }
+  responder.join();
 }
 
 }  // namespace

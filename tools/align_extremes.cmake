@@ -23,7 +23,7 @@ foreach(sensor a b)
   file(WRITE "${WORK_DIR}/sensors/${sensor}.csv" "${first},1\n${last},2\n")
 endforeach()
 execute_process(
-  COMMAND "${CSMCLI}" train "${WORK_DIR}/sensors" "${WORK_DIR}/model.csm"
+  COMMAND "${CSMCLI}" train "${WORK_DIR}/sensors" "${WORK_DIR}/model.csmb"
           ${args}
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(NOT rc STREQUAL "${expect_rc}" OR NOT out MATCHES "${expect_out}")

@@ -10,25 +10,19 @@
 //       List the registered signature methods and their spec grammar.
 //
 //   csmcli train   <sensor_dir> <model_file> [--interval MS] [--method SPEC]
-//           [--format text|binary]
 //       Align the sensors and fit a method on them (classic CS without
-//       --method), writing the tagged model-codec format — human-readable
-//       text by default, the CRC-framed binary record with
-//       --format binary. Every other subcommand accepts both.
+//       --method), writing the model as one CRC-framed CSMB record.
 //
 //   csmcli info    <model_file | pack_file>
-//       Print a model summary (any model format), or the index summary of
-//       a model pack.
+//       Print a model summary followed by its fields, one line each, or
+//       the index summary of a model pack.
 //
 //   csmcli pack    <model_dir> <pack_file>
 //       Bundle every model file in a directory into one mmap-able model
-//       pack (node id = file stem, records re-encoded as binary).
+//       pack (node id = file stem).
 //
-//   csmcli unpack  <pack_file> <out_dir> [--format text|binary]
-//       Extract every pack record back into per-node model files.
-//
-//   csmcli convert <model_in> <model_out> [--format text|binary]
-//       Re-encode one model file between the codec formats.
+//   csmcli unpack  <pack_file> <out_dir>
+//       Extract every pack record back into per-node .csmb model files.
 //
 //   csmcli extract <sensor_dir> <model_file> <out_csv>
 //           [--window WL] [--step WS] [--interval MS]
@@ -159,7 +153,6 @@ struct Options {
   std::size_t history = 1024;
   std::size_t retrain = 0;
   std::size_t batch = 256;
-  std::string format = "text";  // --format text|binary for model writes.
   std::string pack_file;        // --pack FILE (stream: load models from it).
   std::string dump_dir;         // --dump-models DIR (stream: save models).
   std::string socket;           // --socket PATH (push/fleet-stats).
@@ -173,27 +166,17 @@ struct Options {
   bool drift_patience_set = false;
 };
 
-core::codec::ModelFormat parse_format(const std::string& value) {
-  if (value == "text") return core::codec::ModelFormat::kText;
-  if (value == "binary") return core::codec::ModelFormat::kBinary;
-  throw std::invalid_argument("--format: expected \"text\" or \"binary\", got \"" +
-                              value + "\"");
-}
-
-/// Conventional model-file extension for a codec format.
-const char* format_extension(core::codec::ModelFormat format) {
-  return format == core::codec::ModelFormat::kBinary ? ".csmb" : ".csm";
-}
+/// Extension of the model files unpack and stream --dump-models write.
+constexpr const char* kModelExtension = ".csmb";
 
 void usage(std::ostream& out) {
   out << "usage:\n"
       << "  csmcli methods\n"
       << "  csmcli train   <sensor_dir> <model_file> [--interval MS]\n"
-      << "                 [--method SPEC] [--format text|binary]\n"
+      << "                 [--method SPEC]\n"
       << "  csmcli info    <model_file | pack_file>\n"
       << "  csmcli pack    <model_dir> <pack_file>\n"
-      << "  csmcli unpack  <pack_file> <out_dir> [--format text|binary]\n"
-      << "  csmcli convert <model_in> <model_out> [--format text|binary]\n"
+      << "  csmcli unpack  <pack_file> <out_dir>\n"
       << "  csmcli extract <sensor_dir> <model_file> <out_csv>\n"
       << "                 [--window WL] [--step WS] [--interval MS]\n"
       << "  csmcli extract <sensor_dir> <out_csv> --method SPEC\n"
@@ -265,9 +248,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
           benchkit::parse_size_t("--retrain", next_value("--retrain"));
     } else if (arg == "--batch") {
       opts.batch = benchkit::parse_size_t("--batch", next_value("--batch"));
-    } else if (arg == "--format") {
-      opts.format = next_value("--format");
-      (void)parse_format(opts.format);  // Reject bad values at parse time.
     } else if (arg == "--pack") {
       opts.pack_file = next_value("--pack");
     } else if (arg == "--dump-models") {
@@ -382,7 +362,7 @@ int cmd_train(const Options& opts) {
   const std::string spec = opts.method.empty() ? "cs" : opts.method;
   const auto method =
       baselines::default_registry().create(spec)->fit(aligned.matrix);
-  core::save_method(*method, opts.positional[1], parse_format(opts.format));
+  core::save_method(*method, opts.positional[1]);
   std::cout << method->name() << " model written to " << opts.positional[1]
             << '\n';
   return 0;
@@ -420,6 +400,9 @@ int cmd_info(const Options& opts) {
   } else {
     std::cout << method->signature_length(n) << '\n';
   }
+  core::codec::TextSink fields;
+  method->save(fields);
+  std::cout << "fields:\n" << fields.body();
   return 0;
 }
 
@@ -553,7 +536,6 @@ int cmd_unpack(const Options& opts) {
   }
   const core::ModelPack pack = core::ModelPack::open(opts.positional[0]);
   const core::MethodRegistry& registry = baselines::default_registry();
-  const auto format = parse_format(opts.format);
   std::filesystem::create_directories(opts.positional[1]);
   for (std::size_t i = 0; i < pack.size(); ++i) {
     const std::string id(pack.id(i));
@@ -565,27 +547,13 @@ int cmd_unpack(const Options& opts) {
       return 2;
     }
     // Round-trip through the registry so every record's CRC and fields are
-    // validated, whatever the output format.
+    // validated before a file is written.
     const auto method = pack.load(id, registry);
-    core::save_method(*method,
-                      std::filesystem::path(opts.positional[1]) /
-                          (id + format_extension(format)),
-                      format);
+    core::save_method(*method, std::filesystem::path(opts.positional[1]) /
+                                   (id + kModelExtension));
   }
   std::cout << "unpacked " << pack.size() << " models to "
             << opts.positional[1] << '\n';
-  return 0;
-}
-
-int cmd_convert(const Options& opts) {
-  if (opts.positional.size() != 2) {
-    usage(std::cerr);
-    return 1;
-  }
-  const auto method = baselines::default_registry().load(opts.positional[0]);
-  core::save_method(*method, opts.positional[1], parse_format(opts.format));
-  std::cout << method->name() << " model re-encoded as " << opts.format
-            << " in " << opts.positional[1] << '\n';
   return 0;
 }
 
@@ -606,7 +574,7 @@ hpcoda::Segment make_segment(const std::string& name, double scale,
 
 // The CS spec synthesized from the legacy flags when --method is absent —
 // shared by stream and push so both fit bit-identical models from the same
-// flags (the loopback/daemon equivalence tests depend on that).
+// flags (the daemon equivalence test depends on that).
 std::string synthesize_spec(const Options& opts) {
   if (!opts.method.empty()) return opts.method;
   std::string spec = "cs:blocks=" + std::to_string(opts.blocks);
@@ -805,7 +773,6 @@ int cmd_stream(const Options& opts) {
     });
   }
   if (!opts.dump_dir.empty()) {
-    const auto format = parse_format(opts.format);
     std::filesystem::create_directories(opts.dump_dir);
     for (std::size_t b = 0; b < engine.n_nodes(); ++b) {
       const std::string& name = engine.node_name(b);
@@ -816,10 +783,9 @@ int cmd_stream(const Options& opts) {
                   << "\" is not usable as a file name\n";
         return 2;
       }
-      const std::filesystem::path file =
-          std::filesystem::path(opts.dump_dir) /
-          (name + format_extension(format));
-      core::save_method(engine.stream(b).method(), file, format);
+      core::save_method(engine.stream(b).method(),
+                        std::filesystem::path(opts.dump_dir) /
+                            (name + kModelExtension));
     }
     std::cout << "dumped " << engine.n_nodes() << " node models to "
               << opts.dump_dir << '\n';
@@ -1117,7 +1083,6 @@ int main(int argc, char** argv) {
     if (command == "info") return cmd_info(opts);
     if (command == "pack") return cmd_pack(opts);
     if (command == "unpack") return cmd_unpack(opts);
-    if (command == "convert") return cmd_convert(opts);
     if (command == "extract") return cmd_extract(opts);
     if (command == "sort") return cmd_sort(opts);
     if (command == "stream") return cmd_stream(opts);

@@ -1,11 +1,11 @@
-# ctest helper: the full model-format workflow through csmcli.
+# ctest helper: the full model-file workflow through csmcli.
 #
-#   stream --dump-models -> pack -> info -> stream --pack -> unpack --format
-#   binary -> convert back to text
+#   stream --dump-models -> pack -> info -> stream --pack -> unpack -> info
 #
-# plus wrong-version fixture checks: the pack and binary-record readers
-# name the version byte they reject, and "csmethod v1" text (a format of
-# earlier releases) is refused as a bad header. Run with:
+# plus rejection checks: the pack and CSMB record readers name the version
+# byte they reject, and a "csmethod v2" text model (the format of earlier
+# releases) is refused as a bad magic, by info and by pack, with its path
+# named. Run with:
 #   cmake -DCSMCLI=... -DWORK_DIR=... -P pack_roundtrip.cmake
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -42,9 +42,8 @@ run_step(info_pack zero "model pack: [0-9]+ models"
 run_step(stream_from_pack zero "models: [0-9]+-model pack"
   "${CSMCLI}" stream fault --scale 0.2 --history 256
   --pack "${WORK_DIR}/fleet.pack")
-run_step(unpack_binary zero "unpacked [0-9]+ models"
-  "${CSMCLI}" unpack "${WORK_DIR}/fleet.pack" "${WORK_DIR}/unpacked"
-  --format binary)
+run_step(unpack zero "unpacked [0-9]+ models"
+  "${CSMCLI}" unpack "${WORK_DIR}/fleet.pack" "${WORK_DIR}/unpacked")
 
 file(GLOB unpacked_models "${WORK_DIR}/unpacked/*.csmb")
 list(LENGTH unpacked_models n_unpacked)
@@ -52,11 +51,8 @@ if(n_unpacked EQUAL 0)
   message(FATAL_ERROR "unpack produced no .csmb files in ${WORK_DIR}/unpacked")
 endif()
 list(GET unpacked_models 0 first_model)
-run_step(convert_to_text zero "re-encoded as text"
-  "${CSMCLI}" convert "${first_model}" "${WORK_DIR}/roundtrip.csm"
-  --format text)
-run_step(info_roundtrip zero "CS-"
-  "${CSMCLI}" info "${WORK_DIR}/roundtrip.csm")
+run_step(info_unpacked zero "method: CS-.*fields:.*\nperm [0-9]+ "
+  "${CSMCLI}" info "${first_model}")
 
 # Wrong-version fixtures built from printable bytes: the version slots hold
 # the character '9' (byte 57), so both readers must name version 57.
@@ -67,9 +63,13 @@ run_step(wrong_pack_version nonzero "unsupported model pack version 57"
 file(WRITE "${WORK_DIR}/bad_version.csmb" "CSMB9${filler}")
 run_step(wrong_record_version nonzero "unsupported binary model version 57"
   "${CSMCLI}" info "${WORK_DIR}/bad_version.csmb")
-file(WRITE "${WORK_DIR}/v1_text.csm"
-  "csmethod v1 cs\nblocks 2\nreal-only 0\ncsmodel v1\n1\n0 0 1\n")
-run_step(v1_text_rejected nonzero "bad header"
-  "${CSMCLI}" info "${WORK_DIR}/v1_text.csm")
+file(MAKE_DIRECTORY "${WORK_DIR}/text_models")
+set(text_model "${WORK_DIR}/text_models/node00.csm")
+file(WRITE "${text_model}"
+  "csmethod v2 cs\nblocks 2\nreal-only 0\nperm 1 0\nlo 1 0\nhi 1 1\n")
+run_step(v2_text_rejected nonzero "text_models/node00\\.csm: .*bad magic"
+  "${CSMCLI}" info "${text_model}")
+run_step(v2_text_pack_rejected nonzero "text_models/node00\\.csm: .*bad magic"
+  "${CSMCLI}" pack "${WORK_DIR}/text_models" "${WORK_DIR}/text.pack")
 
 message(STATUS "pack round trip clean (${n_unpacked} models)")
