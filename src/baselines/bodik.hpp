@@ -13,9 +13,6 @@ class BodikMethod final : public core::SignatureMethod {
  public:
   static constexpr std::size_t kFeaturesPerSensor = 9;
 
-  using core::SignatureMethod::compute;
-  using core::SignatureMethod::fit;
-
   std::string name() const override { return "Bodik"; }
   std::size_t signature_length(std::size_t n_sensors) const override {
     return n_sensors * kFeaturesPerSensor;

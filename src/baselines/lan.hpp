@@ -19,9 +19,6 @@ class LanMethod final : public core::SignatureMethod {
 
   std::size_t wr() const noexcept { return wr_; }
 
-  using core::SignatureMethod::compute;
-  using core::SignatureMethod::fit;
-
   std::string name() const override { return "Lan"; }
   std::size_t signature_length(std::size_t n_sensors) const override {
     return n_sensors * wr_;

@@ -70,9 +70,6 @@ class PcaMethod final : public core::SignatureMethod {
   /// Trained method. Throws std::invalid_argument on an untrained model.
   PcaMethod(PcaModel model, std::string display_name = {});
 
-  using core::SignatureMethod::compute;
-  using core::SignatureMethod::fit;
-
   std::string name() const override { return name_; }
   std::size_t signature_length(std::size_t n_sensors) const override;
   std::vector<double> compute(

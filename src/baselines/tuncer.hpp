@@ -16,9 +16,6 @@ class TuncerMethod final : public core::SignatureMethod {
  public:
   static constexpr std::size_t kFeaturesPerSensor = 11;
 
-  using core::SignatureMethod::compute;
-  using core::SignatureMethod::fit;
-
   std::string name() const override { return "Tuncer"; }
   std::size_t signature_length(std::size_t n_sensors) const override {
     return n_sensors * kFeaturesPerSensor;

@@ -6,15 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/mapped_file.hpp"
 #include "core/method_registry.hpp"
 #include "core/model_codec.hpp"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace csm::core {
 namespace {
@@ -157,32 +151,21 @@ void ModelPackWriter::finish() {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Holds the mapped (or, on platforms without mmap, read) file bytes plus
-/// the decoded header geometry.
+/// Holds the mapped (or in-memory) pack bytes plus the decoded header
+/// geometry.
 struct ModelPack::Mapping {
+  /// Validates the header and index geometry; errors name `file`.
+  Mapping(std::filesystem::path file, common::MappedFile bytes);
+
   std::filesystem::path file;
-  const std::uint8_t* data = nullptr;
+  common::MappedFile bytes;
+  const std::uint8_t* data = nullptr;  ///< bytes.data().
   std::size_t size = 0;
 
   std::uint64_t count = 0;
   const std::uint8_t* index = nullptr;  ///< count x 24-byte entries.
   const char* names = nullptr;
   std::uint64_t names_len = 0;
-
-  /// Backing storage for open_bytes() (and, on platforms without mmap, the
-  /// whole-file read fallback). Empty when the pack is mmap-ed.
-  std::vector<std::uint8_t> bytes;
-
-#if !defined(_WIN32)
-  void* map_base = nullptr;
-  std::size_t map_size = 0;
-
-  ~Mapping() {
-    if (map_base != nullptr) {
-      ::munmap(map_base, map_size);
-    }
-  }
-#endif
 
   struct IndexEntry {
     std::string_view name;
@@ -228,67 +211,31 @@ struct ModelPack::Mapping {
     }
     return lo;
   }
-
-  /// Header/index validation shared by open() and open_bytes(): data, size
-  /// and file must already be set.
-  void validate();
 };
 
 ModelPack ModelPack::open(const std::filesystem::path& file) {
-  auto mapping = std::make_shared<Mapping>();
-  mapping->file = file;
-
-#if !defined(_WIN32)
-  const int fd = ::open(file.c_str(), O_RDONLY);
-  if (fd < 0) {
-    fail("cannot open " + file.string());
+  common::MappedFile bytes;
+  try {
+    bytes = common::MappedFile::open(file);
+  } catch (const std::runtime_error& e) {
+    fail(e.what());
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    fail("cannot stat " + file.string());
-  }
-  const std::size_t size = static_cast<std::size_t>(st.st_size);
-  void* base =
-      size == 0 ? nullptr : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (size != 0 && base == MAP_FAILED) {
-    fail("mmap failed for " + file.string());
-  }
-  mapping->map_base = base;
-  mapping->map_size = size;
-  mapping->data = static_cast<const std::uint8_t*>(base);
-  mapping->size = size;
-#else
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
-    fail("cannot open " + file.string());
-  }
-  mapping->bytes.assign(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-  mapping->data = mapping->bytes.data();
-  mapping->size = mapping->bytes.size();
-#endif
-
-  mapping->validate();
-  return ModelPack(std::move(mapping));
+  return ModelPack(std::make_shared<const Mapping>(file, std::move(bytes)));
 }
 
 ModelPack ModelPack::open_bytes(std::vector<std::uint8_t> bytes,
                                 std::filesystem::path name) {
-  auto mapping = std::make_shared<Mapping>();
-  mapping->file = std::move(name);
-  mapping->bytes = std::move(bytes);
-  mapping->data = mapping->bytes.data();
-  mapping->size = mapping->bytes.size();
-  mapping->validate();
-  return ModelPack(std::move(mapping));
+  return ModelPack(std::make_shared<const Mapping>(
+      std::move(name), common::MappedFile(std::move(bytes))));
 }
 
-void ModelPack::Mapping::validate() {
-  Mapping* mapping = this;
-  const std::size_t size_total = mapping->size;
-  if (size_total < kPackHeaderSize ||
+ModelPack::Mapping::Mapping(std::filesystem::path file_in,
+                            common::MappedFile bytes_in)
+    : file(std::move(file_in)),
+      bytes(std::move(bytes_in)),
+      data(bytes.data()),
+      size(bytes.size()) {
+  if (size < kPackHeaderSize ||
       std::memcmp(data, kPackMagic, sizeof(kPackMagic)) != 0) {
     fail(file.string() + " is not a model pack (bad magic)");
   }
@@ -302,24 +249,23 @@ void ModelPack::Mapping::validate() {
   if (stored_crc != computed_crc) {
     fail("header CRC mismatch in " + file.string());
   }
-  mapping->count = load_u64(data + 8);
+  count = load_u64(data + 8);
   const std::uint64_t index_off = load_u64(data + 16);
   const std::uint64_t names_off = load_u64(data + 24);
-  mapping->names_len = load_u64(data + 32);
-  if (mapping->count > size_total / kIndexEntrySize) {
-    fail("record count " + std::to_string(mapping->count) +
-         " is impossible for a " + std::to_string(size_total) +
-         "-byte pack");
+  names_len = load_u64(data + 32);
+  if (count > size / kIndexEntrySize) {
+    fail("record count " + std::to_string(count) + " is impossible for a " +
+         std::to_string(size) + "-byte pack");
   }
-  const std::uint64_t index_len = mapping->count * kIndexEntrySize;
-  if (index_off > size_total || index_len > size_total - index_off) {
+  const std::uint64_t index_len = count * kIndexEntrySize;
+  if (index_off > size || index_len > size - index_off) {
     fail("index range is outside the pack file");
   }
-  if (names_off > size_total || mapping->names_len > size_total - names_off) {
+  if (names_off > size || names_len > size - names_off) {
     fail("names blob range is outside the pack file");
   }
-  mapping->index = data + index_off;
-  mapping->names = reinterpret_cast<const char*>(data + names_off);
+  index = data + index_off;
+  names = reinterpret_cast<const char*>(data + names_off);
 }
 
 std::size_t ModelPack::size() const noexcept {

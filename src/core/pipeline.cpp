@@ -20,6 +20,7 @@ std::vector<Signature> CsPipeline::transform(
   const std::size_t n_windows = spec.count(s.cols());
   std::vector<Signature> out;
   out.reserve(n_windows);
+  const common::MatrixView view(s);
   std::vector<double> column(s.rows());
   std::size_t next = 0;  // First column not pushed yet.
   for (std::size_t w = 0; w < n_windows; ++w) {
@@ -28,7 +29,7 @@ std::vector<Signature> CsPipeline::transform(
     // ws > wl + 1 the columns between windows are skipped.
     for (std::size_t c = std::max(next, first == 0 ? 0 : first - 1);
          c < first + spec.length; ++c) {
-      for (std::size_t r = 0; r < s.rows(); ++r) column[r] = s(r, c);
+      view.copy_col(c, column);
       smoother.push(column);
     }
     next = first + spec.length;
@@ -38,13 +39,29 @@ std::vector<Signature> CsPipeline::transform(
 }
 
 Signature CsPipeline::transform_window(
-    const common::MatrixView& window) const {
-  if (window.rows() != model_.n_sensors()) {
+    const common::MatrixView& window,
+    const std::span<const double>* seed) const {
+  if (window.empty()) {
+    throw std::invalid_argument("CsPipeline::transform_window: empty window");
+  }
+  const std::size_t n = model_.n_sensors();
+  if (window.rows() != n) {
     throw std::invalid_argument(
         "CsPipeline::transform_window: sensor count mismatch");
   }
-  return smooth_window(window, model_.permutation(), model_.bounds(), nullptr,
-                       blocks());
+  if (seed && seed->size() != n) {
+    throw std::invalid_argument(
+        "CsPipeline::transform_window: wrong seed column length");
+  }
+  StreamSmoother smoother(model_.permutation(), model_.bounds(), blocks(),
+                          window.cols());
+  if (seed) smoother.push(*seed);
+  std::vector<double> column(n);
+  for (std::size_t c = 0; c < window.cols(); ++c) {
+    window.copy_col(c, column);
+    smoother.push(column);
+  }
+  return smoother.emit(seed != nullptr);
 }
 
 std::pair<common::Matrix, common::Matrix> signature_heatmaps(
@@ -103,10 +120,7 @@ std::size_t CsSignatureMethod::signature_length(std::size_t n_sensors) const {
 
 std::vector<double> CsSignatureMethod::compute(
     const common::MatrixView& window) const {
-  if (!pipeline_) {
-    throw std::logic_error("CsSignatureMethod: compute() before fit()");
-  }
-  return pipeline_->transform_window(window).flatten(options_.real_only);
+  return compute_streaming(window, nullptr);
 }
 
 std::size_t CsSignatureMethod::n_sensors() const {
@@ -177,13 +191,7 @@ std::vector<double> CsSignatureMethod::compute_streaming(
   if (!pipeline_) {
     throw std::logic_error("CsSignatureMethod: compute() before fit()");
   }
-  const CsModel& model = pipeline_->model();
-  if (window.rows() != model.n_sensors()) {
-    throw std::invalid_argument(
-        "CsSignatureMethod: sensor count mismatch");
-  }
-  return smooth_window(window, model.permutation(), model.bounds(), seed_col,
-                       options_.resolve_blocks(model.n_sensors()))
+  return pipeline_->transform_window(window, seed_col)
       .flatten(options_.real_only);
 }
 

@@ -1,16 +1,18 @@
 // End-to-end CS pipeline: model + block count + windowing.
 //
-// For offline dataset generation the pipeline pushes the sensor matrix's
-// columns through the same StreamSmoother a live stream runs, normalising
-// each sample once and seeding every window after the first with the column
-// before it — no redundant normalisation, no zero-derivative spike at window
-// boundaries, O(n * wl) scratch, and signatures byte-identical to a
-// MethodStream over the same columns. For online use it also implements the
-// generic SignatureMethod interface (one window in, one signature out).
+// Every signature comes out of core::StreamSmoother, the one CS kernel. For
+// offline datasets transform() pushes a sensor matrix's columns through one
+// smoother, as a live stream does: each sample normalised once, every window
+// after the first seeded with the column before it (no zero-derivative spike
+// at window boundaries), O(n * wl) scratch, and signatures byte-identical to
+// a MethodStream over the same columns. transform_window() runs a one-shot
+// smoother over one window view and its seed column, if any; the
+// SignatureMethod adapter (one window in, one signature out) is built on it.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,10 +56,15 @@ class CsPipeline {
   std::vector<Signature> transform(const common::Matrix& s,
                                    const data::WindowSpec& spec) const;
 
-  /// Computes a single signature from one window view (sorting + smoothing
-  /// fused over the view — no intermediate matrices). A common::Matrix
-  /// window converts implicitly.
-  Signature transform_window(const common::MatrixView& window) const;
+  /// Computes a single signature from one window view: a one-shot smoother
+  /// fed `seed` (the raw column preceding the window, which seeds the
+  /// derivative channel) when non-null, then the window's columns. Without
+  /// a seed the first column's derivative is 0. A common::Matrix window
+  /// converts implicitly. Throws std::invalid_argument on an empty window, a
+  /// sensor count mismatch or a seed whose length is not the sensor count.
+  Signature transform_window(
+      const common::MatrixView& window,
+      const std::span<const double>* seed = nullptr) const;
 
   /// Sorted (normalised + permuted) view of the full matrix — the "sorting
   /// stage" output used for visualisation and the JS-divergence reference.
@@ -88,12 +95,6 @@ class CsSignatureMethod final : public SignatureMethod {
   /// a null pipeline.
   CsSignatureMethod(std::shared_ptr<const CsPipeline> pipeline,
                     std::string display_name = {});
-
-  // Keep the inherited Matrix-taking thin overloads visible next to the
-  // MatrixView overrides below.
-  using SignatureMethod::compute;
-  using SignatureMethod::compute_streaming;
-  using SignatureMethod::fit;
 
   std::string name() const override { return name_; }
   std::size_t signature_length(std::size_t n_sensors) const override;

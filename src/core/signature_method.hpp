@@ -9,11 +9,9 @@
 // view over either a row-major Matrix block (offline) or the one/two
 // contiguous column segments of a RingMatrix window (streaming) — so the
 // streaming hot path never assembles a temporary window matrix. A
-// common::Matrix converts to a view implicitly, and thin Matrix overloads
-// below keep offline call sites (pipeline, harness, csmcli, examples)
-// compiling unchanged. Implementations should pull `using` declarations for
-// the inherited overloads into scope (see the baselines) so concrete-typed
-// callers keep both forms.
+// common::Matrix converts to a view implicitly, so offline call sites pass
+// matrices to compute() and fit() unchanged, and a derived class needs no
+// `using` declaration to keep them compiling.
 //
 // Methods have a full lifecycle: a method is *constructed* (usually from a
 // spec string via core::MethodRegistry) either already trained (stateless
@@ -33,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/matrix.hpp"
 #include "common/matrix_view.hpp"
 
 namespace csm::core {
@@ -81,11 +78,6 @@ class SignatureMethod {
   virtual std::vector<double> compute(const common::MatrixView& window)
       const = 0;
 
-  /// Thin offline overload: wraps the matrix in a (row-major) view.
-  std::vector<double> compute(const common::Matrix& window) const {
-    return compute(common::MatrixView(window));
-  }
-
   // --- trained-state lifecycle ---------------------------------------------
 
   /// Whether compute() may be called. Stateless methods are born trained;
@@ -105,11 +97,6 @@ class SignatureMethod {
       const common::MatrixView& train) const {
     (void)train;
     throw std::logic_error(name() + ": fit() is not supported");
-  }
-
-  /// Thin offline overload of fit().
-  std::unique_ptr<SignatureMethod> fit(const common::Matrix& train) const {
-    return fit(common::MatrixView(train));
   }
 
   /// fit() with caller-owned training state: methods whose training is
@@ -147,26 +134,6 @@ class SignatureMethod {
       const std::span<const double>* seed_col) const {
     (void)seed_col;
     return compute(window);
-  }
-
-  /// Thin offline overload: `prev_column` holds the column preceding the
-  /// window in its column 0 (the historical calling convention of the batch
-  /// extractors — usually an n x 1 matrix), or is null.
-  std::vector<double> compute_streaming(
-      const common::Matrix& window, const common::Matrix* prev_column) const {
-    if (!prev_column) {
-      return compute_streaming(common::MatrixView(window), nullptr);
-    }
-    std::vector<double> col0;
-    std::span<const double> seed;
-    if (prev_column->cols() == 1) {
-      // An n x 1 row-major matrix is already the contiguous column.
-      seed = {prev_column->data(), prev_column->rows()};
-    } else {
-      col0 = prev_column->col(0);
-      seed = col0;
-    }
-    return compute_streaming(common::MatrixView(window), &seed);
   }
 
   /// The stream-side seam of compute_streaming: a fresh per-stream state

@@ -26,12 +26,12 @@ struct RowSums {
   double im = 0.0;
 };
 
-/// The block half of the one order, shared by every path: block i adds the
-/// sums of its sorted rows in ascending order, starting from 0, and divides
-/// by rows * wl. `range(i)` gives block i's rows; `row_sums(rr)` gives
-/// sorted row rr's sums. Consecutive blocks share at most one row (the last
-/// of one is the first of the next), so caching the last row asks
-/// row_sums for every row exactly once.
+/// The block half of the one order, shared by the kernel and the reference:
+/// block i adds the sums of its sorted rows in ascending order, starting
+/// from 0, and divides by rows * wl. `range(i)` gives block i's rows;
+/// `row_sums(rr)` gives sorted row rr's sums. Consecutive blocks share at
+/// most one row (the last of one is the first of the next), so caching the
+/// last row asks row_sums for every row exactly once.
 template <typename Range, typename Sums>
 Signature fold_blocks(std::size_t l, std::size_t wl, Range&& range,
                       Sums&& row_sums) {
@@ -56,52 +56,6 @@ Signature fold_blocks(std::size_t l, std::size_t wl, Range&& range,
     sig.imag()[i] = im / count;
   }
   return sig;
-}
-
-/// `count` samples of one sensor row, `stride` doubles apart.
-struct Run {
-  const double* p = nullptr;
-  std::size_t count = 0;
-  std::size_t stride = 0;
-};
-
-/// A row's two running sums and the last normalised sample.
-struct Chain {
-  double re = 0.0;
-  double im = 0.0;
-  double prev = 0.0;
-};
-
-/// Continues `s` over `count` samples `stride` doubles apart, normalising
-/// each once.
-inline Chain accumulate(Chain s, const double* p, std::size_t count,
-                        std::size_t stride, const stats::MinMaxBounds& bounds) {
-  for (std::size_t c = 0; c < count; ++c, p += stride) {
-    const double u = bounds.normalize(*p);
-    s.re += u;
-    s.im += u - s.prev;
-    s.prev = u;
-  }
-  return s;
-}
-
-/// The row half of the one order for one sensor row stored as `n_runs`
-/// (1 or 2) runs, the first non-empty: each sample normalised once, the
-/// first peeled out of the loop. Kept out of line because, inlined into
-/// smooth_window's block loop, GCC keeps the two sums on the stack, which
-/// lengthens their dependency chains.
-[[gnu::noinline]] RowSums row_sums(const Run* runs, std::size_t n_runs,
-                                   const stats::MinMaxBounds& bounds,
-                                   const double* seed) {
-  const Run& a = runs[0];
-  const double u0 = bounds.normalize(*a.p);
-  Chain s{u0, seed ? u0 - bounds.normalize(*seed) : 0.0, u0};
-  s = accumulate(s, a.p + a.stride, a.count - 1, a.stride, bounds);
-  if (n_runs > 1) {
-    const Run& b = runs[1];
-    s = accumulate(s, b.p, b.count, b.stride, bounds);
-  }
-  return {s.re, s.im};
 }
 
 /// Advances n rows' sums by the column `u` that follows `prev`.
@@ -150,47 +104,6 @@ Signature smooth(const common::Matrix& sorted, const common::Matrix& derivs,
 
 Signature smooth(const common::Matrix& sorted, std::size_t l) {
   return smooth(sorted, stats::backward_diff_rows(sorted), l);
-}
-
-Signature smooth_window(const common::MatrixView& window,
-                        std::span<const std::size_t> permutation,
-                        std::span<const stats::MinMaxBounds> bounds,
-                        const std::span<const double>* seed_col,
-                        std::size_t l) {
-  if (window.empty()) {
-    throw std::invalid_argument("smooth_window: empty window");
-  }
-  const std::size_t n = window.rows();
-  if (permutation.size() != n || bounds.size() != n) {
-    throw std::invalid_argument(
-        "smooth_window: permutation/bounds length mismatch");
-  }
-  if (seed_col && seed_col->size() != n) {
-    throw std::invalid_argument("smooth_window: wrong seed column length");
-  }
-  if (l == 0) throw std::invalid_argument("smooth_window: zero blocks");
-
-  // Each sorted row is read in place and normalised once, straight into
-  // its two running sums: along the contiguous row of a row-major view, or
-  // a stride-rows walk through each column segment of a ring view.
-  const std::size_t wl = window.cols();
-  const std::size_t n_runs =
-      window.contiguous_rows() ? 1 : window.n_col_segments();
-  const auto range = [&](std::size_t i) { return block_range(i, l, n); };
-  return fold_blocks(l, wl, range, [&](std::size_t rr) {
-    const std::size_t orig = permutation[rr];
-    Run runs[2];
-    if (window.contiguous_rows()) {
-      runs[0] = {window.row(orig).data(), wl, 1};
-    } else {
-      for (std::size_t k = 0; k < n_runs; ++k) {
-        const common::MatrixView::ColSegment seg = window.col_segment(k);
-        runs[k] = {seg.data + orig, seg.n_cols, n};
-      }
-    }
-    return row_sums(runs, n_runs, bounds[orig],
-                    seed_col ? seed_col->data() + orig : nullptr);
-  });
 }
 
 StreamSmoother::StreamSmoother(std::span<const std::size_t> permutation,

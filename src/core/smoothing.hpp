@@ -9,18 +9,21 @@
 // window values of the block's sensors, the imaginary channel averages their
 // backward first-order derivatives. Complexity O(wl * n).
 //
-// One summation order defines a signature, and every path in this header
-// reduces that way, so they agree to the byte:
+// One summation order defines a signature, and both implementations in this
+// header reduce that way, so they agree to the byte:
 //   1. per sorted sensor row, the normalised values are summed in time order,
 //      and so are their backward differences — a chain whose first term is
 //      u_0 - seed when the window is seeded and 0 otherwise;
 //   2. block i adds its rows' two sums in sorted-row order, starting from 0,
 //      and divides each by rows * wl.
-// The per-row sums do not depend on how the window is laid out in memory, so
-// a row-major matrix and a ring view straddling the wrap give the same
-// bytes. A NaN sample poisons both sums of its row, hence both channels of
-// every block containing that row; a NaN seed poisons only the derivative
-// sum. Degenerate sensors (hi <= lo) normalise to 0 whatever they read.
+// StreamSmoother is the one production kernel: a stream's emit,
+// CsPipeline::transform and CsPipeline::transform_window all run it, and
+// smooth() is the materialised reference the tests hold it to. The per-row
+// sums do not depend on how a window is laid out in memory, so a row-major
+// matrix and a ring view straddling the wrap give the same bytes. A NaN
+// sample poisons both sums of its row, hence both channels of every block
+// containing that row; a NaN seed poisons only the derivative sum.
+// Degenerate sensors (hi <= lo) normalise to 0 whatever they read.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "common/matrix_view.hpp"
 #include "core/signature.hpp"
 #include "stats/normalize.hpp"
 
@@ -57,29 +59,16 @@ Signature smooth(const common::Matrix& sorted, const common::Matrix& derivs,
 /// backward differences (first column derivative = 0).
 Signature smooth(const common::Matrix& sorted, std::size_t l);
 
-/// Stateless zero-copy CS kernel: equal to the byte to
+/// The CS kernel over a stream of raw sensor columns. Each pushed column is
+/// normalised once, into a ring of the newest wl + 1 normalised columns kept
+/// in original row order; emit() then only sums cached values, vectorised
+/// across rows and in time order per row. emit(seeded) returns exactly the
+/// bytes of
 ///   smooth(sort(window), backward_diff_rows[_seeded](...), l)
-/// where sort() min-max-normalises every row with `bounds` and permutes rows
-/// by `permutation`, but reads the window view in place — no sorted matrix,
-/// no derivative matrix, no window copy, no scratch allocation. `seed_col`,
-/// when non-null, is the raw (unnormalised) sensor column preceding the
-/// window and seeds the derivative channel exactly like
-/// backward_diff_rows_seeded; when null the first column's derivative is 0.
-/// Throws std::invalid_argument on an empty window, l == 0, or mismatched
-/// permutation/bounds/seed lengths.
-Signature smooth_window(const common::MatrixView& window,
-                        std::span<const std::size_t> permutation,
-                        std::span<const stats::MinMaxBounds> bounds,
-                        const std::span<const double>* seed_col,
-                        std::size_t l);
-
-/// Incremental smooth_window over a stream of raw sensor columns. Each
-/// pushed column is normalised once, into a ring of the newest wl + 1
-/// normalised columns kept in original row order; emit() then only sums
-/// cached values, vectorised across rows and in time order per row.
-/// emit(seeded) returns exactly the bytes smooth_window returns for the
-/// newest wl raw columns, seeded (when `seeded`) with the raw column pushed
-/// before them. The permutation's storage must outlive the smoother.
+/// for the newest wl raw columns, where sort() min-max-normalises every row
+/// with `bounds` and permutes rows by `permutation`, seeded (when `seeded`)
+/// with the raw column pushed before them. The permutation's storage must
+/// outlive the smoother.
 class StreamSmoother {
  public:
   /// Throws std::invalid_argument on an empty or mismatched

@@ -4,16 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "common/mapped_file.hpp"
 #include "core/model_codec.hpp"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#include <iterator>
-#endif
 
 namespace csm::replay {
 namespace {
@@ -208,39 +200,29 @@ std::vector<std::uint8_t> Recorder::bytes() const {
 // ReplayReader
 // ---------------------------------------------------------------------------
 
-/// Mapped (or owned) file bytes plus the decoded header geometry and node
-/// table. Mirrors core::ModelPack's Mapping.
+/// Mapped (or in-memory) recording bytes plus the decoded header geometry
+/// and node table.
 struct ReplayReader::Mapping {
+  /// Validates the header and node table; errors name `file`.
+  Mapping(std::filesystem::path file, common::MappedFile bytes);
+
   std::filesystem::path file;
-  const std::uint8_t* data = nullptr;
+  common::MappedFile bytes;
+  const std::uint8_t* data = nullptr;  ///< bytes.data().
   std::size_t size = 0;
 
   std::uint64_t batch_count = 0;
   std::uint64_t table_offset = 0;
   std::uint32_t trailing_crc = 0;
   std::vector<RecordedNode> nodes;
-
-  /// Backing storage for open_bytes() (and, on platforms without mmap, the
-  /// whole-file read fallback). Empty when the recording is mmap-ed.
-  std::vector<std::uint8_t> bytes;
-
-#if !defined(_WIN32)
-  void* map_base = nullptr;
-  std::size_t map_size = 0;
-
-  ~Mapping() {
-    if (map_base != nullptr) {
-      ::munmap(map_base, map_size);
-    }
-  }
-#endif
-
-  /// Header + node-table validation shared by open() and open_bytes():
-  /// data, size and file must already be set.
-  void validate();
 };
 
-void ReplayReader::Mapping::validate() {
+ReplayReader::Mapping::Mapping(std::filesystem::path file_in,
+                               common::MappedFile bytes_in)
+    : file(std::move(file_in)),
+      bytes(std::move(bytes_in)),
+      data(bytes.data()),
+      size(bytes.size()) {
   if (size < kRecordingHeaderSize + 4 ||
       std::memcmp(data, kRecordingMagic, sizeof(kRecordingMagic)) != 0) {
     fail(file.string() + " is not a CSMR recording (bad magic)");
@@ -321,54 +303,19 @@ void ReplayReader::Mapping::validate() {
 }
 
 ReplayReader ReplayReader::open(const std::filesystem::path& file) {
-  auto mapping = std::make_shared<Mapping>();
-  mapping->file = file;
-
-#if !defined(_WIN32)
-  const int fd = ::open(file.c_str(), O_RDONLY);
-  if (fd < 0) {
-    fail("cannot open " + file.string());
+  common::MappedFile bytes;
+  try {
+    bytes = common::MappedFile::open(file);
+  } catch (const std::runtime_error& e) {
+    fail(e.what());
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    fail("cannot stat " + file.string());
-  }
-  const std::size_t size = static_cast<std::size_t>(st.st_size);
-  void* base =
-      size == 0 ? nullptr : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (size != 0 && base == MAP_FAILED) {
-    fail("mmap failed for " + file.string());
-  }
-  mapping->map_base = base;
-  mapping->map_size = size;
-  mapping->data = static_cast<const std::uint8_t*>(base);
-  mapping->size = size;
-#else
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
-    fail("cannot open " + file.string());
-  }
-  mapping->bytes.assign(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-  mapping->data = mapping->bytes.data();
-  mapping->size = mapping->bytes.size();
-#endif
-
-  mapping->validate();
-  return ReplayReader(std::move(mapping));
+  return ReplayReader(std::make_shared<Mapping>(file, std::move(bytes)));
 }
 
 ReplayReader ReplayReader::open_bytes(std::vector<std::uint8_t> bytes,
                                       std::filesystem::path name) {
-  auto mapping = std::make_shared<Mapping>();
-  mapping->file = std::move(name);
-  mapping->bytes = std::move(bytes);
-  mapping->data = mapping->bytes.data();
-  mapping->size = mapping->bytes.size();
-  mapping->validate();
-  return ReplayReader(std::move(mapping));
+  return ReplayReader(std::make_shared<Mapping>(
+      std::move(name), common::MappedFile(std::move(bytes))));
 }
 
 ReplayReader::ReplayReader(std::shared_ptr<Mapping> mapping)

@@ -47,7 +47,7 @@ struct CorrelationWorkspace {
 /// coefficient is still one accumulator summed in time-ascending order —
 /// exactly the op sequence of shifted_correlation_matrix_reference — so the
 /// result is bit-identical to the scalar path across every layout (the same
-/// pin PR 5 made for the fused smooth_window). Accepts any window view (a
+/// pin the CS smoothing kernel keeps). Accepts any window view (a
 /// common::Matrix converts implicitly), so streaming retrains can feed
 /// ring-buffer history without materialising it.
 ///

@@ -672,10 +672,6 @@ class ForwardingMethod final : public SignatureMethod {
   explicit ForwardingMethod(std::shared_ptr<const SignatureMethod> inner)
       : inner_(std::move(inner)) {}
 
-  using SignatureMethod::compute;
-  using SignatureMethod::compute_streaming;
-  using SignatureMethod::fit;
-
   std::string name() const override { return inner_->name(); }
   std::size_t signature_length(std::size_t n) const override {
     return inner_->signature_length(n);

@@ -158,7 +158,8 @@ TEST(CsSignatureMethod, ComputeStreamingSeedsTheDerivativeChannel) {
   auto p = std::make_shared<const CsPipeline>(train(s), CsOptions{3, false});
   const CsSignatureMethod method(p);
   const common::Matrix window = s.sub_cols(10, 20);
-  const common::Matrix seed = s.sub_cols(9, 1);
+  const std::vector<double> seed_col = s.col(9);
+  const std::span<const double> seed(seed_col);
 
   // Without a seed, streaming compute is plain compute.
   EXPECT_EQ(method.compute_streaming(window, nullptr), method.compute(window));

@@ -262,11 +262,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, DisjointSmoothingProperty,
                          ::testing::ValuesIn(disjoint_grid()));
 
 // ---------------------------------------------------------------------------
-// One summation order: the stateless kernel and the stream smoother equal
-// the materialised Eqs. 2-3 reference to the byte — memcmp, so NaN compares
-// too — whatever the block scheme (n % l != 0, l == n, l > n), seeding and
-// layout (row-major windows, ring views straddling the wrap), on windows
-// holding NaN gaps, infinities and a degenerate (hi <= lo) sensor.
+// One summation order: the one CS kernel, whether run one-shot over a window
+// view (CsPipeline::transform_window) or fed a stream (StreamSmoother),
+// equals the materialised Eqs. 2-3 reference to the byte — memcmp, so NaN
+// compares too — whatever the block scheme (n % l != 0, l == n, l > n),
+// seeding and layout (row-major windows, ring views straddling the wrap), on
+// windows holding NaN gaps, infinities and a degenerate (hi <= lo) sensor.
 
 using OneOrderParam = std::tuple<std::size_t, std::size_t>;  // (n, l).
 
@@ -331,22 +332,21 @@ TEST_P(OneOrderProperty, EveryPathEqualsTheReferenceByteForByte) {
   const auto [n, l] = GetParam();
   const std::uint64_t seed = n * 31 + l;
   const core::CsModel model = model_for(n, seed);
+  const core::CsPipeline pipeline(model, core::CsOptions{l, false});
   const common::Matrix live = live_for(n, 60, seed);
 
   // Row-major windows, unseeded and seeded with the column before them.
   for (std::size_t first = 0; first + kWl <= live.cols(); first += 5) {
     const common::Matrix window = live.sub_cols(first, kWl);
     EXPECT_TRUE(same_bytes(
-        core::smooth_window(window, model.permutation(),
-                                     model.bounds(), nullptr, l).flatten(),
+        pipeline.transform_window(window).flatten(),
         reference(model, window, nullptr, l).flatten()))
         << "row-major unseeded window at " << first;
     if (first == 0) continue;
     const std::vector<double> seed_vals = live.col(first - 1);
     const std::span<const double> seed_span(seed_vals);
     EXPECT_TRUE(same_bytes(
-        core::smooth_window(window, model.permutation(),
-                                     model.bounds(), &seed_span, l).flatten(),
+        pipeline.transform_window(window, &seed_span).flatten(),
         reference(model, window, &seed_vals, l).flatten()))
         << "row-major seeded window at " << first;
   }
@@ -366,10 +366,8 @@ TEST_P(OneOrderProperty, EveryPathEqualsTheReferenceByteForByte) {
     const common::Matrix window = view.materialize();
     const std::vector<double> unseeded =
         reference(model, window, nullptr, l).flatten();
-    EXPECT_TRUE(same_bytes(
-        core::smooth_window(view, model.permutation(),
-                                     model.bounds(), nullptr, l).flatten(),
-        unseeded))
+    EXPECT_TRUE(same_bytes(pipeline.transform_window(view).flatten(),
+                           unseeded))
         << "ring unseeded window ending at " << c;
     EXPECT_TRUE(same_bytes(smoother.emit(false).flatten(), unseeded))
         << "smoother unseeded window ending at " << c;
@@ -379,9 +377,7 @@ TEST_P(OneOrderProperty, EveryPathEqualsTheReferenceByteForByte) {
     const std::vector<double> seeded =
         reference(model, window, &seed_vals, l).flatten();
     EXPECT_TRUE(same_bytes(
-        core::smooth_window(view, model.permutation(),
-                                     model.bounds(), &seed_span, l).flatten(),
-        seeded))
+        pipeline.transform_window(view, &seed_span).flatten(), seeded))
         << "ring seeded window ending at " << c;
     EXPECT_TRUE(same_bytes(smoother.emit(true).flatten(), seeded))
         << "smoother seeded window ending at " << c;
@@ -396,6 +392,7 @@ TEST_P(OneOrderProperty, NanPoisonsExactlyTheBlocksOfItsRow) {
   const auto [n, l] = GetParam();
   const std::uint64_t seed = n * 37 + l;
   const core::CsModel model = model_for(n, seed);
+  const core::CsPipeline pipeline(model, core::CsOptions{l, false});
   const common::Matrix clean = random_matrix(n, kWl, seed + 3);
   const std::vector<double> clean_seed = random_matrix(n, 1, seed + 4).col(0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -419,8 +416,8 @@ TEST_P(OneOrderProperty, NanPoisonsExactlyTheBlocksOfItsRow) {
   };
   const std::vector<bool> none(l, false);
   const std::span<const double> clean_span(clean_seed);
-  const core::Signature baseline = core::smooth_window(
-      clean, model.permutation(), model.bounds(), &clean_span, l);
+  const core::Signature baseline =
+      pipeline.transform_window(clean, &clean_span);
 
   for (std::size_t s = 0; s < n; ++s) {
     const bool degenerate = n > 1 && s == 1;
@@ -430,9 +427,8 @@ TEST_P(OneOrderProperty, NanPoisonsExactlyTheBlocksOfItsRow) {
       common::Matrix window = clean;
       window(s, c) = nan;
       for (const bool seeded : {false, true}) {
-        const core::Signature sig = core::smooth_window(
-            window, model.permutation(), model.bounds(),
-            seeded ? &clean_span : nullptr, l);
+        const core::Signature sig = pipeline.transform_window(
+            window, seeded ? &clean_span : nullptr);
         EXPECT_EQ(nan_blocks(sig.real()), expect)
             << "sensor " << s << " column " << c << " seeded " << seeded;
         EXPECT_EQ(nan_blocks(sig.imag()), expect)
@@ -442,8 +438,7 @@ TEST_P(OneOrderProperty, NanPoisonsExactlyTheBlocksOfItsRow) {
     std::vector<double> nan_seed = clean_seed;
     nan_seed[s] = nan;
     const std::span<const double> nan_span(nan_seed);
-    const core::Signature sig = core::smooth_window(
-        clean, model.permutation(), model.bounds(), &nan_span, l);
+    const core::Signature sig = pipeline.transform_window(clean, &nan_span);
     EXPECT_EQ(nan_blocks(sig.real()), none) << "seed NaN at sensor " << s;
     EXPECT_EQ(nan_blocks(sig.imag()), expect) << "seed NaN at sensor " << s;
     if (degenerate) {
@@ -577,11 +572,10 @@ TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
   const auto viewed = view_stream.push_all(live);
 
   // Seed copy-based reference: ring ingest, copy_latest window assembly,
-  // n x 1 seed matrix, thin Matrix compute_streaming overload.
+  // a span over the ring's seed column.
   std::vector<std::vector<double>> copied;
   common::RingMatrix ring(n, history);
   common::Matrix window(n, wl);
-  common::Matrix seed_col(n, 1);
   std::size_t next_emit_at = wl;
   for (std::size_t c = 0; c < live.cols(); ++c) {
     std::vector<double> column(n);
@@ -592,8 +586,7 @@ TEST_P(ViewVsCopyStreamProperty, ViewPathIsByteIdenticalToCopyPath) {
     ring.copy_latest(wl, window);
     if (ring.size() > wl) {
       const std::span<const double> prev = ring.newest(wl);
-      for (std::size_t r = 0; r < n; ++r) seed_col(r, 0) = prev[r];
-      copied.push_back(method->compute_streaming(window, &seed_col));
+      copied.push_back(method->compute_streaming(window, &prev));
     } else {
       copied.push_back(method->compute_streaming(window, nullptr));
     }

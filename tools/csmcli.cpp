@@ -28,8 +28,10 @@
 //           [--window WL] [--step WS] [--interval MS]
 //   csmcli extract <sensor_dir> <out_csv> --method SPEC
 //           [--window WL] [--step WS] [--interval MS]
-//       Compute signatures over sliding windows and write them as a
-//       feature CSV (label column fixed to 0; relabel downstream). The
+//       Stream the aligned sensors through one MethodStream and write the
+//       signature of every sliding window as a feature CSV (label column
+//       fixed to 0; relabel downstream). Each window after the first is
+//       seeded with the column before it, exactly as `stream` emits it. The
 //       two-positional form fits the spec'd method on the extraction data
 //       itself (self-trained in-band mode); the three-positional form uses
 //       a previously trained model file, which carries its own options.
@@ -116,6 +118,7 @@
 #include "benchkit/args.hpp"
 #include "benchkit/benchkit.hpp"
 #include "core/method_registry.hpp"
+#include "core/method_stream.hpp"
 #include "core/model_codec.hpp"
 #include "core/model_pack.hpp"
 #include "core/pipeline.hpp"
@@ -406,63 +409,21 @@ int cmd_info(const Options& opts) {
   return 0;
 }
 
-int write_window_features(const core::SignatureMethod& method,
-                          const common::Matrix& sensors,
-                          const data::WindowSpec& spec,
-                          const std::string& out_csv) {
-  spec.validate();
-  if (sensors.cols() < spec.length) {
-    std::cerr << "no complete windows (have " << sensors.cols()
-              << " samples, window is " << spec.length << ")\n";
-    return 2;
-  }
-  data::Dataset ds;
-  const std::size_t n_windows = spec.count(sensors.cols());
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    const std::size_t start = spec.start(w);
-    const common::Matrix window = sensors.sub_cols(start, spec.length);
-    // Seed the method with the preceding column where one exists, so CS
-    // derivative channels match the legacy full-matrix transform (and the
-    // streaming path) instead of resetting at every window boundary.
-    if (start > 0) {
-      const common::Matrix prev = sensors.sub_cols(start - 1, 1);
-      ds.features.append_row(method.compute_streaming(window, &prev));
-    } else {
-      ds.features.append_row(method.compute_streaming(window, nullptr));
-    }
-    ds.labels.push_back(0);
-  }
-  data::write_feature_csv(out_csv, ds);
-  std::cout << "wrote " << ds.size() << " " << method.name()
-            << " signatures of length " << ds.feature_length() << " to "
-            << out_csv << '\n';
-  return 0;
-}
-
 int cmd_extract(const Options& opts) {
-  const data::WindowSpec spec{opts.window, opts.step};
-  if (!opts.method.empty()) {
-    // Self-trained form: fit the spec'd method on the extraction data.
-    if (opts.positional.size() != 2) {
-      usage(std::cerr);
-      return 1;
-    }
-    const data::AlignedSensors aligned =
-        load_aligned(opts.positional[0], opts.interval_ms);
-    const auto method = baselines::default_registry()
-                            .create(opts.method)
-                            ->fit(aligned.matrix);
-    return write_window_features(*method, aligned.matrix, spec,
-                                 opts.positional[1]);
-  }
-
-  if (opts.positional.size() != 3) {
+  // Self-trained form (<sensor_dir> <out_csv> --method SPEC): fit the
+  // spec'd method on the extraction data. Otherwise load a model file.
+  const bool self_trained = !opts.method.empty();
+  if (opts.positional.size() != (self_trained ? 2u : 3u)) {
     usage(std::cerr);
     return 1;
   }
-  const data::AlignedSensors aligned =
-      load_aligned(opts.positional[0], opts.interval_ms);
-  const auto method = baselines::default_registry().load(opts.positional[1]);
+  const common::Matrix sensors =
+      load_aligned(opts.positional[0], opts.interval_ms).matrix;
+  std::shared_ptr<const core::SignatureMethod> method =
+      self_trained
+          ? baselines::default_registry().create(opts.method)->fit(sensors)
+          : baselines::default_registry().load(opts.positional[1]);
+  // parse_args already refuses these flags next to --method.
   if (opts.blocks_set || opts.real_only) {
     std::cerr << "--blocks/--real-only have no effect on a model file ("
               << method->name()
@@ -470,8 +431,31 @@ int cmd_extract(const Options& opts) {
                  "change them\n";
     return 1;
   }
-  return write_window_features(*method, aligned.matrix, spec,
-                               opts.positional[2]);
+  const data::WindowSpec spec{opts.window, opts.step};
+  spec.validate();
+  if (sensors.cols() < spec.length) {
+    std::cerr << "no complete windows (have " << sensors.cols()
+              << " samples, window is " << spec.length << ")\n";
+    return 2;
+  }
+  // One stream over all columns: every window after the first is seeded
+  // with the column before it, exactly as `stream` emits it.
+  core::StreamOptions options;
+  options.window_length = spec.length;
+  options.window_step = spec.step;
+  options.history_length = spec.length + 1;
+  core::MethodStream stream(std::move(method), options, sensors.rows());
+  data::Dataset ds;
+  for (const std::vector<double>& features : stream.push_all(sensors)) {
+    ds.features.append_row(features);
+    ds.labels.push_back(0);
+  }
+  const std::string& out_csv = opts.positional.back();
+  data::write_feature_csv(out_csv, ds);
+  std::cout << "wrote " << ds.size() << " " << stream.method().name()
+            << " signatures of length " << ds.feature_length() << " to "
+            << out_csv << '\n';
+  return 0;
 }
 
 int cmd_sort(const Options& opts) {
