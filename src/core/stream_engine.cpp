@@ -70,17 +70,29 @@ void StreamEngine::ingest_locked(std::size_t index, Node& n,
   if (columns.cols() == 0) return;
   // Tap AFTER the push, still under the node mutex: a recorder sees each
   // node's batches in exactly the order the node's stream consumed them.
-  std::shared_ptr<const IngestTap> tap;
-  {
-    const std::lock_guard<std::mutex> tap_lock(tap_mutex_);
-    tap = tap_;
-  }
-  if (tap) (*tap)(index, columns);
+  const std::shared_ptr<const IngestTap> tap = current_tap();
+  if (tap && tap->batch) tap->batch(index, columns);
+}
+
+std::shared_ptr<const StreamEngine::IngestTap> StreamEngine::current_tap()
+    const {
+  const std::lock_guard<std::mutex> tap_lock(tap_mutex_);
+  return tap_;
 }
 
 void StreamEngine::set_tap(IngestTap tap) {
-  auto next = tap ? std::make_shared<const IngestTap>(std::move(tap))
+  auto next = tap.node_added || tap.batch
+                  ? std::make_shared<const IngestTap>(std::move(tap))
                   : std::shared_ptr<const IngestTap>();
+  // The table lock orders this against add_node, so a tap installed on an
+  // empty table hears of every node the engine will hold.
+  std::shared_lock lock(nodes_mutex_);
+  if (next && !nodes_.empty()) {
+    throw std::logic_error(
+        "StreamEngine::set_tap: the engine already has " +
+        std::to_string(nodes_.size()) +
+        " nodes; install a tap before the first add_node");
+  }
   const std::lock_guard<std::mutex> tap_lock(tap_mutex_);
   tap_ = std::move(next);
 }
@@ -94,8 +106,21 @@ std::size_t StreamEngine::add_node(
       std::move(name), MethodStream(std::move(method), options_, n_sensors,
                                     retrain_pool_.get()));
   std::unique_lock lock(nodes_mutex_);
+  const std::size_t index = nodes_.size();
   nodes_.push_back(std::move(node));
-  return nodes_.size() - 1;
+  // Announced before the lock publishes the node, so its first batch
+  // reaches the tap after this; a throwing announcement takes it back.
+  const std::shared_ptr<const IngestTap> tap = current_tap();
+  if (tap && tap->node_added) {
+    const Node& added = *nodes_.back();
+    try {
+      tap->node_added(index, added.name, added.stream->n_sensors());
+    } catch (...) {
+      nodes_.pop_back();
+      throw;
+    }
+  }
+  return index;
 }
 
 std::size_t StreamEngine::add_node(const ModelPack& pack, std::string_view id,

@@ -41,6 +41,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -82,17 +83,33 @@ struct NodeStats : StreamCounters {
 /// Multi-node streaming front end over per-node MethodStreams.
 class StreamEngine {
  public:
-  /// Ingest observer: invoked once per non-empty batch actually fed to a
-  /// node, under that node's mutex, AFTER the batch was pushed — so per-node
-  /// call order equals per-node ingest order even when ingest_batch fans
-  /// nodes out in parallel (replay::Recorder relies on exactly this). The
-  /// batch arrives as the caller passed it, viewed: a column-segment view
-  /// over csmd's decode buffer or a replayed batch, a row-major one over a
-  /// Matrix, and valid only for the call. The tap must not call back into
-  /// the engine (the node mutex is held) and must tolerate concurrent
-  /// invocations for different nodes.
-  using IngestTap = std::function<void(std::size_t node,
-                                       const common::MatrixView& columns)>;
+  /// Ingest observer, installed by set_tap() while the engine has no nodes,
+  /// so the node indices it sees are the engine's own.
+  ///
+  /// node_added fires inside add_node() for every node, under the exclusive
+  /// table lock and before the node is published, with the index the node
+  /// gets, its name and the stream's resolved sensor count (the model's for
+  /// a method bound to a sensor count). If it throws, the node is not added
+  /// and add_node() rethrows. No batch of a node reaches the tap before its
+  /// node_added call returned.
+  ///
+  /// batch fires once per non-empty batch actually fed to a node, under
+  /// that node's mutex, AFTER the batch was pushed — so per-node call order
+  /// equals per-node ingest order even when ingest_batch fans nodes out in
+  /// parallel (replay::Recorder relies on exactly this). The batch arrives
+  /// as the caller passed it, viewed: a column-segment view over csmd's
+  /// decode buffer or a replayed batch, a row-major one over a Matrix, and
+  /// valid only for the call. It must tolerate concurrent invocations for
+  /// different nodes.
+  ///
+  /// Neither callback may call back into the engine (a lock is held).
+  struct IngestTap {
+    std::function<void(std::size_t node, std::string_view name,
+                       std::size_t n_sensors)>
+        node_added;
+    std::function<void(std::size_t node, const common::MatrixView& columns)>
+        batch;
+  };
   /// All nodes share the same windowing/retrain configuration; methods are
   /// per node. Under kAsync the engine owns the bounded retrain worker
   /// pool (options.retrain_threads workers) its nodes' shadow fits run on.
@@ -110,6 +127,8 @@ class StreamEngine {
   /// Registers a node driven by any trained signature method and returns
   /// its index. `n_sensors` is required for sensor-count-agnostic methods
   /// (see MethodStream). Node names are labels only and need not be unique.
+  /// An installed tap's node_added announces the node first; if it throws,
+  /// the node is not added.
   std::size_t add_node(std::string name,
                        std::shared_ptr<const SignatureMethod> method,
                        std::size_t n_sensors = 0);
@@ -180,9 +199,12 @@ class StreamEngine {
   /// (taken under that node's mutex).
   std::vector<NodeStats> node_stats() const;
 
-  /// Installs (or, with an empty function, removes) the ingest tap. Safe to
-  /// call concurrently with ingestion: in-flight ingest calls finish with
-  /// whichever tap they loaded, subsequent ones see the new tap.
+  /// Installs the ingest tap, or removes it when both callbacks are empty.
+  /// A tap with a callback can only be installed while the engine has no
+  /// nodes (std::logic_error otherwise), so node_added announces every node
+  /// the tap will see. Removing is allowed at any time, also concurrently
+  /// with ingestion: in-flight ingest calls finish with whichever tap they
+  /// loaded, subsequent ones see none.
   void set_tap(IngestTap tap);
 
  private:
@@ -217,6 +239,7 @@ class StreamEngine {
   /// `index` is the node's table index (the tap reports it).
   void ingest_locked(std::size_t index, Node& n,
                      const common::MatrixView& columns);
+  std::shared_ptr<const IngestTap> current_tap() const;
 
   StreamOptions options_;
   /// Bounded worker pool the nodes' kAsync shadow fits run on (null under

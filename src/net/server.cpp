@@ -41,9 +41,7 @@ std::size_t FleetServer::lookup(std::string_view node) const {
 
 void FleetServer::accept_pending() {
   while (std::unique_ptr<Connection> conn = listener_->accept()) {
-    clients_.push_back(
-        std::make_unique<Client>(std::move(conn),
-                                 options_.max_frame_payload));
+    clients_.push_back(std::make_unique<Client>(std::move(conn)));
   }
 }
 
@@ -206,9 +204,6 @@ void FleetServer::handle_node_add(Client& client, const FrameView& frame) {
   const std::size_t index = engine_.add_node(name, std::move(method),
                                              msg.n_sensors);
   nodes_.emplace(name, index);
-  if (options_.on_node_add) {
-    options_.on_node_add(index, name, msg.n_sensors);
-  }
   append_frame(client.out, FrameType::kOk, frame.node,
                [&](std::vector<std::uint8_t>& out) { encode_ok(index, out); });
 }

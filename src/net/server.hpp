@@ -73,15 +73,6 @@ struct FleetServerOptions {
   /// also returns as soon as a reply cut short by a full send buffer can be
   /// written further.
   int poll_timeout_ms = 100;
-  /// Per-frame payload cap handed to each connection's FrameReader.
-  std::size_t max_frame_payload = kMaxFramePayload;
-  /// Called after every successful kNodeAdd with the new node's engine
-  /// index, name and sensor count — how a capture sink (replay::
-  /// EngineRecorder) learns the node table without the net layer depending
-  /// on it. Runs on the server thread; must not call back into the server.
-  std::function<void(std::size_t index, const std::string& name,
-                     std::uint32_t n_sensors)>
-      on_node_add;
 };
 
 class FleetServer {
@@ -128,8 +119,7 @@ class FleetServer {
     std::size_t out_head = 0;       ///< Flushed prefix of out.
     bool closing = false;           ///< Close once out is flushed.
 
-    Client(std::unique_ptr<Connection> c, std::size_t max_payload)
-        : conn(std::move(c)), reader(max_payload) {}
+    explicit Client(std::unique_ptr<Connection> c) : conn(std::move(c)) {}
   };
 
   /// Hashes std::string and std::string_view alike, so nodes_ is searched

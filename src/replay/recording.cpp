@@ -78,18 +78,48 @@ void Recorder::write(std::span<const std::uint8_t> data) {
 std::uint32_t Recorder::add_node(std::string_view id,
                                  std::uint32_t n_sensors) {
   const std::lock_guard<std::mutex> lock(mutex_);
+  return add_node_locked(id, n_sensors);
+}
+
+std::uint32_t Recorder::add_node_locked(std::string_view id,
+                                        std::size_t n_sensors) {
   if (finished_) fail("add_node() after finish()");
   if (id.empty() || id.size() > kMaxNodeIdBytes) {
     fail("node id must be 1.." + std::to_string(kMaxNodeIdBytes) +
          " bytes (got " + std::to_string(id.size()) + ")");
   }
-  if (n_sensors == 0) fail("node \"" + std::string(id) + "\" has 0 sensors");
+  if (n_sensors == 0 ||
+      n_sensors > std::numeric_limits<std::uint32_t>::max()) {
+    fail("node \"" + std::string(id) + "\" has " +
+         std::to_string(n_sensors) + " sensors");
+  }
   if (nodes_.size() >= std::numeric_limits<std::uint32_t>::max()) {
     fail("node table is full");
   }
-  nodes_.push_back(RecordedNode{std::string(id), n_sensors});
+  nodes_.push_back(
+      RecordedNode{std::string(id), static_cast<std::uint32_t>(n_sensors)});
   next_timestamp_.push_back(0);
   return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+core::StreamEngine::IngestTap Recorder::tap() {
+  core::StreamEngine::IngestTap tap;
+  tap.node_added = [this](std::size_t node, std::string_view id,
+                          std::size_t n_sensors) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (node != nodes_.size()) {
+      fail("engine node " + std::to_string(node) + " (\"" +
+           std::string(id) + "\") announced to a node table of " +
+           std::to_string(nodes_.size()) +
+           " (install the tap before the engine's first node)");
+    }
+    add_node_locked(id, n_sensors);
+  };
+  // Table index = engine index, which node_added checked for every node.
+  tap.batch = [this](std::size_t node, const common::MatrixView& columns) {
+    record(static_cast<std::uint32_t>(node), columns);
+  };
+  return tap;
 }
 
 void Recorder::record(std::uint32_t node, const common::MatrixView& columns) {

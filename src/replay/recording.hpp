@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/matrix_view.hpp"
+#include "core/stream_engine.hpp"
 
 namespace csm::replay {
 
@@ -85,7 +86,8 @@ struct RecordedBatch {
 };
 
 /// Streaming CSMR writer. File-backed (the normal capture path) or
-/// in-memory (fuzz round-trips, tests). Thread-safe: record() may be called
+/// in-memory (fuzz round-trips, tests). An engine is captured by installing
+/// tap() as its ingest tap. Thread-safe: record() may be called
 /// concurrently for different nodes — StreamEngine's ingest tap does exactly
 /// that under parallel ingest — and batches are serialised through an
 /// internal mutex in arrival order (per-node order is what replay needs, and
@@ -116,6 +118,16 @@ class Recorder {
   void record(std::uint32_t node, const common::MatrixView& columns,
               std::uint64_t timestamp);
 
+  /// The ingest tap that captures a StreamEngine into this recording:
+  /// node_added declares each node the engine adds, batch records each
+  /// batch it ingests. A node's engine index must equal the node table's
+  /// size when it is announced (RecordingError otherwise, and the engine
+  /// does not add the node), which holds when the tap goes on an engine
+  /// with no nodes and a recorder with none declared: table index = engine
+  /// index. The recorder must outlive the installation; clear the engine's
+  /// tap before finish().
+  core::StreamEngine::IngestTap tap();
+
   /// Writes the node table and trailing CRC and patches the header. No
   /// further record()/add_node() calls are allowed. Throws RecordingError
   /// on write failure or a second call.
@@ -129,6 +141,8 @@ class Recorder {
 
  private:
   void write(std::span<const std::uint8_t> data);
+  /// Caller holds mutex_.
+  std::uint32_t add_node_locked(std::string_view id, std::size_t n_sensors);
   /// Caller holds mutex_ and has validated the node index.
   void record_locked(std::uint32_t node, const common::MatrixView& columns,
                      std::uint64_t timestamp);

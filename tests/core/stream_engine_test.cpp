@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/tuncer.hpp"
@@ -435,14 +439,15 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   StreamEngine engine(engine_options());
   const common::Matrix data0 = node_matrix(6, 90, 300);
   const common::Matrix data1 = node_matrix(6, 90, 301);
-  const std::size_t a = engine.add_node("a", fit_cs(data0));
-  const std::size_t b = engine.add_node("b", fit_cs(data1));
 
   std::vector<std::pair<std::size_t, common::Matrix>> seen;
-  engine.set_tap(
-      [&seen](std::size_t node, const common::MatrixView& columns) {
-        seen.emplace_back(node, columns.materialize());
-      });
+  StreamEngine::IngestTap tap;
+  tap.batch = [&seen](std::size_t node, const common::MatrixView& columns) {
+    seen.emplace_back(node, columns.materialize());
+  };
+  engine.set_tap(std::move(tap));
+  const std::size_t a = engine.add_node("a", fit_cs(data0));
+  const std::size_t b = engine.add_node("b", fit_cs(data1));
 
   // Single-node ingest, then a fleet batch with an empty placeholder: the
   // tap fires once per NON-empty batch, with exactly the ingested bytes.
@@ -459,7 +464,7 @@ TEST(StreamEngine, IngestTapSeesEveryNonEmptyBatch) {
   EXPECT_EQ(seen[1].second, data1.sub_cols(10, 25));
 
   // Clearing the tap stops the calls; ingest continues untapped.
-  engine.set_tap(nullptr);
+  engine.set_tap({});
   engine.ingest(a, data0.sub_cols(30, 10));
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_EQ(engine.stats().samples, 30u + 25u + 10u);
@@ -471,16 +476,125 @@ TEST(StreamEngine, TapDoesNotPerturbSignatures) {
 
   StreamEngine tapped(engine_options());
   StreamEngine untapped(engine_options());
+  std::size_t adds = 0;
+  std::size_t calls = 0;
+  tapped.set_tap({[&adds](std::size_t, std::string_view, std::size_t) {
+                    ++adds;
+                  },
+                  [&calls](std::size_t, const common::MatrixView&) {
+                    ++calls;
+                  }});
   tapped.add_node("n", method);
   untapped.add_node("n", method);
-  std::size_t calls = 0;
-  tapped.set_tap(
-      [&calls](std::size_t, const common::MatrixView&) { ++calls; });
 
   tapped.ingest(0, data);
   untapped.ingest(0, data);
+  EXPECT_EQ(adds, 1u);
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(tapped.drain(0), untapped.drain(0));
+}
+
+// Every add reaches the tap with the engine's index, the name and the
+// resolved sensor count (the model's when the caller passes 0, the
+// caller's for a count-agnostic method), and before that node's first
+// batch, also when ingest_batch fans the nodes out in parallel.
+TEST(StreamEngine, TapSeesEveryAddBeforeThatNodesFirstBatch) {
+  StreamEngine engine(engine_options());
+  struct Event {
+    bool add = false;
+    std::size_t node = 0;
+    std::string name;
+    std::size_t n = 0;  ///< Sensor count (add) or column count (batch).
+  };
+  std::mutex mutex;
+  std::vector<Event> events;
+  engine.set_tap(
+      {[&](std::size_t node, std::string_view name, std::size_t n_sensors) {
+         const std::lock_guard<std::mutex> lock(mutex);
+         events.push_back({true, node, std::string(name), n_sensors});
+       },
+       [&](std::size_t node, const common::MatrixView& columns) {
+         const std::lock_guard<std::mutex> lock(mutex);
+         events.push_back({false, node, "", columns.cols()});
+       }});
+
+  const common::Matrix cs_data = node_matrix(6, 90, 320);
+  const common::Matrix agnostic_data = node_matrix(3, 90, 321);
+  EXPECT_EQ(engine.add_node("cs", fit_cs(cs_data)), 0u);
+  EXPECT_EQ(engine.add_node("tuncer",
+                            std::make_shared<const baselines::TuncerMethod>(),
+                            3),
+            1u);
+  engine.ingest_batch(std::vector<common::Matrix>{cs_data.sub_cols(0, 40),
+                                                  agnostic_data.sub_cols(0, 40)});
+  EXPECT_EQ(engine.add_node("late", fit_cs(cs_data), 6), 2u);
+  engine.ingest(2, cs_data.sub_cols(0, 25));
+
+  ASSERT_EQ(events.size(), 6u);
+  const std::vector<std::pair<std::string, std::size_t>> adds = {
+      {"cs", 6}, {"tuncer", 3}, {"late", 6}};
+  std::vector<bool> announced(adds.size(), false);
+  for (const Event& e : events) {
+    ASSERT_LT(e.node, adds.size());
+    if (e.add) {
+      EXPECT_FALSE(announced[e.node]) << "node " << e.node << " added twice";
+      EXPECT_EQ(e.name, adds[e.node].first);
+      EXPECT_EQ(e.n, adds[e.node].second);
+      announced[e.node] = true;
+    } else {
+      EXPECT_TRUE(announced[e.node])
+          << "batch for node " << e.node << " before its add";
+    }
+  }
+  EXPECT_EQ(std::count(announced.begin(), announced.end(), true), 3);
+}
+
+TEST(StreamEngine, ThrowingNodeAddedLeavesTheEngineWithoutTheNode) {
+  StreamEngine engine(engine_options());
+  const common::Matrix data = node_matrix(6, 90, 330);
+  std::size_t batches = 0;
+  engine.set_tap({[](std::size_t, std::string_view name, std::size_t) {
+                    if (name == "refused") {
+                      throw std::runtime_error("sink refused the node");
+                    }
+                  },
+                  [&batches](std::size_t, const common::MatrixView&) {
+                    ++batches;
+                  }});
+  EXPECT_EQ(engine.add_node("first", fit_cs(data)), 0u);
+  EXPECT_THROW(engine.add_node("refused", fit_cs(data)), std::runtime_error);
+  EXPECT_EQ(engine.n_nodes(), 1u);
+  EXPECT_FALSE(engine.alive(1));
+  EXPECT_EQ(engine.stats().nodes, 1u);
+  EXPECT_EQ(engine.node_stats().size(), 1u);
+  EXPECT_THROW(engine.ingest(1, data), std::out_of_range);
+
+  // The refused add took no index: the next node gets the one it would
+  // have had, and ingest reaches the tap as before.
+  EXPECT_EQ(engine.add_node("second", fit_cs(data)), 1u);
+  engine.ingest(1, data.sub_cols(0, 30));
+  EXPECT_EQ(batches, 1u);
+  EXPECT_EQ(engine.node_name(1), "second");
+}
+
+TEST(StreamEngine, NonEmptyTapNeedsAnEngineWithoutNodes) {
+  StreamEngine engine(engine_options());
+  const common::Matrix data = node_matrix(6, 90, 340);
+  engine.add_node("n", fit_cs(data));
+
+  StreamEngine::IngestTap batch_only;
+  batch_only.batch = [](std::size_t, const common::MatrixView&) {};
+  EXPECT_THROW(engine.set_tap(batch_only), std::logic_error);
+  StreamEngine::IngestTap add_only;
+  add_only.node_added = [](std::size_t, std::string_view, std::size_t) {};
+  EXPECT_THROW(engine.set_tap(add_only), std::logic_error);
+
+  // Clearing is allowed at any time, and a removed node still counts: its
+  // index stays taken.
+  engine.set_tap({});
+  engine.remove_node(0);
+  EXPECT_THROW(engine.set_tap(batch_only), std::logic_error);
+  engine.set_tap({});
 }
 
 }  // namespace

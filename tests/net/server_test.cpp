@@ -28,6 +28,7 @@
 #include "core/training.hpp"
 #include "net/message.hpp"
 #include "net/unix_socket.hpp"
+#include "replay/recording.hpp"
 
 namespace csm::net {
 namespace {
@@ -389,6 +390,73 @@ TEST(FleetServerPack, NodeAddFromModelPack) {
   frame.payload = encode_node_add(add);
   EXPECT_EQ(roundtrip(server, *conn, reader, frame).type, FrameType::kError);
   std::filesystem::remove(file);
+}
+
+// csmd --record in miniature: a Recorder is the engine's ingest tap, and a
+// client adds a CS node with n_sensors 0 ("take the count from the model")
+// and pushes batches. The add is acked, the capture's node table holds the
+// model's sensor count and every pushed batch, and replaying the capture
+// through a fresh engine drains the live signatures byte for byte.
+TEST(FleetServerRecord, ZeroSensorNodeAddIsCapturedAndReplays) {
+  const common::Matrix s = node_matrix(6, 150, 13);
+  const auto method = fit_method(s);
+  replay::Recorder recorder;
+  core::StreamEngine engine(engine_options());
+  engine.set_tap(recorder.tap());
+  const std::string path = socket_path("record");
+  FleetServer server(listen_unix(path), engine, server_options());
+  auto conn = connect_unix(path);
+  FrameReader reader;
+
+  const Frame add = node_add_frame("n0", *method);
+  ASSERT_EQ(decode_node_add(add.payload).n_sensors, 0u);
+  const Frame ack = roundtrip(server, *conn, reader, add);
+  ASSERT_EQ(ack.type, FrameType::kOk) << decode_error_text(ack.payload);
+  const std::vector<std::pair<std::size_t, std::size_t>> splits = {
+      {0, 47}, {47, 80}, {127, 23}};
+  for (const auto& [start, len] : splits) {
+    write_pumping(server, *conn,
+                  encode_frame(batch_frame("n0", s.sub_cols(start, len))));
+  }
+  Frame drain;
+  drain.type = FrameType::kDrainRequest;
+  drain.node = "n0";
+  const Frame response = roundtrip(server, *conn, reader, drain);
+  ASSERT_EQ(response.type, FrameType::kDrainResponse)
+      << decode_error_text(response.payload);
+  const std::vector<std::vector<double>> live =
+      decode_drain_response(response.payload).signatures;
+  ASSERT_FALSE(live.empty());
+
+  engine.set_tap({});
+  recorder.finish();
+  replay::ReplayReader capture =
+      replay::ReplayReader::open_bytes(recorder.bytes());
+  ASSERT_EQ(capture.n_nodes(), 1u);
+  EXPECT_EQ(capture.node(0).id, "n0");
+  EXPECT_EQ(capture.node(0).n_sensors, s.rows());
+  EXPECT_EQ(capture.batch_count(), splits.size());
+
+  core::StreamEngine replayed(engine_options());
+  replayed.add_node(capture.node(0).id, method);
+  std::size_t k = 0;
+  while (const auto batch = capture.next()) {
+    ASSERT_LT(k, splits.size());
+    EXPECT_EQ(batch->columns, common::ColumnBatch(s.sub_cols(
+                                  splits[k].first, splits[k].second)));
+    replayed.ingest(batch->node, batch->columns);
+    ++k;
+  }
+  EXPECT_EQ(k, splits.size());
+  const std::vector<std::vector<double>> again = replayed.drain(0);
+  ASSERT_EQ(again.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    ASSERT_EQ(again[i].size(), live[i].size());
+    EXPECT_EQ(std::memcmp(again[i].data(), live[i].data(),
+                          live[i].size() * sizeof(double)),
+              0)
+        << "signature " << i;
+  }
 }
 
 TEST_F(FleetServerTest, PackIdWithoutPackIsRejected) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,6 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/stream_engine.hpp"
-#include "replay/engine_recorder.hpp"
 
 namespace csm::replay {
 namespace {
@@ -212,13 +212,12 @@ TEST(ReplayReader, MissingFileThrows) {
   EXPECT_THROW(ReplayReader::open(test_dir() / "nope.csmr"), RecordingError);
 }
 
-TEST(EngineRecorder, CapturesEngineIngestExactly) {
+TEST(RecorderTap, CapturesEngineIngestExactly) {
   const fs::path file = test_dir() / "engine.csmr";
   core::StreamOptions opts;
   opts.window_length = 10;
   opts.window_step = 5;
   opts.history_length = 64;
-  core::StreamEngine engine(opts);
 
   common::Rng rng(5);
   common::Matrix train_a(3, 80);
@@ -228,45 +227,68 @@ TEST(EngineRecorder, CapturesEngineIngestExactly) {
     for (std::size_t r = 0; r < 2; ++r) train_b(r, c) = rng.gaussian();
   }
 
-  EngineRecorder recorder(file);
+  Recorder recorder(file);
+  core::StreamEngine engine(opts);
+  engine.set_tap(recorder.tap());
+  // No sensor count given: the table takes each model's own.
   const core::CsSignatureMethod cs_all{core::CsOptions{}};
   const std::size_t a = engine.add_node("alpha", cs_all.fit(train_a));
-  recorder.on_node_add(a, "alpha", 3);
   const std::size_t b = engine.add_node("beta", cs_all.fit(train_b));
-  recorder.on_node_add(b, "beta", 2);
-  engine.set_tap(
-      [&recorder](std::size_t node, const common::MatrixView& cols) {
-        recorder.tap(node, cols);
-      });
 
   const common::Matrix batch_a = train_a.sub_cols(0, 12);
   const common::Matrix batch_b = train_b.sub_cols(4, 9);
   engine.ingest(a, batch_a);
   engine.ingest(b, batch_b);
-  engine.set_tap(nullptr);
+  engine.set_tap({});
   recorder.finish();
   EXPECT_EQ(recorder.n_nodes(), 2u);
   EXPECT_EQ(recorder.batch_count(), 2u);
 
   ReplayReader reader = ReplayReader::open(file);
   EXPECT_EQ(reader.node(0).id, "alpha");
+  EXPECT_EQ(reader.node(0).n_sensors, 3u);
   EXPECT_EQ(reader.node(1).id, "beta");
+  EXPECT_EQ(reader.node(1).n_sensors, 2u);
   auto first = reader.next();
   ASSERT_TRUE(first);
+  EXPECT_EQ(first->node, 0u);
   EXPECT_EQ(first->columns, common::ColumnBatch(batch_a));
   auto second = reader.next();
   ASSERT_TRUE(second);
+  EXPECT_EQ(second->node, 1u);
   EXPECT_EQ(second->columns, common::ColumnBatch(batch_b));
 }
 
-TEST(EngineRecorder, RejectsUnregisteredAndDoubleRegistration) {
-  const fs::path file = test_dir() / "engine.csmr";
-  EngineRecorder recorder(file);
-  recorder.on_node_add(0, "n", 2);
-  EXPECT_THROW(recorder.on_node_add(0, "again", 2), RecordingError);
-  EXPECT_THROW(recorder.tap(1, numbered_matrix(2, 2, 0.0)), RecordingError);
-  recorder.tap(0, numbered_matrix(2, 2, 0.0));
+// The tap declares node i only as table entry i: an announcement off the
+// table throws, and the engine then refuses the node, so a capture never
+// files a batch under another node's entry.
+TEST(RecorderTap, RejectsAnIndexOffTheTable) {
+  const common::Matrix train = numbered_matrix(2, 40, 0.0);
+  const std::shared_ptr<const core::SignatureMethod> method =
+      core::CsSignatureMethod{core::CsOptions{}}.fit(train);
+  core::StreamOptions opts;
+  opts.window_length = 10;
+  opts.window_step = 5;
+
+  Recorder declared;
+  declared.add_node("by-hand", 2);
+  core::StreamEngine engine(opts);
+  engine.set_tap(declared.tap());
+  EXPECT_THROW(engine.add_node("n", method), RecordingError);
+  EXPECT_EQ(engine.n_nodes(), 0u);
+  EXPECT_EQ(declared.n_nodes(), 1u);
+
+  Recorder recorder;
+  core::StreamEngine::IngestTap tap = recorder.tap();
+  EXPECT_THROW(tap.node_added(1, "skips-zero", 2), RecordingError);
+  EXPECT_THROW(tap.node_added(0, "no-sensors", 0), RecordingError);
+  tap.node_added(0, "n", 2);
+  EXPECT_THROW(tap.node_added(0, "again", 2), RecordingError);
+  EXPECT_THROW(tap.batch(1, numbered_matrix(2, 2, 0.0)), RecordingError);
+  tap.batch(0, numbered_matrix(2, 2, 0.0));
   recorder.finish();
+  EXPECT_EQ(recorder.n_nodes(), 1u);
+  EXPECT_EQ(recorder.batch_count(), 1u);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@
 //       Render the sorted (normalised + permuted) matrix as a PGM image
 //       (requires a CS model).
 //
-//   csmcli stream  <segment> [--method SPEC] [--scale S] [--blocks L]
+//   csmcli stream  <segment> [--method SPEC] [--scale S]
 //           [--window WL] [--step WS] [--history H] [--retrain N]
 //           [--retrain-threads N] [--drift-threshold X] [--drift-patience N]
 //           [--batch B] [--seed N] [--pack FILE] [--dump-models DIR]
@@ -84,11 +84,15 @@
 //       capture can be replayed under many fault scenarios.
 //
 //   csmcli push <segment> --socket PATH [--method SPEC] [--scale S]
-//           [--blocks L] [--batch B] [--sig-out FILE]
+//           [--batch B] [--sig-out FILE]
 //       Client counterpart of stream: fit the per-node methods locally,
 //       register each node with a csmd daemon (model shipped inline as a CSMB
 //       record), push the segment's columns as CSMF sample batches, then
 //       drain every node's signatures back over the wire.
+//
+// stream, push and replay fit cs:blocks=20 without --method, train fits
+// classic CS-All ("cs"); a CS variant is chosen by spec only, e.g.
+// --method cs:blocks=10,real-only.
 //
 //   csmcli fleet-stats --socket PATH
 //       Scrape a running daemon: the fleet totals stream and push print
@@ -132,7 +136,6 @@
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "net/unix_socket.hpp"
-#include "replay/engine_recorder.hpp"
 #include "replay/recording.hpp"
 #include "replay/scenario.hpp"
 #include "stats/histogram.hpp"
@@ -143,15 +146,12 @@ using namespace csm;
 
 struct Options {
   std::vector<std::string> positional;
-  std::string method;            // --method SPEC ("" = legacy CS behaviour).
+  std::string method;            // --method SPEC ("" = the command's default).
   std::int64_t interval_ms = 0;  // 0 = auto.
-  std::size_t blocks = 20;
   std::size_t window = 60;
   std::size_t step = 10;
-  bool blocks_set = false;  // Whether the flag was given explicitly (CS
-  bool window_set = false;  // flags conflict with --method; stream uses the
-  bool step_set = false;    // segment's wl/ws unless --window/--step given).
-  bool real_only = false;
+  bool window_set = false;  // Whether the flag was given explicitly (stream
+  bool step_set = false;    // uses the segment's wl/ws otherwise).
   double scale = 1.0;
   std::size_t history = 1024;
   std::size_t retrain = 0;
@@ -172,6 +172,11 @@ struct Options {
 /// Extension of the model files unpack and stream --dump-models write.
 constexpr const char* kModelExtension = ".csmb";
 
+/// The spec stream, push and replay fit without --method. One constant, so
+/// stream and push fit bit-identical models (the daemon equivalence test
+/// depends on that).
+constexpr const char* kStreamSpec = "cs:blocks=20";
+
 void usage(std::ostream& out) {
   out << "usage:\n"
       << "  csmcli methods\n"
@@ -187,7 +192,7 @@ void usage(std::ostream& out) {
       << "  csmcli sort    <sensor_dir> <model_file> <out_pgm>"
       << " [--interval MS]\n"
       << "  csmcli stream  <segment> [--method SPEC] [--scale S]\n"
-      << "                 [--blocks L] [--window WL] [--step WS]\n"
+      << "                 [--window WL] [--step WS]\n"
       << "                 [--history H] [--retrain N] [--batch B]\n"
       << "                 [--retrain-threads N] [--drift-threshold X]\n"
       << "                 [--drift-patience N] [--seed N] [--pack FILE]\n"
@@ -203,7 +208,7 @@ void usage(std::ostream& out) {
       << "                 [--drift-threshold X] [--drift-patience N]\n"
       << "                 [--seed N] [--scenario SPEC] [--sig-out FILE]\n"
       << "  csmcli push    <segment> --socket PATH [--method SPEC]\n"
-      << "                 [--scale S] [--blocks L] [--batch B] [--seed N]\n"
+      << "                 [--scale S] [--batch B] [--seed N]\n"
       << "                 [--sig-out FILE]\n"
       << "  csmcli fleet-stats --socket PATH\n"
       << "  csmcli version\n"
@@ -216,7 +221,7 @@ void usage(std::ostream& out) {
 }
 
 // Numeric options go through benchkit's checked parsers: the whole value
-// must parse ("--blocks 20x" is an error naming the flag, not a silent 20).
+// must parse ("--batch 20x" is an error naming the flag, not a silent 20).
 // Throws std::invalid_argument on malformed values and missing values.
 bool parse_args(int argc, char** argv, Options& opts) {
   for (int i = 2; i < argc; ++i) {
@@ -232,9 +237,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
           benchkit::parse_int64("--interval", next_value("--interval"));
     } else if (arg == "--method") {
       opts.method = next_value("--method");
-    } else if (arg == "--blocks") {
-      opts.blocks = benchkit::parse_size_t("--blocks", next_value("--blocks"));
-      opts.blocks_set = true;
     } else if (arg == "--window") {
       opts.window = benchkit::parse_size_t("--window", next_value("--window"));
       opts.window_set = true;
@@ -280,23 +282,12 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.drift_patience = benchkit::parse_size_t(
           "--drift-patience", next_value("--drift-patience"));
       opts.drift_patience_set = true;
-    } else if (arg == "--real-only") {
-      opts.real_only = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option: " << arg << '\n';
       return false;
     } else {
       opts.positional.push_back(arg);
     }
-  }
-  // The legacy CS flags configure the default CS path only; silently
-  // ignoring them next to a --method spec would build a different model
-  // than the flags suggest.
-  if (!opts.method.empty() && (opts.blocks_set || opts.real_only)) {
-    std::cerr << "--blocks/--real-only conflict with --method; put the "
-                 "parameters in the spec instead (e.g. --method "
-                 "cs:blocks=10,real-only)\n";
-    return false;
   }
   // A pack carries fully trained models, so a training spec next to it
   // would be silently ignored — reject the combination instead.
@@ -423,14 +414,6 @@ int cmd_extract(const Options& opts) {
       self_trained
           ? baselines::default_registry().create(opts.method)->fit(sensors)
           : baselines::default_registry().load(opts.positional[1]);
-  // parse_args already refuses these flags next to --method.
-  if (opts.blocks_set || opts.real_only) {
-    std::cerr << "--blocks/--real-only have no effect on a model file ("
-              << method->name()
-              << " carries its own options); retrain with --method to "
-                 "change them\n";
-    return 1;
-  }
   const data::WindowSpec spec{opts.window, opts.step};
   spec.validate();
   if (sensors.cols() < spec.length) {
@@ -554,16 +537,6 @@ hpcoda::Segment make_segment(const std::string& name, double scale,
   }
   if (name == "cross-arch") return hpcoda::make_cross_arch_segment(config);
   throw std::runtime_error("unknown segment: " + name);
-}
-
-// The CS spec synthesized from the legacy flags when --method is absent —
-// shared by stream and push so both fit bit-identical models from the same
-// flags (the daemon equivalence test depends on that).
-std::string synthesize_spec(const Options& opts) {
-  if (!opts.method.empty()) return opts.method;
-  std::string spec = "cs:blocks=" + std::to_string(opts.blocks);
-  if (opts.real_only) spec += ",real-only";
-  return spec;
 }
 
 // One signature per line, "node v0 v1 ...", doubles printed with %.17g so
@@ -712,49 +685,31 @@ int cmd_stream(const Options& opts) {
             << stream_opts.history_length << ")\n";
 
   // One stream per component — the per-node out-of-band training pass of
-  // Fig. 1. --method swaps the whole fleet onto any registered method (the
-  // default synthesizes a CS spec from the legacy flags, so all nodes go
-  // through the registry and dump/pack see one code path); --pack skips
-  // training entirely and lazily deserialises each node from a model pack.
+  // Fig. 1. --method swaps the whole fleet onto any registered method (all
+  // nodes go through the registry, so dump/pack see one code path); --pack
+  // skips training entirely and lazily deserialises each node from a model
+  // pack.
   const core::MethodRegistry& registry = baselines::default_registry();
-  const std::string spec = synthesize_spec(opts);
-  core::StreamEngine engine(stream_opts);
-  // --record: the engine's ingest tap feeds a CSMR capture, so the file
-  // holds exactly what the engine saw (post-scenario), batch for batch.
-  std::optional<replay::EngineRecorder> recorder;
+  const std::string spec = opts.method.empty() ? kStreamSpec : opts.method;
+  // --record: the recorder is the engine's ingest tap, installed before the
+  // first node, so the capture declares every node and holds exactly what
+  // the engine saw (post-scenario), batch for batch.
+  std::optional<replay::Recorder> recorder;
   if (!opts.record_file.empty()) recorder.emplace(opts.record_file);
-  const auto register_node = [&](std::size_t index,
-                                 const hpcoda::ComponentBlock& block) {
-    if (recorder) {
-      recorder->on_node_add(
-          index, block.name,
-          static_cast<std::uint32_t>(block.sensors.rows()));
-    }
-  };
+  core::StreamEngine engine(stream_opts);
+  if (recorder) engine.set_tap(recorder->tap());
   if (!opts.pack_file.empty()) {
     const core::ModelPack pack = core::ModelPack::open(opts.pack_file);
     for (const hpcoda::ComponentBlock& block : seg.blocks) {
-      register_node(
-          engine.add_node(pack, block.name, registry, block.sensors.rows()),
-          block);
+      engine.add_node(pack, block.name, registry, block.sensors.rows());
     }
     std::cout << "models: " << pack.size() << "-model pack "
               << opts.pack_file << '\n';
   } else {
     for (const hpcoda::ComponentBlock& block : seg.blocks) {
-      std::shared_ptr<const core::SignatureMethod> method =
-          registry.create(spec)->fit(block.sensors);
-      register_node(
-          engine.add_node(block.name, std::move(method),
-                          block.sensors.rows()),
-          block);
+      engine.add_node(block.name, registry.create(spec)->fit(block.sensors),
+                      block.sensors.rows());
     }
-  }
-  if (recorder) {
-    engine.set_tap([&recorder](std::size_t node,
-                               const common::MatrixView& columns) {
-      recorder->tap(node, columns);
-    });
   }
   if (!opts.dump_dir.empty()) {
     std::filesystem::create_directories(opts.dump_dir);
@@ -888,21 +843,25 @@ int cmd_replay(const Options& opts) {
                     static_cast<std::ptrdiff_t>(filled[batch->node]));
       filled[batch->node] += values.size();
     }
-    const std::string spec = synthesize_spec(opts);
+    // Parsed once, before any node: a bad spec fails an empty capture too.
+    const auto prototype =
+        registry.create(opts.method.empty() ? kStreamSpec : opts.method);
     for (std::size_t i = 0; i < reader.n_nodes(); ++i) {
       if (total_cols[i] == 0) {
         throw std::runtime_error("replay: node \"" + reader.node(i).id +
                                  "\" has no recorded samples to fit on "
                                  "(use --pack)");
       }
-      std::shared_ptr<const core::SignatureMethod> method =
-          registry.create(spec)->fit(full[i]);
-      engine.add_node(reader.node(i).id, std::move(method),
+      engine.add_node(reader.node(i).id, prototype->fit(full[i]),
                       reader.node(i).n_sensors);
     }
     reader.rewind();
   }
-  std::cout << "method: " << engine.stream(0).method().name() << '\n';
+  // An empty capture (csmd --record that no collector reached) replays to
+  // no nodes and no signatures.
+  if (engine.n_nodes() > 0) {
+    std::cout << "method: " << engine.stream(0).method().name() << '\n';
+  }
 
   // Re-drive the capture batch for batch, in file order. Recorded
   // timestamps are per-node sample offsets, which is exactly the stream
@@ -929,19 +888,22 @@ int cmd_push(const Options& opts) {
   const hpcoda::Segment seg =
       make_segment(opts.positional[0], opts.scale, opts.seed);
   const core::MethodRegistry& registry = baselines::default_registry();
-  const std::string spec = synthesize_spec(opts);
+  const std::string spec = opts.method.empty() ? kStreamSpec : opts.method;
 
   auto conn = net::connect_unix(opts.socket);
   net::FrameReader reader;
 
-  // Per-node out-of-band training happens client-side (same spec synthesis
-  // as `stream`, so the models are bit-identical); the trained model ships
-  // inline as a CSMB record in the node-add frame.
+  // Per-node out-of-band training happens client-side (the same spec as
+  // `stream`, so the models are bit-identical); the trained model ships
+  // inline as a CSMB record in the node-add frame. A method bound to a
+  // sensor count (CS, PCA) gets n_sensors 0, "take it from the model".
   for (const hpcoda::ComponentBlock& block : seg.blocks) {
     const auto method = registry.create(spec)->fit(block.sensors);
     net::NodeAdd add;
     add.source = net::NodeAddSource::kInlineRecord;
-    add.n_sensors = static_cast<std::uint32_t>(block.sensors.rows());
+    add.n_sensors = method->n_sensors() != 0
+                        ? 0
+                        : static_cast<std::uint32_t>(block.sensors.rows());
     add.record = core::codec::encode_binary(*method);
     net::Frame request;
     request.type = net::FrameType::kNodeAdd;

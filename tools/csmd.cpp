@@ -22,24 +22,35 @@
 // the same rule `csmcli stream` and `replay` apply. --record FILE captures
 // every sample batch clients push as a CSMR recording (docs/RECORDING.md),
 // sealed on shutdown — feed it to `csmcli replay` to re-drive the run.
-// SIGINT/SIGTERM shut the daemon down cleanly: the socket file is
-// unlinked, engine totals printed and the recording finished.
+// SIGINT/SIGTERM shut the daemon down cleanly: the engine totals are
+// printed, the recording sealed and the socket file unlinked.
+//
+// The daemon is this file: it owns the engine (with the recorder as its
+// ingest tap), the model pack, the FleetServer and its poll loop.
 //
 // Exit status: 0 on clean shutdown, 1 on usage errors, 2 on runtime
 // failures (e.g. a live daemon already owns the socket).
-#include <cstring>
+#include <csignal>
+#include <cstdio>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "baselines/registry.hpp"
 #include "benchkit/args.hpp"
 #include "benchkit/benchkit.hpp"
+#include "core/model_pack.hpp"
 #include "core/stream_engine.hpp"
-#include "net/daemon.hpp"
-#include "replay/engine_recorder.hpp"
+#include "net/server.hpp"
+#include "net/unix_socket.hpp"
+#include "replay/recording.hpp"
 
 namespace {
+
+volatile std::sig_atomic_t g_stop = 0;
+
+void handle_stop_signal(int /*signum*/) { g_stop = 1; }
 
 void usage(std::ostream& out) {
   out << "usage: csmd --socket PATH [--window WL] [--step WS]\n"
@@ -54,9 +65,11 @@ void usage(std::ostream& out) {
 int main(int argc, char** argv) {
   using namespace csm;
 
-  net::DaemonOptions options;
-  options.stream.window_length = 60;
-  options.stream.window_step = 10;
+  core::StreamOptions stream;
+  stream.window_length = 60;
+  stream.window_step = 10;
+  std::string socket_path;
+  std::string pack_path;
   std::string record_path;
   // Retrain flags are collected here and applied after the parse loop, so
   // the result does not depend on the order they were given in.
@@ -79,18 +92,18 @@ int main(int argc, char** argv) {
         std::cout << "csmd " << benchkit::git_sha() << '\n';
         return 0;
       } else if (arg == "--socket") {
-        options.socket_path = next_value("--socket");
+        socket_path = next_value("--socket");
       } else if (arg == "--window") {
-        options.stream.window_length =
+        stream.window_length =
             benchkit::parse_size_t("--window", next_value("--window"));
       } else if (arg == "--step") {
-        options.stream.window_step =
+        stream.window_step =
             benchkit::parse_size_t("--step", next_value("--step"));
       } else if (arg == "--history") {
-        options.stream.history_length =
+        stream.history_length =
             benchkit::parse_size_t("--history", next_value("--history"));
       } else if (arg == "--retrain") {
-        options.stream.retrain_interval =
+        stream.retrain_interval =
             benchkit::parse_size_t("--retrain", next_value("--retrain"));
       } else if (arg == "--retrain-threads") {
         retrain_threads = benchkit::parse_size_t(
@@ -104,14 +117,14 @@ int main(int argc, char** argv) {
               std::to_string(drift_threshold) + ")");
         }
       } else if (arg == "--drift-patience") {
-        options.stream.drift_patience = benchkit::parse_size_t(
+        stream.drift_patience = benchkit::parse_size_t(
             "--drift-patience", next_value("--drift-patience"));
         drift_patience_set = true;
       } else if (arg == "--max-pending") {
-        options.stream.max_pending = benchkit::parse_size_t(
+        stream.max_pending = benchkit::parse_size_t(
             "--max-pending", next_value("--max-pending"));
       } else if (arg == "--pack") {
-        options.pack_path = next_value("--pack");
+        pack_path = next_value("--pack");
       } else if (arg == "--record") {
         record_path = next_value("--record");
       } else {
@@ -120,7 +133,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (options.socket_path.empty()) {
+    if (socket_path.empty()) {
       std::cerr << "error: --socket PATH is required\n";
       usage(std::cerr);
       return 1;
@@ -128,7 +141,7 @@ int main(int argc, char** argv) {
     // The drift detector replaces the periodic schedule (and runs inline),
     // so it cannot be combined with either periodic retrain flag.
     if (drift_threshold > 0.0 &&
-        (options.stream.retrain_interval > 0 || retrain_threads > 0)) {
+        (stream.retrain_interval > 0 || retrain_threads > 0)) {
       std::cerr << "error: --drift-threshold conflicts with --retrain/"
                    "--retrain-threads (kOnDrift replaces the periodic "
                    "retrain schedule)\n";
@@ -144,48 +157,76 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (retrain_threads > 0) {
-      options.stream.retrain_policy = core::RetrainPolicy::kAsync;
-      options.stream.retrain_threads = retrain_threads;
+      stream.retrain_policy = core::RetrainPolicy::kAsync;
+      stream.retrain_threads = retrain_threads;
     }
     if (drift_threshold > 0.0) {
-      options.stream.retrain_policy = core::RetrainPolicy::kOnDrift;
-      options.stream.drift_threshold = drift_threshold;
+      stream.retrain_policy = core::RetrainPolicy::kOnDrift;
+      stream.drift_threshold = drift_threshold;
     }
-    options.stream.validate();
+    stream.validate();
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
 
-  options.version = benchkit::git_sha();
-  options.registry = &baselines::default_registry();
   try {
-    // --record: tap the engine into a CSMR capture. The daemon loop is
-    // single-threaded and the engine dies inside run_daemon, so the file
-    // can be sealed right after it returns.
-    std::optional<replay::EngineRecorder> recorder;
-    if (!record_path.empty()) {
-      recorder.emplace(record_path);
-      options.engine_hook = [&recorder](core::StreamEngine& engine) {
-        engine.set_tap([&recorder](std::size_t node,
-                                   const common::MatrixView& columns) {
-          recorder->tap(node, columns);
-        });
-      };
-      options.on_node_add = [&recorder](std::size_t index,
-                                        const std::string& name,
-                                        std::uint32_t n_sensors) {
-        recorder->on_node_add(index, name, n_sensors);
-      };
+    // --record: the recorder is the engine's ingest tap, so the capture
+    // declares every node a client adds and holds every batch the engine
+    // ingests. Declared first, it outlives the engine holding its tap.
+    std::optional<replay::Recorder> recorder;
+    if (!record_path.empty()) recorder.emplace(record_path);
+    core::StreamEngine engine(stream);
+    if (recorder) engine.set_tap(recorder->tap());
+    std::optional<core::ModelPack> pack;
+    if (!pack_path.empty()) pack = core::ModelPack::open(pack_path);
+
+    const std::string version = benchkit::git_sha();
+    net::FleetServerOptions server_options;
+    server_options.server_version = version;
+    server_options.registry = &baselines::default_registry();
+    server_options.pack = pack.has_value() ? &*pack : nullptr;
+    // Throws TransportError when a live daemon already owns the socket.
+    net::FleetServer server(net::listen_unix(socket_path), engine,
+                            std::move(server_options));
+
+    struct sigaction action {};
+    action.sa_handler = handle_stop_signal;
+    sigemptyset(&action.sa_mask);
+    ::sigaction(SIGINT, &action, nullptr);
+    ::sigaction(SIGTERM, &action, nullptr);
+
+    std::printf("csmd %s: listening on unix:%s (wl=%zu, ws=%zu, "
+                "history=%zu, max_pending=%zu%s%s)\n",
+                version.c_str(), socket_path.c_str(), stream.window_length,
+                stream.window_step, stream.history_length,
+                stream.max_pending, pack.has_value() ? ", pack=" : "",
+                pack_path.c_str());
+    std::fflush(stdout);
+
+    // A signal interrupts the poll with EINTR, so shutdown latency is the
+    // poll granularity at worst.
+    while (g_stop == 0) {
+      server.poll_once(200);
     }
-    const int rc = net::run_daemon(options);
+
+    const core::EngineStats stats = engine.stats();
+    std::printf("csmd: shutting down — %llu frames handled, %llu samples "
+                "ingested, %llu signatures emitted, %llu dropped across "
+                "%llu live nodes\n",
+                static_cast<unsigned long long>(server.frames_handled()),
+                static_cast<unsigned long long>(stats.samples),
+                static_cast<unsigned long long>(stats.signatures),
+                static_cast<unsigned long long>(stats.dropped),
+                static_cast<unsigned long long>(stats.nodes));
     if (recorder) {
+      engine.set_tap({});
       recorder->finish();
       std::cout << "csmd: recorded " << recorder->batch_count()
                 << " batches (" << recorder->n_nodes() << " nodes) to "
                 << record_path << '\n';
     }
-    return rc;
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

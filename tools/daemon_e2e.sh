@@ -4,7 +4,9 @@
 # SIGTERM shutdown. The daemon-drained signature file must be byte-identical
 # to a single-process `csmcli stream` run with the same method, window and
 # step (the protocol adds no drift), and replaying the daemon's capture must
-# reproduce it too.
+# reproduce it too. push registers its CS nodes with n_sensors 0 ("take the
+# count from the model"), so the capture's node table holds the engine's
+# resolved counts; the replay must report as many nodes as push registered.
 #
 #   tools/daemon_e2e.sh CSMD CSMCLI WORK_DIR
 #
@@ -42,7 +44,8 @@ for _ in $(seq 100); do
 done
 [ -S "$sock" ] || { echo "csmd did not bind $sock" >&2; exit 1; }
 
-"$csmcli" push fault --socket "$sock" --blocks 4 --sig-out "$work/push.sigs"
+"$csmcli" push fault --socket "$sock" --method cs:blocks=4 \
+  --sig-out "$work/push.sigs" | tee "$work/push.txt"
 "$csmcli" fleet-stats --socket "$sock" | tee "$work/fleet-stats.txt"
 grep -q 'server' "$work/fleet-stats.txt"
 grep -q 'drift detector:' "$work/fleet-stats.txt"
@@ -51,13 +54,20 @@ kill -TERM "$csmd_pid"
 wait "$csmd_pid"  # csmd's own exit status: 0 on a clean shutdown.
 csmd_pid=""
 
-"$csmcli" stream fault --blocks 4 --window 32 --step 8 \
+"$csmcli" stream fault --method cs:blocks=4 --window 32 --step 8 \
   --sig-out "$work/stream.sigs"
 cmp "$work/push.sigs" "$work/stream.sigs"
 # The capture is sealed on SIGTERM; replaying it through a local engine with
 # the daemon's window geometry reproduces the pushed signatures byte for
 # byte.
-"$csmcli" replay "$work/csmd.csmr" --blocks 4 --window 32 --step 8 \
-  --sig-out "$work/replayed.sigs"
+"$csmcli" replay "$work/csmd.csmr" --method cs:blocks=4 --window 32 \
+  --step 8 --sig-out "$work/replayed.sigs" | tee "$work/replay.txt"
+pushed=$(sed -n 's/^registered \([0-9]*\) nodes with .*/\1/p' "$work/push.txt")
+replayed=$(sed -n 's/^recording .*: \([0-9]*\) nodes, .*/\1/p' \
+  "$work/replay.txt")
+if [ -z "$pushed" ] || [ "$pushed" = 0 ] || [ "$pushed" != "$replayed" ]; then
+  echo "capture holds ${replayed:-?} nodes, push registered ${pushed:-?}" >&2
+  exit 1
+fi
 cmp "$work/push.sigs" "$work/replayed.sigs"
 echo "daemon e2e: OK"
