@@ -5,11 +5,12 @@
 // a stationary stream it never fires at all. This driver prices both claims
 // against the replay::Scenario fault injectors: a stationary correlated
 // synthetic stream is mutated by each scenario (clean control, mid-stream
-// drift, sensor dropout, NaN sampler gaps, cascading bursts) and pushed
-// column by column through a MethodStream per retrain policy (no retrain,
-// periodic sync, drift-triggered). Every cell reports throughput, emitted
-// signatures, retrain swaps and the kOnDrift counters (windows scored,
-// windows flagged, drift retrains); the drift cell additionally reports
+// drift, sensor dropout, NaN sampler gaps, dead sensors, cascading bursts)
+// and pushed column by column through a MethodStream per retrain policy (no
+// retrain, periodic sync, drift-triggered). Every cell reports throughput,
+// emitted signatures, retrain swaps, failed fits and the kOnDrift counters
+// (windows scored, windows flagged, drift retrains); the drift cell
+// additionally reports
 // detection latency in samples from scenario onset to the first
 // drift-triggered retrain. A cell streams in milliseconds, so one timing
 // swings several-fold between runs: each cell runs at least kCellTimings
@@ -28,6 +29,10 @@
 //     fault-poisoned history (dropout, NaN gaps, bursts) may not kill the
 //     stream under any policy. Detector robustness to non-drift faults is
 //     reported, not pinned;
+//   - the dead-sensor scenario's NaN epochs outlast the refit history, so
+//     a periodic refit sees a sensor with no finite sample and its fit
+//     fails: that cell must count at least one failed fit (the stream keeps
+//     its old model), or it does not exercise the path it guards;
 //   - the no-retrain baseline must report zero swaps in every scenario, and
 //     every policy must emit exactly as many signatures as that baseline
 //     (emission cadence is retrain-policy-independent).
@@ -104,6 +109,7 @@ constexpr std::size_t kCellTimings = 5;
 struct CellRun {
   std::size_t signatures = 0;
   std::size_t swaps = 0;
+  std::size_t failures = 0;
   std::size_t drift_windows = 0;
   std::size_t drift_flags = 0;
   std::size_t drift_retrains = 0;
@@ -129,6 +135,7 @@ CellRun run_cell(const std::shared_ptr<const core::SignatureMethod>& method,
     out.error = e.what();
   }
   out.swaps = stream.retrain_count();
+  out.failures = stream.counters().retrain_failures;
   out.drift_windows = stream.counters().drift_windows;
   out.drift_flags = stream.counters().drift_flags;
   out.drift_retrains = stream.counters().drift_retrains;
@@ -179,12 +186,16 @@ int bench_run(Runner& run) {
     const char* label;
     std::string spec;  ///< "" = clean control.
   };
+  // Dead sensors: 4096-sample NaN epochs hold every periodic refit's
+  // 2048-column history inside one epoch, and p = 0.25 leaves no sensor
+  // dead through an epoch with odds 0.75^24, about 0.1%.
   const ScenarioCase scenarios[] = {
       {"clean", ""},
       {"drift",
        "drift:at=" + std::to_string(onset) + ",mix=0.6,gain=1.6"},
       {"dropout", "dropout:p=0.02,len=40"},
       {"nan", "nan:p=0.01,len=25"},
+      {"dead", "nan:p=0.25,len=4096"},
       {"cascade", "cascade:p=0.02,len=60,span=8,mag=2.5"},
   };
 
@@ -205,9 +216,9 @@ int bench_run(Runner& run) {
               "drift onset at sample %zu\n",
               drift_threshold, drift_patience, periodic_interval, onset);
   int failures = 0;  // FAILs so far; every cell still runs.
-  std::printf("%10s %10s %12s %6s %6s %8s %6s %9s %9s\n", "scenario",
-              "policy", "smp/s", "sigs", "swaps", "windows", "flags",
-              "retrains", "latency");
+  std::printf("%10s %10s %12s %6s %6s %6s %8s %6s %9s %9s\n", "scenario",
+              "policy", "smp/s", "sigs", "swaps", "fails", "windows",
+              "flags", "retrains", "latency");
 
   for (const ScenarioCase& sc : scenarios) {
     const std::uint64_t seed = run.derive_seed(std::string("scenario/") +
@@ -267,6 +278,7 @@ int bench_run(Runner& run) {
       result.param("samples", std::to_string(t));
       result.metric("signatures", static_cast<double>(cell.signatures));
       result.metric("retrain_swaps", static_cast<double>(cell.swaps));
+      result.metric("retrain_failures", static_cast<double>(cell.failures));
       result.metric("drift_windows", static_cast<double>(cell.drift_windows));
       result.metric("drift_flags", static_cast<double>(cell.drift_flags));
       result.metric("drift_retrains",
@@ -291,10 +303,10 @@ int bench_run(Runner& run) {
                       static_cast<double>(latency));
         std::snprintf(latency_buf, sizeof(latency_buf), "%zu", latency);
       }
-      std::printf("%10s %10s %12.0f %6zu %6zu %8zu %6zu %9zu %9s\n",
+      std::printf("%10s %10s %12.0f %6zu %6zu %6zu %8zu %6zu %9zu %9s\n",
                   sc.label, pc.label, result.items_per_sec, cell.signatures,
-                  cell.swaps, cell.drift_windows, cell.drift_flags,
-                  cell.drift_retrains, latency_buf);
+                  cell.swaps, cell.failures, cell.drift_windows,
+                  cell.drift_flags, cell.drift_retrains, latency_buf);
       if (!cell.error.empty()) {
         result.metric("stream_died", 1.0);
         std::printf("%10s %10s   stream died mid-run: %s\n", "", "",
@@ -322,6 +334,13 @@ int bench_run(Runner& run) {
                      "FAIL: %s emitted %zu signatures, baseline emitted "
                      "%zu\n", name.c_str(), cell.signatures,
                      baseline_signatures);
+        ++failures;
+      }
+      if (policy_label == "periodic" && std::string(sc.label) == "dead" &&
+          cell.failures == 0) {
+        std::fprintf(stderr,
+                     "FAIL: dead/periodic counted no failed fit, so it does "
+                     "not exercise the failure path it guards\n");
         ++failures;
       }
       if (pc.policy == core::RetrainPolicy::kOnDrift) {

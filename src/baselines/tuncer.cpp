@@ -1,6 +1,7 @@
 #include "baselines/tuncer.hpp"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/model_codec.hpp"
@@ -20,13 +21,16 @@ std::vector<double> TuncerMethod::compute(
   std::vector<double> scratch;
   for (std::size_t r = 0; r < window.rows(); ++r) {
     const auto row = window.row(r, scratch);
+    const double lo = stats::min(row);  // NaN iff the row holds a NaN.
     out.push_back(stats::mean(row));
     out.push_back(stats::stddev(row));
-    out.push_back(stats::min(row));
+    out.push_back(lo);
     out.push_back(stats::max(row));
     const std::vector<double> ps = stats::percentiles(row, kQs);
     out.insert(out.end(), ps.begin(), ps.end());
-    out.push_back(stats::sum_of_changes(row));
+    // Every indicator above is NaN for a row holding a NaN; the telescoped
+    // sum of changes reads only the row's two ends, so it takes it here.
+    out.push_back(std::isnan(lo) ? lo : stats::sum_of_changes(row));
     out.push_back(stats::abs_sum_of_changes(row));
   }
   return out;

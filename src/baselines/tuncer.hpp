@@ -5,7 +5,8 @@
 // 5th/25th/50th/75th/95th percentiles, the sum of changes and the absolute
 // sum of changes (the paper substitutes the last two for skewness/kurtosis).
 // Signature length l = n * 11. Per-sensor percentile sorting makes the cost
-// O(n * wl log wl).
+// O(n * wl log wl). A sensor row that holds a NaN gives NaN for all eleven
+// of its indicators.
 #pragma once
 
 #include "core/signature_method.hpp"

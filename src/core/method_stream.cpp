@@ -1,7 +1,6 @@
 #include "core/method_stream.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -15,15 +14,12 @@ namespace csm::core {
 // Co-owned by the stream and the worker job, so either side may outlive the
 // other: a stream torn down mid-fit just cancels and walks away, an executor
 // torn down with the job still queued simply never runs it. The worker writes
-// result/error/fit_seconds under `mu` and flips `done` last; once the ingest
-// thread has observed done under `mu`, the fields are frozen.
+// `result` under `mu` and flips `done` last; once the ingest thread has
+// observed done under `mu`, the fields are frozen.
 struct MethodStream::ShadowFit {
   std::mutex mu;
   bool done = false;
-  bool cancelled = false;
-  std::shared_ptr<const SignatureMethod> result;
-  std::exception_ptr error;
-  double fit_seconds = 0.0;
+  FitResult result;
 
   std::shared_ptr<TrainContext> ctx;  ///< Workspace + this fit's token.
   common::Matrix snapshot;            ///< History copy the fit reads.
@@ -78,14 +74,7 @@ std::optional<std::vector<double>> MethodStream::push(
   if (column.size() != n_sensors_) {
     throw std::invalid_argument("MethodStream::push: wrong column length");
   }
-  const std::span<double> slot = history_.push_slot();
-  std::copy(column.begin(), column.end(), slot.begin());
-  ++counters_.samples;
-  if (state_) state_->push(slot);
-  if (drift_) drift_->push(slot);
-
-  maybe_retrain();
-  return emit_if_due();
+  return step(common::MatrixView::column_segments(column, {}, n_sensors_), 0);
 }
 
 std::vector<std::vector<double>> MethodStream::push_all(
@@ -95,27 +84,36 @@ std::vector<std::vector<double>> MethodStream::push_all(
   }
   std::vector<std::vector<double>> out;
   for (std::size_t c = 0; c < columns.cols(); ++c) {
-    // Straight into the recycled ring slot; no per-column temporary.
-    const std::span<double> slot = history_.push_slot();
-    columns.copy_col(c, slot);
-    ++counters_.samples;
-    if (state_) state_->push(slot);
-    if (drift_) drift_->push(slot);
-
-    maybe_retrain();
-    if (auto features = emit_if_due()) out.push_back(std::move(*features));
+    if (auto features = step(columns, c)) out.push_back(std::move(*features));
   }
   return out;
+}
+
+std::optional<std::vector<double>> MethodStream::step(
+    const common::MatrixView& columns, std::size_t c) {
+  // Straight into the recycled ring slot; no per-column temporary.
+  const std::span<double> slot = history_.push_slot();
+  columns.copy_col(c, slot);
+  ++counters_.samples;
+  if (state_) state_->push(slot);
+  if (drift_) drift_->push(slot);
+  // The periodic schedule (kSync, kAsync). validate() pins the interval to
+  // 0 under kOnDrift, whose refits fire at emit boundaries instead.
+  if (options_.retrain_interval != 0 &&
+      counters_.samples % options_.retrain_interval == 0) {
+    refit();
+  }
+  return emit_if_due();
 }
 
 std::optional<std::vector<double>> MethodStream::emit_if_due() {
   if (counters_.samples < next_emit_at_) return std::nullopt;
   next_emit_at_ += options_.window_step;
 
-  // The emit boundary is where a finished shadow fit becomes visible: one
+  // The emit boundary is where a finished shadow fit is installed: one
   // shared_ptr store, so every signature is computed by exactly one model
-  // generation (never a half-swapped state). No-op under kSync.
-  apply_pending_swap();
+  // generation (never a half-swapped state). No-op without a shadow fit.
+  land_shadow_fit();
 
   // Score (and possibly retrain on) the window BEFORE computing it, so the
   // first signature after a detected regime change already comes from the
@@ -153,23 +151,47 @@ void MethodStream::set_method(std::shared_ptr<const SignatureMethod> method) {
   state_ = std::move(state);
 }
 
-void MethodStream::maybe_retrain() {
-  if (options_.retrain_interval == 0) return;
-  if (counters_.samples % options_.retrain_interval != 0) return;
-  if (history_.size() < options_.window_length + 1) return;
-  switch (options_.retrain_policy) {
-    case RetrainPolicy::kSync:
-      refit_inline();
-      break;
-    case RetrainPolicy::kAsync:
-      launch_shadow_fit();
-      break;
-    case RetrainPolicy::kOnDrift:
-      // Unreachable: validate() forces retrain_interval == 0 under
-      // kOnDrift, so the early return above already fired. The drift
-      // check runs at emit boundaries (maybe_drift_retrain), not here.
-      break;
+bool MethodStream::refit() {
+  // A fit needs at least one window and its seed column.
+  if (history_.size() < options_.window_length + 1) return false;
+  if (options_.retrain_policy == RetrainPolicy::kAsync) {
+    launch_shadow_fit();
+    return false;
   }
+  // Inline: the whole retained history flows to fit() as a view, no
+  // to_matrix(). The context only recycles scratch buffers, so results
+  // stay byte-identical.
+  if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
+  return install(fit_step(*method_, history_.history_view(), *spare_context_));
+}
+
+MethodStream::FitResult MethodStream::fit_step(
+    const SignatureMethod& base, const common::MatrixView& history,
+    TrainContext& ctx) noexcept {
+  FitResult out;
+  const common::Timer timer;
+  try {
+    out.method = base.fit(history, ctx);
+  } catch (const common::OperationCancelled&) {
+    // Superseded: neither a model nor a failure.
+  } catch (...) {
+    // A degenerate history (say, a sensor that reported NaN throughout)
+    // or any other fit error: the caller keeps its model.
+    out.failed = true;
+  }
+  out.seconds = timer.seconds();
+  return out;
+}
+
+bool MethodStream::install(FitResult&& fit) {
+  if (!fit.method) {
+    if (fit.failed) ++counters_.retrain_failures;
+    return false;
+  }
+  set_method(std::move(fit.method));
+  ++counters_.retrains;
+  counters_.retrain_latency_us.add(fit.seconds * 1e6);
+  return true;
 }
 
 void MethodStream::maybe_drift_retrain() {
@@ -190,114 +212,54 @@ void MethodStream::maybe_drift_retrain() {
   ++counters_.drift_flags;
   if (++drift_streak_ < options_.drift_patience) return;
   drift_streak_ = 0;
-  if (history_.size() < options_.window_length + 1) return;
-  // Inline, like kSync — deterministic, which is what lets the tests pin
+  // Inline, like kSync: deterministic, which is what lets the tests pin
   // "exactly one retrain".
-  refit_inline();
-  ++counters_.drift_retrains;
-  // The stream now tracks the new regime: rebuild the reference from the
-  // window that triggered the retrain so a completed shift scores clean.
-  // Only the reference changes; the chunk summaries describe the data, not
-  // the model, and carry on into the next window.
+  if (refit()) ++counters_.drift_retrains;
+  // The stream now tracks the new regime, with or without a new model:
+  // rebuild the reference from the window that triggered the refit, so a
+  // completed shift scores clean and costs one fit attempt, not one per
+  // patience streak. Only the reference changes; the chunk summaries
+  // describe the data, not the model, and carry on into the next window.
   drift_ref_ = drift_->reference();
 }
 
-void MethodStream::refit_inline() {
-  // The whole retained history flows to fit() as a view — no to_matrix().
-  // The context only recycles scratch buffers, so results stay
-  // byte-identical.
-  if (!spare_context_) spare_context_ = std::make_shared<TrainContext>();
-  const common::Timer timer;
-  set_method(std::shared_ptr<const SignatureMethod>(
-      method_->fit(history_.history_view(), *spare_context_)));
-  ++counters_.retrains;
-  counters_.retrain_latency_us.add(timer.seconds() * 1e6);
-}
-
 void MethodStream::launch_shadow_fit() {
+  // A fit that finished since the last emit boundary is installed first; one
+  // still running is superseded. The cancelled job keeps its context (it may
+  // be mid-kernel in the workspace); a fresh one is minted below.
+  land_shadow_fit();
   if (shadow_) {
-    bool done = false;
-    {
-      const std::lock_guard<std::mutex> lock(shadow_->mu);
-      done = shadow_->done;
-    }
-    if (!done) {
-      // Supersede the in-flight fit. The cancelled job keeps its context
-      // (it may be mid-kernel in the workspace); a fresh one is minted
-      // below.
-      shadow_->ctx->cancel.cancel();
-      ++counters_.retrain_aborts;
-      shadow_.reset();
-    } else {
-      // Finished, but no emit boundary swapped it in yet. Its result is
-      // stale relative to the history this retrain is about to snapshot.
-      const std::exception_ptr error = shadow_->error;
-      if (shadow_->result) ++counters_.retrain_aborts;
-      reclaim_context(std::move(shadow_->ctx));
-      shadow_.reset();
-      // Surface a failed fit on the ingest thread, where kSync would have.
-      if (error) std::rethrow_exception(error);
-    }
+    shadow_->ctx->cancel.cancel();
+    ++counters_.retrain_aborts;
   }
 
   auto state = std::make_shared<ShadowFit>();
-  if (spare_context_) {
-    state->ctx = std::move(spare_context_);
-    state->ctx->cancel = common::CancelToken();  // Fresh, unfired token.
-  } else {
-    state->ctx = std::make_shared<TrainContext>();
-  }
+  state->ctx = spare_context_ ? std::move(spare_context_)
+                              : std::make_shared<TrainContext>();
+  state->ctx->cancel = common::CancelToken();  // Fresh, unfired token.
   state->snapshot = history_.to_matrix();
   state->base = method_;
   shadow_ = state;
 
   executor_->submit([state] {
-    const common::Timer timer;
-    try {
-      auto fitted =
-          state->base->fit(common::MatrixView(state->snapshot), *state->ctx);
-      const double seconds = timer.seconds();
-      const std::lock_guard<std::mutex> lock(state->mu);
-      state->fit_seconds = seconds;
-      state->result = std::move(fitted);
-      state->done = true;
-    } catch (const common::OperationCancelled&) {
-      const std::lock_guard<std::mutex> lock(state->mu);
-      state->cancelled = true;
-      state->done = true;
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(state->mu);
-      state->error = std::current_exception();
-      state->done = true;
-    }
+    FitResult result = fit_step(
+        *state->base, common::MatrixView(state->snapshot), *state->ctx);
+    const std::lock_guard<std::mutex> lock(state->mu);
+    state->result = std::move(result);
+    state->done = true;
   });
 }
 
-void MethodStream::apply_pending_swap() {
+void MethodStream::land_shadow_fit() {
   if (!shadow_) return;
   {
     const std::lock_guard<std::mutex> lock(shadow_->mu);
-    if (!shadow_->done) return;  // Still fitting; keep serving the old model.
+    if (!shadow_->done) return;  // Still fitting; the old model serves.
   }
   const std::shared_ptr<ShadowFit> state = std::move(shadow_);
-  if (state->error) {
-    reclaim_context(std::move(state->ctx));
-    std::rethrow_exception(state->error);
-  }
-  if (state->cancelled || !state->result) {
-    reclaim_context(std::move(state->ctx));
-    return;
-  }
-  set_method(state->result);
-  ++counters_.retrains;
-  counters_.retrain_latency_us.add(state->fit_seconds * 1e6);
-  reclaim_context(std::move(state->ctx));
-}
-
-void MethodStream::reclaim_context(std::shared_ptr<TrainContext> ctx) {
-  // Only reached once the fit thread that used `ctx` is provably done with
-  // it (done observed under the ShadowFit mutex, or it never launched).
-  if (!spare_context_) spare_context_ = std::move(ctx);
+  install(std::move(state->result));
+  // The fit thread is done with the workspace: keep it for the next fit.
+  if (!spare_context_) spare_context_ = std::move(state->ctx);
 }
 
 }  // namespace csm::core

@@ -20,17 +20,18 @@
 // or kOnDrift refit, an async swap), the new method's state is rebuilt by
 // replaying the ring's newest wl + 1 columns.
 //
-// Retraining follows the StreamOptions::retrain_policy seam. kSync and
-// kOnDrift fit inline over RingMatrix::history_view() (no materialisation),
-// exactly the historical behaviour. kAsync snapshots the history, fits a
-// *shadow* method on the caller's RetrainExecutor, and swaps the finished
-// method in — one shared_ptr store — at the next emit boundary; emits keep
-// serving the old model mid-fit and the ingest thread never waits on a fit.
-// A fit superseded by a newer retrain is cancelled through its TrainContext
-// token and counted in counters().retrain_aborts. This single loop serves
-// the whole method fleet, CS included: a standalone component streams
-// through one directly, and StreamEngine fans it out across nodes (sharing
-// one executor between them).
+// Every refit (the kSync or kAsync schedule, kOnDrift's filled patience
+// streak) runs one fit step and one install. The fit step turns fit()'s
+// outcome into a fitted method, a cancellation or a failure. It runs inline
+// over RingMatrix::history_view() under kSync and kOnDrift, or under kAsync
+// on a history snapshot on the caller's RetrainExecutor while emits keep
+// serving the old model. The install
+// (inline, or at the next emit boundary under kAsync) swaps a fitted method
+// in, one shared_ptr store counted in retrains, or counts a failure in
+// retrain_failures and keeps the old model: no fit failure leaves push() or
+// push_all(). A kAsync fit superseded by a newer retrain is cancelled
+// through its TrainContext token and counted in retrain_aborts. StreamEngine
+// fans this one loop out across nodes, sharing one executor between them.
 #pragma once
 
 #include <cstddef>
@@ -99,32 +100,47 @@ class MethodStream {
 
  private:
   /// Everything a background shadow fit touches, co-owned by the job and
-  /// the stream so either side may die first. The worker writes result /
-  /// error under `mu` and flips `done` last; the ingest thread reads under
-  /// `mu` at emit boundaries.
+  /// the stream so either side may die first.
   struct ShadowFit;
 
-  void maybe_retrain();
+  /// One fit attempt: a fitted method, a failure, or (neither) a
+  /// cancellation.
+  struct FitResult {
+    std::shared_ptr<const SignatureMethod> method;
+    bool failed = false;   ///< fit() threw anything but OperationCancelled.
+    double seconds = 0.0;  ///< Wall time of the attempt.
+  };
+
+  /// push() and push_all()'s per-column step: copy column `c` into its ring
+  /// slot, feed the state and the drift tracker, fire the schedule, emit.
+  std::optional<std::vector<double>> step(const common::MatrixView& columns,
+                                          std::size_t c);
+  /// A retrain trigger: fits inline and installs (kSync, kOnDrift), or
+  /// launches a shadow fit (kAsync). Returns whether a fitted method was
+  /// installed.
+  bool refit();
+  /// The fit step: base.fit(history, ctx), timed, with whatever it throws
+  /// turned into the result.
+  static FitResult fit_step(const SignatureMethod& base,
+                            const common::MatrixView& history,
+                            TrainContext& ctx) noexcept;
+  /// The install: a fitted method replaces the live one (counted in
+  /// retrains and retrain_latency_us), a failure is counted in
+  /// retrain_failures and the old model keeps serving, a cancellation
+  /// changes nothing. Returns whether a method was installed.
+  bool install(FitResult&& fit);
   /// kOnDrift per-window check, run at each emit boundary on the window
   /// about to be computed: builds the reference from the tracker's summary
   /// on first sight, scores later windows, and refits inline once the
   /// patience streak fills.
   void maybe_drift_retrain();
-  /// kSync and kOnDrift: fits the live method over the whole buffered
-  /// history on the ingest thread, installs the result and records the
-  /// retrain and its latency.
-  void refit_inline();
   void launch_shadow_fit();
-  /// Applies a finished shadow fit (called at emit boundaries): swaps the
-  /// method shared_ptr, bumps the counters, rethrows a fit failure on the
-  /// ingest thread (where a kSync fit would have thrown).
-  void apply_pending_swap();
+  /// Installs a finished shadow fit (kAsync, at emit boundaries and before
+  /// the next launch); while the fit runs, the old model keeps serving.
+  void land_shadow_fit();
   std::optional<std::vector<double>> emit_if_due();
   /// Installs `method` and rebuilds its stream state from the ring.
   void set_method(std::shared_ptr<const SignatureMethod> method);
-  /// Hands the context back for reuse once its fit thread is provably done
-  /// with the workspace.
-  void reclaim_context(std::shared_ptr<TrainContext> ctx);
 
   std::shared_ptr<const SignatureMethod> method_;
   /// method_'s per-stream emit state; null for methods without one.
@@ -144,7 +160,7 @@ class MethodStream {
   /// Correlation workspace recycled across retrains (fresh one minted when
   /// a superseded fit still owns it).
   std::shared_ptr<TrainContext> spare_context_;
-  std::shared_ptr<ShadowFit> shadow_;   ///< In-flight / unswapped async fit.
+  std::shared_ptr<ShadowFit> shadow_;   ///< In-flight / uninstalled async fit.
   RetrainExecutor* executor_ = nullptr;  ///< Borrowed pool; kAsync only.
 
   /// StreamEngine records each ingest call's latency straight into

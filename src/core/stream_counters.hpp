@@ -48,22 +48,26 @@ inline constexpr bool kIsHistogramField =
 struct StreamCounters {
   std::uint64_t samples = 0;     ///< Columns pushed.
   std::uint64_t signatures = 0;  ///< Feature vectors emitted.
-  /// Retrained models swapped in (under kSync and kOnDrift every fired
-  /// retrain; under kAsync, fits that completed and reached an emit
-  /// boundary).
+  /// Retrained models swapped in: every fired retrain whose fit succeeded
+  /// (under kAsync, once a later emit boundary or launch installed it).
   std::uint64_t retrains = 0;
-  /// Retrains that fired but never produced a swap: superseded (cancelled)
-  /// fits and discarded stale results.
+  /// kAsync fits a newer retrain superseded (cancelled) before they
+  /// finished.
   std::uint64_t retrain_aborts = 0;
   /// Signatures shed by StreamEngine's max_pending backpressure.
   std::uint64_t dropped = 0;
   /// kOnDrift bookkeeping (all 0 under the other policies): windows scored
   /// against the drift reference, scored windows whose score reached
   /// drift_threshold, and the retrains those flags fired (a subset of
-  /// retrains: flags only convert once the patience streak fills).
+  /// retrains: flags only convert once the patience streak fills, and a
+  /// fit that fails counts in retrain_failures instead).
   std::uint64_t drift_windows = 0;
   std::uint64_t drift_flags = 0;
   std::uint64_t drift_retrains = 0;
+  /// Retrains whose fit threw (any policy). The stream keeps serving the
+  /// model it had; the failure is counted here and never thrown out of
+  /// ingest.
+  std::uint64_t retrain_failures = 0;
   /// One sample per StreamEngine ingest call (make_latency_histogram()).
   stats::Histogram ingest_latency_us = make_latency_histogram();
   /// Wall-clock fit latency of every swapped-in retrain
@@ -83,6 +87,7 @@ struct StreamCounters {
     visit("drift_windows", &StreamCounters::drift_windows);
     visit("drift_flags", &StreamCounters::drift_flags);
     visit("drift_retrains", &StreamCounters::drift_retrains);
+    visit("retrain_failures", &StreamCounters::retrain_failures);
     visit("ingest_latency_us", &StreamCounters::ingest_latency_us);
     visit("retrain_latency_us", &StreamCounters::retrain_latency_us);
   }

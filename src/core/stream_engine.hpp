@@ -167,14 +167,17 @@ class StreamEngine {
   /// appended to that node's queue. A column-major batch (ColumnBatch or a
   /// column-segment view) reaches the ring with one copy per column; a
   /// row-major Matrix converts implicitly and is gathered column by column.
+  /// A failed refit never throws: the node counts it in retrain_failures,
+  /// keeps its model, and consumes every column.
   void ingest(std::size_t node, const common::MatrixView& columns);
 
   /// Feeds one batch per node (batches.size() must equal n_nodes(); batches
   /// may have different column counts, rows must match each node's sensor
   /// count). Nodes are processed concurrently with common::parallel_for.
-  /// Shapes are validated up front; a mid-flight failure in any node (e.g.
-  /// a degenerate retrain) is re-thrown after the batch completes. Nodes
-  /// added concurrently with this call are not part of the batch.
+  /// Shapes are validated up front; failed refits are counted, as in
+  /// ingest(), and any other mid-flight failure in a node (a throwing tap,
+  /// say) is re-thrown after the batch completes. Nodes added concurrently
+  /// with this call are not part of the batch.
   void ingest_batch(std::span<const common::MatrixView> batches);
   /// Same, over row-major batches.
   void ingest_batch(std::span<const common::Matrix> batches);

@@ -14,7 +14,10 @@
 
 namespace csm::core {
 
-/// How MethodStream runs the periodic retrain that retrain_interval fires.
+/// When MethodStream refits, and where the fit runs. Under every policy a
+/// fit that throws is counted in StreamCounters::retrain_failures and the
+/// stream keeps serving the model it had: no fit failure is thrown out of
+/// ingest.
 enum class RetrainPolicy {
   /// Fit inline on the ingest thread — the historical behaviour,
   /// byte-identical to streams that predate the policy seam. Ingest stalls
@@ -23,23 +26,19 @@ enum class RetrainPolicy {
   /// Snapshot the history, fit a shadow model on a background worker, and
   /// swap it in atomically at the next emit boundary; emits keep serving the
   /// old model mid-fit. A retrain firing while one is still in flight
-  /// supersedes it: the stale fit is cancelled and counted as an abort.
+  /// supersedes it: the stale fit is cancelled and counted as an abort (a
+  /// finished one is installed first).
   kAsync,
   /// Adaptive: no periodic interval at all. Every emitted window is scored
   /// with the stats::drift statistic against a reference built from the
-  /// first emitted window (and rebuilt after every retrain); once the score
-  /// stays at or above StreamOptions::drift_threshold for drift_patience
-  /// consecutive windows, the stream refits inline over the buffered
-  /// history — synchronously, like kSync, so the post-drift model is
-  /// deterministic. Requires drift_threshold > 0 and retrain_interval == 0.
-  ///
-  /// The score never rescans a window. The stream's stats::DriftTracker
-  /// summarises each chunk of gcd(wl, ws) pushed columns once — per-sensor
-  /// moments and the watched pairs' co-moments, O(n + drift_pairs) per
-  /// sample — and a window merges its chunks' summaries, O(n + drift_pairs)
-  /// per merge with about 2 ws/gcd + 1 merges per window.
-  /// stats::drift_score(view, ref), which rescans at O((n + drift_pairs) wl)
-  /// per window, is the reference the tracker is tested against.
+  /// first emitted window (and rebuilt after every drift-fired refit,
+  /// whether or not its fit succeeded); once the score stays at or above
+  /// StreamOptions::drift_threshold for drift_patience consecutive windows,
+  /// the stream refits inline over the buffered history — synchronously,
+  /// like kSync, so the post-drift model is deterministic. Requires
+  /// drift_threshold > 0 and retrain_interval == 0. The score never rescans
+  /// a window: the stream's stats::DriftTracker merges per-chunk summaries
+  /// (stats/drift.hpp).
   kOnDrift,
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace csm::stats {
@@ -40,17 +42,21 @@ double covariance(std::span<const double> x, std::span<const double> y) {
   return acc / static_cast<double>(x.size());
 }
 
-double min(std::span<const double> x) {
-  if (x.empty()) throw std::invalid_argument("min: empty input");
-  return *std::min_element(x.begin(), x.end());
-}
-
-double max(std::span<const double> x) {
-  if (x.empty()) throw std::invalid_argument("max: empty input");
-  return *std::max_element(x.begin(), x.end());
-}
-
 namespace {
+
+// One pass: the extremum by a strict compare, which keeps the first of
+// equal elements as std::min_element does, and a NaN check. A NaN has no
+// rank, so whenever x holds one the answer is NaN, wherever it sits.
+template <typename Beats>
+double extremum(std::span<const double> x, Beats beats) {
+  double best = x[0];
+  bool nan = false;
+  for (double v : x) {
+    nan |= std::isnan(v);
+    best = beats(v, best) ? v : best;
+  }
+  return nan ? std::numeric_limits<double>::quiet_NaN() : best;
+}
 
 // Percentile of an already sorted buffer, linear interpolation between ranks.
 double sorted_percentile(const std::vector<double>& sorted, double q) {
@@ -63,28 +69,40 @@ double sorted_percentile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
+double min(std::span<const double> x) {
+  if (x.empty()) throw std::invalid_argument("min: empty input");
+  return extremum(x, std::less<>());
+}
+
+double max(std::span<const double> x) {
+  if (x.empty()) throw std::invalid_argument("max: empty input");
+  return extremum(x, std::greater<>());
+}
+
 double percentile(std::span<const double> x, double q) {
-  if (x.empty()) throw std::invalid_argument("percentile: empty input");
-  if (q < 0.0 || q > 100.0) {
-    throw std::invalid_argument("percentile: q outside [0, 100]");
-  }
-  std::vector<double> sorted(x.begin(), x.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted_percentile(sorted, q);
+  return percentiles(x, std::span<const double>(&q, 1)).front();
 }
 
 std::vector<double> percentiles(std::span<const double> x,
                                 std::span<const double> qs) {
   if (x.empty()) throw std::invalid_argument("percentiles: empty input");
-  std::vector<double> sorted(x.begin(), x.end());
-  std::sort(sorted.begin(), sorted.end());
+  // The copy to sort also looks for a NaN: it has no rank, and it breaks
+  // the strict weak ordering std::sort needs.
+  std::vector<double> sorted(x.size());
+  bool nan = false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sorted[i] = x[i];
+    nan |= std::isnan(x[i]);
+  }
+  if (!nan) std::sort(sorted.begin(), sorted.end());
   std::vector<double> out;
   out.reserve(qs.size());
   for (double q : qs) {
     if (q < 0.0 || q > 100.0) {
       throw std::invalid_argument("percentiles: q outside [0, 100]");
     }
-    out.push_back(sorted_percentile(sorted, q));
+    out.push_back(nan ? std::numeric_limits<double>::quiet_NaN()
+                      : sorted_percentile(sorted, q));
   }
   return out;
 }

@@ -25,15 +25,21 @@ double stddev(std::span<const double> x);
 /// Throws std::invalid_argument on length mismatch.
 double covariance(std::span<const double> x, std::span<const double> y);
 
+/// Smallest / largest element (the first of equal ones), or NaN when x
+/// holds a NaN, wherever it sits. Throws std::invalid_argument for empty
+/// input.
 double min(std::span<const double> x);
 double max(std::span<const double> x);
 
 /// Percentile with linear interpolation between closest ranks (numpy's
-/// default "linear" method), q in [0, 100]. Copies and partially sorts the
-/// input. Throws std::invalid_argument for empty input or q outside [0,100].
+/// default "linear" method), q in [0, 100]. Copies and sorts the input. A
+/// NaN has no rank: when x holds one the result is NaN, and the copy is
+/// never sorted (a NaN breaks std::sort's strict weak ordering). Throws
+/// std::invalid_argument for empty input or q outside [0,100].
 double percentile(std::span<const double> x, double q);
 
 /// Computes several percentiles in one sort pass; `qs` values in [0, 100].
+/// All NaN when x holds a NaN, as percentile().
 std::vector<double> percentiles(std::span<const double> x,
                                 std::span<const double> qs);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -14,7 +15,9 @@
 #include <string_view>
 #include <vector>
 
+#include "baselines/bodik.hpp"
 #include "baselines/pca.hpp"
+#include "baselines/tuncer.hpp"
 #include "common/rng.hpp"
 #include "core/method_stream.hpp"
 #include "core/model_codec.hpp"
@@ -149,6 +152,56 @@ TEST(DefaultRegistry, EveryMethodStreamsOverTheRingBuffer) {
     ASSERT_EQ(emitted.size(), 7u);  // Windows complete at 20, 30, ..., 80.
     for (const auto& features : emitted) {
       EXPECT_EQ(features.size(), method->signature_length(live.rows()));
+    }
+  }
+}
+
+// One NaN sample poisons features and never perturbs them: for every
+// method, a window with a NaN in row r emits each feature either
+// bit-identical to the clean window's or NaN, with at least one NaN. The
+// per-sensor indicator baselines poison exactly row r's indicators. (CS
+// poisons the blocks holding row r, as OneOrderProperty pins; PCA projects
+// every sensor into every component, so its whole vector turns NaN.)
+TEST(DefaultRegistry, OneNanSamplePoisonsFeaturesAndPerturbsNone) {
+  const MethodRegistry& registry = default_registry();
+  const common::Matrix history = wave_matrix(7, 180, 26);
+  const common::Matrix clean = wave_matrix(7, 30, 27);
+  const std::map<std::string, std::size_t> per_sensor = {
+      {"tuncer", TuncerMethod::kFeaturesPerSensor},
+      {"bodik", BodikMethod::kFeaturesPerSensor},
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  for (const auto& [key, spec_text] : example_specs()) {
+    SCOPED_TRACE(spec_text);
+    const auto method = registry.create(spec_text)->fit(history);
+    const std::vector<double> reference = method->compute(clean);
+    for (double v : reference) ASSERT_FALSE(std::isnan(v));
+    const auto indicators = per_sensor.find(key);
+    for (std::size_t r = 0; r < clean.rows(); ++r) {
+      for (const std::size_t c : {std::size_t{0}, clean.cols() / 2,
+                                  clean.cols() - 1}) {
+        common::Matrix window = clean;
+        window(r, c) = std::numeric_limits<double>::quiet_NaN();
+        const std::vector<double> got = method->compute(window);
+        ASSERT_EQ(got.size(), reference.size());
+        std::size_t nans = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const bool row_r = indicators != per_sensor.end() &&
+                             i / indicators->second == r;
+          if (std::isnan(got[i])) {
+            ++nans;
+          } else {
+            EXPECT_EQ(bits(got[i]), bits(reference[i]))
+                << "row " << r << " column " << c << " feature " << i;
+          }
+          if (indicators != per_sensor.end()) {
+            EXPECT_EQ(std::isnan(got[i]), row_r)
+                << "row " << r << " column " << c << " feature " << i;
+          }
+        }
+        EXPECT_GT(nans, 0u) << "row " << r << " column " << c;
+      }
     }
   }
 }

@@ -326,30 +326,60 @@ TEST(MethodStreamRetrain, AsyncSupersedeCancelsInFlightFit) {
   EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
 }
 
-TEST(MethodStreamRetrain, AsyncFitErrorSurfacesOnIngestThread) {
+TEST(MethodStreamRetrain, AsyncFitFailureKeepsTheOldModel) {
   const auto probe = std::make_shared<FitProbe>();
   probe->fail = true;
   RetrainExecutor pool(1);  // Outlives the stream.
   MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
                       retrain_options(RetrainPolicy::kAsync), 0, &pool);
-  // The failed fit's error is rethrown on the ingest thread at the next
-  // boundary that inspects the shadow state (emit or retrain launch) —
-  // possibly already the emit of the triggering push itself, when the
-  // worker fails fast enough, so the trigger sits inside the try too.
-  bool threw = false;
-  try {
-    push_columns(stream, 40);
-    probe->await(&FitProbe::started, 1);
-    for (int i = 0; i < 200; ++i) {
-      push_columns(stream, 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  } catch (const std::runtime_error& e) {
-    threw = true;
-    EXPECT_STREQ(e.what(), "generation: fit failed");
-  }
-  EXPECT_TRUE(threw);
+  std::vector<std::vector<double>> sigs;
+  // The fit launched at sample 40 fails on the worker. Once it is done,
+  // the next emit boundary installs the failure: counted, never thrown.
+  EXPECT_NO_THROW(push_columns(stream, 40, &sigs));
+  pool.drain();
+  EXPECT_NO_THROW(push_columns(stream, 10, &sigs));  // Emit at 50.
+  EXPECT_EQ(stream.counters().retrain_failures, 1u);
   EXPECT_EQ(stream.retrain_count(), 0u);
+  EXPECT_EQ(stream.counters().retrain_aborts, 0u);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 0u);
+  ASSERT_EQ(sigs.size(), 4u);  // Emits at 20, 30, 40, 50.
+  for (const auto& sig : sigs) EXPECT_EQ(sig, std::vector<double>{0.0});
+
+  // The old model keeps serving until a later fit succeeds: the sample-80
+  // refit fits the base model again (generation 1).
+  {
+    const std::lock_guard<std::mutex> lock(probe->mu);
+    probe->fail = false;
+  }
+  push_columns(stream, 30, &sigs);  // Launches at 80.
+  pool.drain();
+  push_columns(stream, 10, &sigs);  // Emit at 90: the swap lands.
+  EXPECT_EQ(stream.retrain_count(), 1u);
+  EXPECT_EQ(stream.counters().retrain_failures, 1u);
+  ASSERT_EQ(sigs.size(), 8u);  // Emits at 20, 30, ..., 90.
+  EXPECT_EQ(sigs[5], std::vector<double>{0.0});  // Emit at 70.
+  EXPECT_EQ(sigs.back(), std::vector<double>{1.0});
+}
+
+TEST(MethodStreamRetrain, SyncFitFailureKeepsEveryWindow) {
+  // Every fit throws. One batch crosses the refit points at samples 40
+  // and 80: push_all returns every window, all from the base model, and
+  // both failures are counted.
+  const auto probe = std::make_shared<FitProbe>();
+  probe->fail = true;
+  MethodStream stream(std::make_shared<const GenerationMethod>(4, probe),
+                      retrain_options(RetrainPolicy::kSync));
+  const common::Matrix batch = wave_matrix(4, 95, 14);
+  std::vector<std::vector<double>> sigs;
+  ASSERT_NO_THROW(sigs = stream.push_all(batch));
+  ASSERT_EQ(sigs.size(), 8u);  // Emits at 20, 30, ..., 90.
+  for (const auto& sig : sigs) EXPECT_EQ(sig, std::vector<double>{0.0});
+  EXPECT_EQ(stream.counters().samples, batch.cols());
+  EXPECT_EQ(stream.counters().signatures, sigs.size());
+  EXPECT_EQ(stream.counters().retrain_failures, 2u);
+  EXPECT_EQ(stream.retrain_count(), 0u);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 0u);
+  EXPECT_EQ(probe->started, 2);
 }
 
 TEST(MethodStreamRetrain, AsyncNeedsAnExecutor) {
@@ -632,6 +662,32 @@ TEST(MethodStreamDrift, DriftRefitSwapsInlineAndRecordsLatency) {
   EXPECT_EQ(probe->finished, 1);
   EXPECT_EQ(stream.counters().retrain_latency_us.total(), 1u);
   EXPECT_EQ(stream.counters().retrain_aborts, 0u);
+}
+
+TEST(MethodStreamDrift, FailedRefitIsCountedOncePerRegimeChange) {
+  // Every fit throws. The regime switches at sample 300 and back at 600.
+  // Each change fills the patience streak once; its failed refit still
+  // rebuilds the reference, so the new regime scores clean: one fit
+  // attempt per change, and the base model serves throughout.
+  common::Matrix data = regime_matrix(6, 900, 300, 51);
+  const common::Matrix unshifted = regime_matrix(6, 900, 900, 52);
+  for (std::size_t r = 0; r < 6; ++r) {
+    for (std::size_t c = 600; c < 900; ++c) data(r, c) = unshifted(r, c);
+  }
+  const auto probe = std::make_shared<FitProbe>();
+  probe->fail = true;
+  MethodStream stream(std::make_shared<const GenerationMethod>(6, probe),
+                      drift_options());
+  std::vector<std::vector<double>> signatures;
+  ASSERT_NO_THROW(signatures = stream.push_all(data));
+  EXPECT_EQ(stream.counters().retrain_failures, 2u);
+  EXPECT_EQ(probe->started, 2);
+  EXPECT_EQ(stream.counters().drift_retrains, 0u);
+  EXPECT_EQ(stream.retrain_count(), 0u);
+  EXPECT_EQ(stream.counters().retrain_latency_us.total(), 0u);
+  EXPECT_EQ(stream.counters().drift_windows, stream.counters().signatures - 1);
+  ASSERT_EQ(signatures.size(), (900u - 20u) / 10u + 1u);
+  for (const auto& sig : signatures) EXPECT_EQ(sig[0], 0.0);
 }
 
 TEST(MethodStreamDrift, OptionValidation) {

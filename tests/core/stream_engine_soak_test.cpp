@@ -352,7 +352,7 @@ TEST(StreamEngineSoak, AsyncRetrainRacesIngestDrainAndGrowth) {
   }
 
   // Every launched fit is accounted at most once: swapped in, or aborted
-  // (superseded / stale); anything still in flight at teardown is neither.
+  // (superseded); anything still in flight at teardown is neither.
   const auto rows = engine.node_stats();
   ASSERT_EQ(rows.size(), kProducerNodes + 1);
   for (std::size_t node = 0; node < kProducerNodes; ++node) {

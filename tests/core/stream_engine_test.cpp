@@ -577,6 +577,59 @@ TEST(StreamEngine, ThrowingNodeAddedLeavesTheEngineWithoutTheNode) {
   EXPECT_EQ(engine.node_name(1), "second");
 }
 
+// A method without fit(): SignatureMethod's default throws, so every refit
+// fails. A signature is the newest sample of sensor 0.
+class UnfittableMethod final : public SignatureMethod {
+ public:
+  std::string name() const override { return "unfittable"; }
+  std::size_t signature_length(std::size_t) const override { return 1; }
+  std::vector<double> compute(const common::MatrixView& w) const override {
+    return {w(0, w.cols() - 1)};
+  }
+};
+
+TEST(StreamEngine, FailedRefitsKeepEveryColumnAndSignature) {
+  // kSync, wl 4, ws 1, history 16, a refit every 10 columns: one 20-column
+  // ingest crosses two failing refits, and a fleet batch a third.
+  StreamOptions opts;
+  opts.window_length = 4;
+  opts.window_step = 1;
+  opts.history_length = 16;
+  opts.retrain_interval = 10;
+  StreamEngine engine(opts);
+  std::size_t tapped = 0;
+  StreamEngine::IngestTap tap;
+  tap.batch = [&tapped](std::size_t, const common::MatrixView& columns) {
+    tapped += columns.cols();
+  };
+  engine.set_tap(std::move(tap));
+  const std::size_t node =
+      engine.add_node("n", std::make_shared<const UnfittableMethod>(), 3);
+  const common::Matrix data = node_matrix(3, 30, 350);
+
+  ASSERT_NO_THROW(engine.ingest(node, data.sub_cols(0, 20)));
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.samples, 20u);
+  EXPECT_EQ(stats.signatures, 17u);  // Windows end at columns 4..20.
+  EXPECT_EQ(engine.pending(node), stats.signatures);
+  EXPECT_EQ(stats.retrain_failures, 2u);
+  EXPECT_EQ(stats.retrains, 0u);
+  EXPECT_EQ(tapped, 20u);
+
+  const std::vector<common::Matrix> batch = {data.sub_cols(20, 10)};
+  ASSERT_NO_THROW(engine.ingest_batch(batch));
+  stats = engine.stats();
+  EXPECT_EQ(stats.samples, 30u);
+  EXPECT_EQ(stats.retrain_failures, 3u);
+  EXPECT_EQ(tapped, 30u);
+  EXPECT_EQ(engine.node_stats().front().retrain_failures, 3u);
+  const std::vector<std::vector<double>> sigs = engine.drain(node);
+  ASSERT_EQ(sigs.size(), 27u);
+  for (std::size_t k = 0; k < sigs.size(); ++k) {
+    EXPECT_EQ(sigs[k], std::vector<double>{data(0, 3 + k)}) << "window " << k;
+  }
+}
+
 TEST(StreamEngine, NonEmptyTapNeedsAnEngineWithoutNodes) {
   StreamEngine engine(engine_options());
   const common::Matrix data = node_matrix(6, 90, 340);

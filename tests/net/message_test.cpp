@@ -215,12 +215,14 @@ TEST(StatsResponse, RoundTripsAppendedRetrainFields) {
   core::EngineStats stats;
   stats.retrains = 4;
   stats.retrain_aborts = 2;
+  stats.retrain_failures = 5;
   stats.retrain_latency_us.add(1500.0);
   stats.retrain_latency_us.add(2.0e7);  // Overflow sample.
   const StatsResponse back =
       decode_stats_response(encode_stats_response({stats, "v"}));
   EXPECT_EQ(back.retrains, 4u);
   EXPECT_EQ(back.retrain_aborts, 2u);
+  EXPECT_EQ(back.retrain_failures, 5u);
   EXPECT_EQ(back.retrain_latency_us.total(),
             stats.retrain_latency_us.total());
   EXPECT_EQ(back.retrain_latency_us.overflow(), 1u);
@@ -303,7 +305,7 @@ std::vector<std::uint8_t> full_stats_payload() {
 TEST(CounterBlock, MissingFieldsDecodeAsZero) {
   // An older peer's block: the first three counters and one histogram.
   CounterBlock block(full_stats_payload(), kStatsBlockAt);
-  ASSERT_EQ(block.counters.size(), 8u);
+  ASSERT_EQ(block.counters.size(), 9u);
   ASSERT_EQ(block.histograms.size(), 2u);
   block.counters.resize(3);
   block.histograms.resize(1);
@@ -317,6 +319,7 @@ TEST(CounterBlock, MissingFieldsDecodeAsZero) {
   EXPECT_EQ(back.drift_windows, 0u);
   EXPECT_EQ(back.drift_flags, 0u);
   EXPECT_EQ(back.drift_retrains, 0u);
+  EXPECT_EQ(back.retrain_failures, 0u);
   EXPECT_EQ(back.ingest_latency_us.total(), 1u);
   EXPECT_EQ(back.retrain_latency_us.total(), 0u);
   EXPECT_EQ(back.retrain_latency_us.bins(), core::kRetrainLatencyBins);
@@ -339,7 +342,7 @@ TEST(CounterBlock, CountBeyondThePayloadIsRejected) {
   CounterBlock block(full_stats_payload(), kStatsBlockAt);
   block.histograms.clear();
   std::vector<std::uint8_t> bytes = block.bytes();
-  bytes[kStatsBlockAt] = 255;  // 255 counters cannot fit in 65 bytes.
+  bytes[kStatsBlockAt] = 255;  // 255 counters cannot fit in 73 bytes.
   try {
     decode_stats_response(bytes);
     FAIL() << "expected MessageError";
@@ -349,7 +352,7 @@ TEST(CounterBlock, CountBeyondThePayloadIsRejected) {
   }
 
   bytes = CounterBlock(full_stats_payload(), kStatsBlockAt).bytes();
-  bytes[kStatsBlockAt + 1 + 8 * 8] = 255;  // Histogram count.
+  bytes[kStatsBlockAt + 1 + 9 * 8] = 255;  // Histogram count.
   try {
     decode_stats_response(bytes);
     FAIL() << "expected MessageError";
@@ -410,6 +413,7 @@ TEST(NodeStatsResponse, RoundTripsRows) {
   a.drift_windows = 40;
   a.drift_flags = 5;
   a.drift_retrains = 1;
+  a.retrain_failures = 6;
   a.ingest_latency_us.add(42.0);
   a.retrain_latency_us.add(90000.0);
   core::NodeStats b;  // All-default row (empty name is legal on the wire).
@@ -427,6 +431,7 @@ TEST(NodeStatsResponse, RoundTripsRows) {
   EXPECT_EQ(back.nodes[0].drift_windows, a.drift_windows);
   EXPECT_EQ(back.nodes[0].drift_flags, a.drift_flags);
   EXPECT_EQ(back.nodes[0].drift_retrains, a.drift_retrains);
+  EXPECT_EQ(back.nodes[0].retrain_failures, a.retrain_failures);
   EXPECT_EQ(back.nodes[0].ingest_latency_us.total(), 1u);
   EXPECT_EQ(back.nodes[0].retrain_latency_us.total(), 1u);
   EXPECT_EQ(back.nodes[0].retrain_latency_us.bins(),

@@ -146,7 +146,10 @@ class FleetServerTest : public ::testing::Test {
   void add_nodes(std::size_t count) {
     Frame add = node_add_frame("", *fit_method(node_matrix(4, 60, 21)));
     for (std::size_t i = 0; i < count; ++i) {
-      add.node = "n" + std::to_string(i);
+      // Appended, not "n" + to_string(i): GCC 12 warns -Wrestrict on the
+      // inlined operator+ (a false positive, fatal under -Werror).
+      add.node = "n";
+      add.node += std::to_string(i);
       ASSERT_EQ(roundtrip(add).type, FrameType::kOk);
     }
   }
@@ -535,6 +538,54 @@ TEST(FleetServerDrift, NodeStatsScrapeCarriesDriftCounters) {
       EXPECT_EQ(rows[0].*field, local[0].*field) << name;
     }
   });
+}
+
+TEST(FleetServerRefit, FailedRefitGetsNoErrorAndIsCounted) {
+  // kSync, a refit every 60 samples over a 40-column history. Sensor 2 is
+  // dead (NaN) through the whole second batch, so the refit at sample 120
+  // sees no finite value of it and the CS fit throws. The one-way push must
+  // get no kError; the node keeps its model and counts the failure.
+  core::StreamOptions opts = engine_options();  // wl 20, ws 10.
+  opts.history_length = 40;
+  opts.retrain_interval = 60;
+  core::StreamEngine engine(opts);
+  const std::string path = socket_path("refit");
+  FleetServer server(listen_unix(path), engine, server_options());
+  const std::unique_ptr<Connection> conn = connect_unix(path);
+  FrameReader reader;
+  common::Matrix s = node_matrix(5, 120, 14);
+  for (std::size_t c = 60; c < s.cols(); ++c) s(2, c) = std::nan("");
+  ASSERT_EQ(roundtrip(server, *conn, reader,
+                      node_add_frame("n0", *fit_method(s.sub_cols(0, 60))))
+                .type,
+            FrameType::kOk);
+  write_pumping(server, *conn,
+                encode_frame(batch_frame("n0", s.sub_cols(0, 60))));
+  write_pumping(server, *conn,
+                encode_frame(batch_frame("n0", s.sub_cols(60, 60))));
+
+  // The next reply on the connection is the drain's, with every window.
+  Frame drain;
+  drain.type = FrameType::kDrainRequest;
+  drain.node = "n0";
+  const Frame drained = roundtrip(server, *conn, reader, drain);
+  if (drained.type == FrameType::kError) {
+    FAIL() << "answered with kError: " << decode_error_text(drained.payload);
+  }
+  ASSERT_EQ(drained.type, FrameType::kDrainResponse);
+  EXPECT_EQ(decode_drain_response(drained.payload).signatures.size(), 11u);
+
+  Frame scrape;
+  scrape.type = FrameType::kNodeStatsRequest;
+  const Frame reply = roundtrip(server, *conn, reader, scrape);
+  ASSERT_EQ(reply.type, FrameType::kNodeStatsResponse);
+  const std::vector<core::NodeStats> rows =
+      decode_node_stats_response(reply.payload).nodes;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].samples, 120u);
+  EXPECT_EQ(rows[0].signatures, 11u);
+  EXPECT_EQ(rows[0].retrains, 1u);  // The clean refit at sample 60.
+  EXPECT_EQ(rows[0].retrain_failures, 1u);
 }
 
 TEST_F(FleetServerTest, CorruptFrameGetsErrorThenDisconnect) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -87,6 +90,32 @@ TEST(Descriptive, PercentileValidation) {
                std::invalid_argument);
   EXPECT_THROW(percentile(kSimple, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(kSimple, 101.0), std::invalid_argument);
+}
+
+TEST(Descriptive, NanAnywhereGivesNanExtremaAndPercentiles) {
+  // A NaN has no rank: wherever it sits, the extrema and every percentile
+  // are NaN, and the percentile sort never sees it.
+  const std::vector<double> qs{0.0, 5.0, 50.0, 95.0, 100.0};
+  for (std::size_t at = 0; at < kSimple.size(); ++at) {
+    std::vector<double> x = kSimple;
+    x[at] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(min(x))) << "NaN at " << at;
+    EXPECT_TRUE(std::isnan(max(x))) << "NaN at " << at;
+    EXPECT_TRUE(std::isnan(percentile(x, 50.0))) << "NaN at " << at;
+    for (double p : percentiles(x, qs)) {
+      EXPECT_TRUE(std::isnan(p)) << "NaN at " << at;
+    }
+    EXPECT_THROW(percentiles(x, std::vector<double>{101.0}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Descriptive, ExtremaKeepTheFirstOfEqualElements) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(min(std::vector<double>{-0.0, 0.0, 1.0})), bits(-0.0));
+  EXPECT_EQ(bits(min(std::vector<double>{0.0, -0.0, 1.0})), bits(0.0));
+  EXPECT_EQ(bits(max(std::vector<double>{-1.0, 0.0, -0.0})), bits(0.0));
+  EXPECT_EQ(bits(max(std::vector<double>{-1.0, -0.0, 0.0})), bits(-0.0));
 }
 
 TEST(Descriptive, PercentilesBatchMatchesSingle) {

@@ -54,22 +54,22 @@
 //       --dump-models writes the fitted per-node models to a directory
 //       (feed it to `csmcli pack`); --sig-out drains every node and writes
 //       the signatures as "node v0 v1 ..." lines (byte-comparable with
-//       `csmcli push --sig-out` against a daemon). --retrain-threads N
-//       switches --retrain to the async shadow-fit pipeline on a pool of N
-//       workers (default: synchronous in-line retrain). --drift-threshold X
-//       switches to the drift-triggered retrain policy instead (score every
-//       emitted window, refit after --drift-patience consecutive scores
-//       >= X). --record taps the engine and captures exactly what it
-//       ingested as a CSMR recording (docs/RECORDING.md); --scenario
-//       mutates the stream with seeded fault injectors (--seed) BEFORE
-//       ingestion — and before the tap, so a recording holds the stream
-//       the engine actually saw. Models always fit on the clean segment.
+//       `csmcli push --sig-out` against a daemon). The retrain flags select
+//       the retrain policy (tools/retrain_flags.hpp); a failed refit keeps
+//       the node's model and is counted. --record taps the engine and
+//       captures exactly what it ingested as a CSMR recording
+//       (docs/RECORDING.md); --scenario mutates the stream with seeded
+//       fault injectors (--seed) BEFORE ingestion — and before the tap, so
+//       a recording holds the stream the engine actually saw. Models always
+//       fit on the clean segment.
 //
 //   csmcli record  <segment> <recording> [--scale S] [--seed N]
 //           [--batch B] [--scenario SPEC]
 //       Capture a segment replay as a CSMR recording without running an
-//       engine: the same batches `stream` would ingest (post-scenario),
-//       written straight to the file.
+//       engine: per node, the same batches `stream` would ingest
+//       (post-scenario), written straight to the file node by node. (A
+//       `stream --record` capture of a multi-node segment interleaves the
+//       nodes in thread arrival order instead; both replay alike.)
 //
 //   csmcli replay  <recording> [--method SPEC | --pack FILE] [--window WL]
 //           [--step WS] [--history H] [--retrain N] [--retrain-threads N]
@@ -140,6 +140,8 @@
 #include "replay/scenario.hpp"
 #include "stats/histogram.hpp"
 
+#include "retrain_flags.hpp"
+
 namespace {
 
 using namespace csm;
@@ -154,19 +156,15 @@ struct Options {
   bool step_set = false;    // uses the segment's wl/ws otherwise).
   double scale = 1.0;
   std::size_t history = 1024;
-  std::size_t retrain = 0;
   std::size_t batch = 256;
   std::string pack_file;        // --pack FILE (stream: load models from it).
   std::string dump_dir;         // --dump-models DIR (stream: save models).
   std::string socket;           // --socket PATH (push/fleet-stats).
   std::string sig_out;          // --sig-out FILE (stream/push: drained sigs).
-  std::size_t retrain_threads = 0;  // --retrain-threads N (0 = sync retrain).
   std::uint64_t seed = 2021;    // --seed N (generator + scenario master seed).
   std::string record_file;      // --record FILE (stream: CSMR capture).
   std::string scenario;         // --scenario SPEC (fault-injection spec).
-  double drift_threshold = 0.0;     // --drift-threshold X (> 0 = kOnDrift).
-  std::size_t drift_patience = 1;   // --drift-patience N (kOnDrift streak).
-  bool drift_patience_set = false;
+  tools::RetrainFlags retrain;   // --retrain, --retrain-threads, --drift-*.
 };
 
 /// Extension of the model files unpack and stream --dump-models write.
@@ -222,7 +220,8 @@ void usage(std::ostream& out) {
 
 // Numeric options go through benchkit's checked parsers: the whole value
 // must parse ("--batch 20x" is an error naming the flag, not a silent 20).
-// Throws std::invalid_argument on malformed values and missing values.
+// Throws std::invalid_argument on malformed values, missing values and
+// conflicting retrain flags.
 bool parse_args(int argc, char** argv, Options& opts) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -232,7 +231,9 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       return argv[++i];
     };
-    if (arg == "--interval") {
+    if (opts.retrain.parse(arg, next_value)) {
+      // A retrain flag, parsed as csmd parses it.
+    } else if (arg == "--interval") {
       opts.interval_ms =
           benchkit::parse_int64("--interval", next_value("--interval"));
     } else if (arg == "--method") {
@@ -248,9 +249,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (arg == "--history") {
       opts.history =
           benchkit::parse_size_t("--history", next_value("--history"));
-    } else if (arg == "--retrain") {
-      opts.retrain =
-          benchkit::parse_size_t("--retrain", next_value("--retrain"));
     } else if (arg == "--batch") {
       opts.batch = benchkit::parse_size_t("--batch", next_value("--batch"));
     } else if (arg == "--pack") {
@@ -261,27 +259,12 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.socket = next_value("--socket");
     } else if (arg == "--sig-out") {
       opts.sig_out = next_value("--sig-out");
-    } else if (arg == "--retrain-threads") {
-      opts.retrain_threads = benchkit::parse_size_t(
-          "--retrain-threads", next_value("--retrain-threads"));
     } else if (arg == "--seed") {
       opts.seed = benchkit::parse_uint64("--seed", next_value("--seed"));
     } else if (arg == "--record") {
       opts.record_file = next_value("--record");
     } else if (arg == "--scenario") {
       opts.scenario = next_value("--scenario");
-    } else if (arg == "--drift-threshold") {
-      opts.drift_threshold = benchkit::parse_double(
-          "--drift-threshold", next_value("--drift-threshold"));
-      if (opts.drift_threshold <= 0.0) {
-        throw std::invalid_argument(
-            "--drift-threshold: must be positive (got " +
-            std::to_string(opts.drift_threshold) + ")");
-      }
-    } else if (arg == "--drift-patience") {
-      opts.drift_patience = benchkit::parse_size_t(
-          "--drift-patience", next_value("--drift-patience"));
-      opts.drift_patience_set = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option: " << arg << '\n';
       return false;
@@ -296,22 +279,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
                  "each node's trained method)\n";
     return false;
   }
-  // The drift detector replaces the periodic schedule (and runs inline),
-  // so it cannot be combined with either periodic retrain flag.
-  if (opts.drift_threshold > 0.0 &&
-      (opts.retrain > 0 || opts.retrain_threads > 0)) {
-    std::cerr << "--drift-threshold conflicts with --retrain/"
-                 "--retrain-threads (kOnDrift replaces the periodic "
-                 "retrain schedule)\n";
-    return false;
-  }
-  // Patience counts drift-flagged windows, which only --drift-threshold
-  // produces; alone it would be silently ignored.
-  if (opts.drift_patience_set && opts.drift_threshold <= 0.0) {
-    std::cerr << "--drift-patience requires --drift-threshold (patience "
-                 "counts windows scored over the threshold)\n";
-    return false;
-  }
+  opts.retrain.check();
   return true;
 }
 
@@ -560,9 +528,10 @@ unsigned long long ull(std::uint64_t v) { return v; }
 
 // Fleet totals from one EngineStats record: stream and replay print their
 // local engine's, push and fleet-stats a daemon's scrape. Swaps (models that
-// replaced the live one) are counted apart from aborts (superseded or
-// discarded shadow fits), so a stall-free async run is distinguishable from
-// one that never kept up.
+// replaced the live one) are counted apart from aborts (superseded shadow
+// fits), so a stall-free async run is distinguishable from one that never
+// kept up, and apart from failed fits (each left its node serving the old
+// model).
 void print_totals(const char* who, const core::EngineStats& s) {
   std::printf("%s totals: %llu samples ingested, %llu signatures emitted, "
               "%llu retrains, %llu dropped across %llu nodes\n",
@@ -577,9 +546,9 @@ void print_totals(const char* who, const core::EngineStats& s) {
               ull(in.overflow()), in.hi());
   const stats::Histogram& rt = s.retrain_latency_us;
   std::printf("retrain latency: p50 %.1f us, p99 %.1f us "
-              "(%llu swaps, %llu aborted)\n",
+              "(%llu swaps, %llu aborted), %llu failed fits\n",
               rt.quantile(0.5), rt.quantile(0.99), ull(s.retrains),
-              ull(s.retrain_aborts));
+              ull(s.retrain_aborts), ull(s.retrain_failures));
   std::printf("drift detector: %llu windows scored, %llu flagged, "
               "%llu drift retrains\n",
               ull(s.drift_windows), ull(s.drift_flags),
@@ -613,24 +582,6 @@ std::vector<std::uint8_t> ask(net::Connection& conn, net::FrameReader& reader,
                              net::frame_type_name(reply.type));
   }
   return std::move(reply.payload);
-}
-
-// Maps the tool-level retrain flags onto StreamOptions: --retrain-threads N
-// opts into the async shadow-fit pipeline; without it the engine keeps the
-// synchronous (bit-identical to historical behaviour) retrain path.
-// --drift-threshold X (exclusive with both, enforced at parse time) swaps
-// the periodic schedule for the kOnDrift detector.
-void apply_retrain_flags(const Options& opts, core::StreamOptions& stream) {
-  stream.retrain_interval = opts.retrain;
-  if (opts.retrain_threads > 0) {
-    stream.retrain_policy = core::RetrainPolicy::kAsync;
-    stream.retrain_threads = opts.retrain_threads;
-  }
-  if (opts.drift_threshold > 0.0) {
-    stream.retrain_policy = core::RetrainPolicy::kOnDrift;
-    stream.drift_threshold = opts.drift_threshold;
-    stream.drift_patience = opts.drift_patience;
-  }
 }
 
 // Parses --scenario against --seed; an empty flag is the identity scenario.
@@ -676,7 +627,7 @@ int cmd_stream(const Options& opts) {
   stream_opts.window_length = opts.window_set ? opts.window : seg.window.length;
   stream_opts.window_step = opts.step_set ? opts.step : seg.window.step;
   stream_opts.history_length = opts.history;
-  apply_retrain_flags(opts, stream_opts);
+  opts.retrain.apply(stream_opts);
 
   std::cout << "segment " << seg.name << ": " << seg.n_blocks()
             << " components, " << seg.length() << " samples @"
@@ -777,8 +728,12 @@ int cmd_record(const Options& opts) {
     recorder.add_node(block.name,
                       static_cast<std::uint32_t>(block.sensors.rows()));
   }
-  // Same batching as `stream`, minus the engine: what this writes is what
-  // `stream --record` would have captured for the same flags.
+  // Same batching as `stream`, minus the engine: each node gets the batches
+  // `stream --record` captures for it with the same flags, in the same
+  // order. Across nodes the files may differ: `stream` files each batch
+  // when its node finishes (thread arrival order), this writes the nodes in
+  // index order. A replay feeds every node its own batches, so both
+  // captures replay to the same signatures.
   const std::size_t batch = opts.batch == 0 ? seg.length() : opts.batch;
   for (std::size_t start = 0; start < seg.length(); start += batch) {
     const std::size_t len = std::min(batch, seg.length() - start);
@@ -808,7 +763,7 @@ int cmd_replay(const Options& opts) {
   stream_opts.window_length = opts.window;
   stream_opts.window_step = opts.step;
   stream_opts.history_length = opts.history;
-  apply_retrain_flags(opts, stream_opts);
+  opts.retrain.apply(stream_opts);
 
   const core::MethodRegistry& registry = baselines::default_registry();
   core::StreamEngine engine(stream_opts);

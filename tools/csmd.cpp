@@ -14,14 +14,11 @@
 //   csmd --version
 //
 // --max-pending bounds each node's undrained signature queue (drop-oldest
-// with a per-node counter; 0 = unbounded). --retrain-threads N switches
-// retraining to the async shadow-fit pipeline backed by a pool of N worker
-// threads (the default, and N = 0, is the synchronous in-line retrain);
-// --drift-threshold X switches to the drift-triggered kOnDrift policy
-// instead and conflicts with --retrain/--retrain-threads in either order,
-// the same rule `csmcli stream` and `replay` apply. --record FILE captures
-// every sample batch clients push as a CSMR recording (docs/RECORDING.md),
-// sealed on shutdown — feed it to `csmcli replay` to re-drive the run.
+// with a per-node counter; 0 = unbounded). The retrain flags select the
+// retrain policy by the rule `csmcli stream` and `replay` apply
+// (tools/retrain_flags.hpp). --record FILE captures every sample batch
+// clients push as a CSMR recording (docs/RECORDING.md), sealed on
+// shutdown — feed it to `csmcli replay` to re-drive the run.
 // SIGINT/SIGTERM shut the daemon down cleanly: the engine totals are
 // printed, the recording sealed and the socket file unlinked.
 //
@@ -45,6 +42,8 @@
 #include "net/server.hpp"
 #include "net/unix_socket.hpp"
 #include "replay/recording.hpp"
+
+#include "retrain_flags.hpp"
 
 namespace {
 
@@ -71,11 +70,7 @@ int main(int argc, char** argv) {
   std::string socket_path;
   std::string pack_path;
   std::string record_path;
-  // Retrain flags are collected here and applied after the parse loop, so
-  // the result does not depend on the order they were given in.
-  std::size_t retrain_threads = 0;
-  double drift_threshold = 0.0;
-  bool drift_patience_set = false;
+  tools::RetrainFlags retrain;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -102,24 +97,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--history") {
         stream.history_length =
             benchkit::parse_size_t("--history", next_value("--history"));
-      } else if (arg == "--retrain") {
-        stream.retrain_interval =
-            benchkit::parse_size_t("--retrain", next_value("--retrain"));
-      } else if (arg == "--retrain-threads") {
-        retrain_threads = benchkit::parse_size_t(
-            "--retrain-threads", next_value("--retrain-threads"));
-      } else if (arg == "--drift-threshold") {
-        drift_threshold = benchkit::parse_double(
-            "--drift-threshold", next_value("--drift-threshold"));
-        if (drift_threshold <= 0.0) {
-          throw std::invalid_argument(
-              "--drift-threshold: must be positive (got " +
-              std::to_string(drift_threshold) + ")");
-        }
-      } else if (arg == "--drift-patience") {
-        stream.drift_patience = benchkit::parse_size_t(
-            "--drift-patience", next_value("--drift-patience"));
-        drift_patience_set = true;
+      } else if (retrain.parse(arg, next_value)) {
+        // A retrain flag, parsed as csmcli parses it.
       } else if (arg == "--max-pending") {
         stream.max_pending = benchkit::parse_size_t(
             "--max-pending", next_value("--max-pending"));
@@ -138,32 +117,8 @@ int main(int argc, char** argv) {
       usage(std::cerr);
       return 1;
     }
-    // The drift detector replaces the periodic schedule (and runs inline),
-    // so it cannot be combined with either periodic retrain flag.
-    if (drift_threshold > 0.0 &&
-        (stream.retrain_interval > 0 || retrain_threads > 0)) {
-      std::cerr << "error: --drift-threshold conflicts with --retrain/"
-                   "--retrain-threads (kOnDrift replaces the periodic "
-                   "retrain schedule)\n";
-      usage(std::cerr);
-      return 1;
-    }
-    // Patience counts drift-flagged windows, which only --drift-threshold
-    // produces; alone it would be silently ignored.
-    if (drift_patience_set && drift_threshold <= 0.0) {
-      std::cerr << "error: --drift-patience requires --drift-threshold "
-                   "(patience counts windows scored over the threshold)\n";
-      usage(std::cerr);
-      return 1;
-    }
-    if (retrain_threads > 0) {
-      stream.retrain_policy = core::RetrainPolicy::kAsync;
-      stream.retrain_threads = retrain_threads;
-    }
-    if (drift_threshold > 0.0) {
-      stream.retrain_policy = core::RetrainPolicy::kOnDrift;
-      stream.drift_threshold = drift_threshold;
-    }
+    retrain.check();
+    retrain.apply(stream);
     stream.validate();
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << '\n';

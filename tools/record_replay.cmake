@@ -10,6 +10,10 @@
 #   replay --scenario                    (fault injection perturbs the
 #   signatures; the clean recording on disk is untouched)
 #
+#   multi-node: replays of `stream --record` and of `record` captures
+#   (byte-identical signatures, to each other and to the live run, although
+#   the two files may order nodes' batches differently)
+#
 # plus a corrupt-fixture check that a wrong-magic file is rejected with the
 # error named. Window/step are passed explicitly everywhere: `stream`
 # defaults to the segment's wl/ws while `replay` defaults to 60/10, and
@@ -86,6 +90,29 @@ run_step(record_segment zero "recorded [0-9]+ nodes x [0-9]+ samples"
   --scale 0.2 --batch 256)
 require_identical(offline_capture_matches_tap
   "${WORK_DIR}/capture.csmr" "${WORK_DIR}/offline.csmr")
+
+# A multi-node segment. `stream --record` files each batch when its node
+# finishes, in thread arrival order, so its capture may interleave nodes
+# differently from the node-by-node `record` capture; each node's batches
+# keep their order. A replay feeds every node its own batches in order, so
+# both captures replay to the live run's signatures byte for byte.
+set(app_segment --scale 0.1 --batch 64)
+set(app_engine --window 60 --step 10 --history 256)
+run_step(app_stream_record zero "recorded [0-9]+ batches \\(16 nodes\\)"
+  "${CSMCLI}" stream application ${app_segment} ${app_engine}
+  --record "${WORK_DIR}/app_capture.csmr" --sig-out "${WORK_DIR}/app_live.sigs")
+run_step(app_record zero "recorded 16 nodes x [0-9]+ samples"
+  "${CSMCLI}" record application "${WORK_DIR}/app_offline.csmr"
+  ${app_segment})
+foreach(capture capture offline)
+  run_step(app_replay_${capture} zero "recording .*: 16 nodes, [0-9]+ batches"
+    "${CSMCLI}" replay "${WORK_DIR}/app_${capture}.csmr" ${app_engine}
+    --sig-out "${WORK_DIR}/app_replay_${capture}.sigs")
+endforeach()
+require_identical(app_live_vs_tap_replay
+  "${WORK_DIR}/app_live.sigs" "${WORK_DIR}/app_replay_capture.sigs")
+require_identical(app_tap_replay_vs_record_replay
+  "${WORK_DIR}/app_replay_capture.sigs" "${WORK_DIR}/app_replay_offline.sigs")
 
 # Scenario replay mutates the stream on the way in (the recording on disk
 # is untouched), so the signatures must diverge from the clean replay.
